@@ -349,20 +349,9 @@ def cmd_cluster(args) -> None:
         rates = tuple(float(r) for r in args.rate.split(","))
     elif args.quick:
         rates = QUICK_RATE_GRID
-    if args.shards > 1 and args.check:
-        print("--check needs the whole cluster in one simulator; "
-              "drop --shards or --check", file=sys.stderr)
-        sys.exit(2)
-    if args.shards > 1 and args.warm_start:
-        print("--warm-start restores one-simulator construction "
-              "checkpoints; drop --shards or --warm-start",
-              file=sys.stderr)
-        sys.exit(2)
     report = run_cluster(providers, cfg, rates=rates, jobs=args.jobs,
                          check=args.check, warm_start=args.warm_start,
-                         checkpoint_dir=args.checkpoint_dir,
-                         shards=args.shards,
-                         shard_workers=args.shard_workers)
+                         checkpoint_dir=args.checkpoint_dir)
     print(report.summary())
     if args.json_out:
         with open(args.json_out, "w") as fh:
@@ -774,16 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cluster_identity_flags(clus)
     clus.add_argument("--json-out", metavar="FILE.json",
                       help="also write the report as JSON")
-    clus.add_argument("--shards", type=int, default=1,
-                      help="partition each point's simulation across N "
-                           "shard simulators exchanging timestamped wire "
-                           "records; the report is byte-identical to "
-                           "--shards 1 (default 1)")
-    clus.add_argument("--shard-workers", default="process",
-                      choices=["process", "inline"],
-                      help="shard transport: one worker process per "
-                           "shard, or all shards stepped inline "
-                           "(debugging; same bytes)")
     clus.add_argument("--warm-start", action="store_true",
                       help="restore each cell's testbed from a shared "
                            "construction checkpoint (byte-identical "

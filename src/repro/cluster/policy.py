@@ -10,8 +10,7 @@ the two policy records and the tiny wire conventions they share.
 Everything is deterministic: backoff jitter draws from the client's own
 seeded RNG stream, shedding is a pure function of queue state, and the
 NAK markers are static bytes — so a cluster report with retries and
-shedding enabled is byte-identical for any ``--jobs`` and any
-``--shards N``.
+shedding enabled is byte-identical for any ``--jobs``.
 
 Wire conventions (only active when a :class:`RetryPolicy` is set):
 

@@ -29,8 +29,8 @@ from .workload import LATENCY_BUCKETS, ClusterClient, StartGate
 
 __all__ = ["ClusterConfig", "ClusterReport", "RATE_GRID",
            "QUICK_RATE_GRID", "find_knee", "slo_knee", "run_cluster",
-           "run_cluster_once", "cell_key", "load_cell", "store_cell",
-           "resolve_rates", "sweep_cells", "assemble_report"]
+           "run_cluster_once", "run_cell", "cell_key", "load_cell",
+           "store_cell", "resolve_rates", "sweep_cells", "assemble_report"]
 
 #: default total offered loads (requests/s) for a capacity sweep —
 #: geometric, wide enough to cross every provider's knee
@@ -70,19 +70,12 @@ class ClusterConfig:
 
 
 def _build_actors(cfg: ClusterConfig, topo, tb,
-                  rate_rps: float | None, hists, gate_for,
-                  offsets_for=None):
-    """Construct every server and client object, identically for any
-    caller.
+                  rate_rps: float | None, hists, gate: StartGate):
+    """Construct every server and client object of one point.
 
-    Shared by :func:`run_cluster_once` and the sharded host
-    (:mod:`repro.shard.sync`): a shard's replica construction must be
-    argument-for-argument identical to the single-heap one for the
-    partitioned run to stay byte-identical.  ``gate_for(cid)`` supplies
-    each client's gate handle; ``hists`` is one latency sink per tenant
-    (client ``i`` observes into ``hists[i % tenants]``).
-    ``offsets_for(cid)`` may supply a crafted arrival schedule (the
-    overload chaos cells).  Nothing here touches the simulator — only
+    Every client waits on the shared start ``gate``; ``hists`` is one
+    latency sink per tenant (client ``i`` observes into
+    ``hists[i % tenants]``).  Nothing here touches the simulator — only
     spawning does.
     """
     service = make_service(cfg.service)
@@ -118,8 +111,7 @@ def _build_actors(cfg: ClusterConfig, topo, tb,
             discriminator=4000 + (i % cfg.servers),
             seed=task_seed(cfg.seed, "client", i),
             hist=hists[i % nten], deadline_us=cfg.deadline_us,
-            gate=gate_for(i), retry=retry, tenant=i % nten,
-            offsets=offsets_for(i) if offsets_for is not None else None,
+            gate=gate, retry=retry, tenant=i % nten,
         )
         for i in range(cfg.clients)
     ]
@@ -127,8 +119,9 @@ def _build_actors(cfg: ClusterConfig, topo, tb,
 
 
 def _tenant_rollup(cfg: ClusterConfig, clients, hists) -> list[dict]:
-    """Per-tenant raw aggregates from a finished single-heap run —
-    the same shape the sharded merge assembles from shard partials."""
+    """Per-tenant raw aggregates (summed client stats, the tenant's
+    histogram, and its completion and arrival stamps) of a finished
+    run."""
     out = []
     for t in range(max(1, cfg.tenants)):
         tcl = [c for c in clients if c.tenant == t]
@@ -206,8 +199,8 @@ def _assemble_point(provider: str, cfg: ClusterConfig,
 
     ``tenants`` is a list of per-tenant aggregate dicts (see
     :func:`_tenant_rollup`); every input is order-insensitive (sums,
-    min/max, finished histograms), so the single-heap run and the
-    sharded merge produce byte-identical points from equal aggregates.
+    min/max, finished histograms), so the point does not depend on the
+    order clients or servers were listed in.
     """
     open_loop = cfg.mode == "open" and rate_rps is not None
     hist = tenants[0]["hist"]
@@ -267,8 +260,7 @@ def run_cluster_once(provider: str, cfg: ClusterConfig,
     ``rate_rps`` is the *total* offered load across all clients (open
     loop); ``None`` or ``mode="closed"`` runs closed-loop.  Passing a
     :class:`~repro.obs.metrics.MetricsRegistry` as ``harvest`` fills it
-    from the finished testbed (the sharded equivalence suite compares
-    it against the merged per-shard harvest).
+    from the finished testbed.
     """
     topo = make_topology(cfg.topology, cfg.nodes, cfg.servers)
     tb = build_testbed(provider, topo, seed=cfg.seed, check=check,
@@ -277,8 +269,7 @@ def run_cluster_once(provider: str, cfg: ClusterConfig,
              for _ in range(max(1, cfg.tenants))]
     # clients only: servers serve reactively and never join the gate
     gate = StartGate(tb.sim, cfg.clients)
-    servers, clients = _build_actors(cfg, topo, tb, rate_rps, hists,
-                                     lambda cid: gate)
+    servers, clients = _build_actors(cfg, topo, tb, rate_rps, hists, gate)
 
     procs = [tb.spawn(s.body(), f"server-{i}") for i, s in enumerate(servers)]
     procs += [tb.spawn(c.body(), f"client-{c.cid}") for c in clients]
@@ -350,19 +341,17 @@ def slo_knee(points: list[dict]) -> dict:
     return {"slo_knee_rps": knee}
 
 
-def _point_worker(provider: str, cfg: ClusterConfig,
-                  rate: float | None, check: bool,
-                  shards: int = 1, shard_workers: str = "process") -> tuple:
-    # each cell gets its own derived seed so points are independent
-    # draws, yet reproducible for any execution order
-    cell_cfg = replace(cfg, seed=task_seed(cfg.seed, provider, rate))
-    if shards > 1:
-        from ..shard import run_cluster_once_sharded
+def run_cell(provider: str, cfg: ClusterConfig,
+             rate: float | None, check: bool) -> dict:
+    """Run one :func:`sweep_cells` cell and return its point.
 
-        return run_cluster_once_sharded(provider, cell_cfg, rate,
-                                        shards=shards,
-                                        workers=shard_workers, check=check)
-    return run_cluster_once(provider, cell_cfg, rate, check=check), None
+    Each cell gets its own derived seed so points are independent
+    draws, yet reproducible for any execution order.  The picklable
+    worker of both :func:`run_cluster` and the experiment service
+    (:mod:`repro.serve`), so a served cell is the direct CLI's cell.
+    """
+    cell_cfg = replace(cfg, seed=task_seed(cfg.seed, provider, rate))
+    return run_cluster_once(provider, cell_cfg, rate, check=check)
 
 
 @dataclass
@@ -373,10 +362,6 @@ class ClusterReport:
     providers: tuple
     rates: tuple
     results: dict = field(default_factory=dict)  # provider -> curve dict
-    #: per-cell shard sync stats when the sweep ran sharded; excluded
-    #: from to_json so a sharded report stays byte-identical to the
-    #: single-heap one
-    shard_stats: dict | None = None
 
     @property
     def ok(self) -> bool:
@@ -439,13 +424,6 @@ class ClusterReport:
             for pt in self.results[prov]["points"]:
                 for v in pt["violations"]:
                     lines.append(f"  {prov}: {v}")
-        if self.shard_stats:
-            for cell, stats in sorted(self.shard_stats.items()):
-                lines.append(
-                    f"  shards[{cell}]: {stats['shards']} shards, "
-                    f"{stats['msgs_exchanged']} msgs, "
-                    f"{stats['sync_stalls']} stalls, "
-                    f"{stats['horizon_advances']} advances")
         lines.append("PASS" if self.ok else "FAIL")
         return "\n".join(lines)
 
@@ -509,8 +487,7 @@ def store_cell(checkpoint_dir: str, key: str, point: dict) -> None:
 def run_cluster(providers: tuple, cfg: ClusterConfig,
                 rates: tuple | None = None, jobs: int = 1,
                 check: bool = False, warm_start: bool = False,
-                checkpoint_dir: str | None = None, shards: int = 1,
-                shard_workers: str = "process") -> ClusterReport:
+                checkpoint_dir: str | None = None) -> ClusterReport:
     """Sweep every (provider, rate) cell; never raises, inspect ``ok``.
 
     ``warm_start`` restores each cell's testbed from a shared
@@ -522,38 +499,20 @@ def run_cluster(providers: tuple, cfg: ClusterConfig,
     provider, config, rate), and a re-run with the same directory skips
     cells already on disk — an interrupted campaign continues where it
     stopped and still emits the byte-identical final report.
-
-    ``shards > 1`` partitions each cell's simulation across shard
-    hosts (:mod:`repro.shard`); the report stays byte-identical to
-    ``shards=1`` for any shard count, and the cell checkpoint keys are
-    deliberately shard-count-independent for the same reason.
     """
-    if shards > 1 and warm_start:
-        raise ValueError("warm_start is not supported with shards > 1 "
-                         "(a restored construction checkpoint would "
-                         "clobber the per-shard replicas)")
     rates = resolve_rates(cfg, rates)
-    cells = [(p, cfg, r, check, shards, shard_workers)
-             for p, cfg, r, check in sweep_cells(providers, cfg, rates,
-                                                 check)]
-    done: dict[int, tuple] = {}
-    todo = []
+    cells = sweep_cells(providers, cfg, rates, check)
+    points: list[dict | None] = [None] * len(cells)
     if checkpoint_dir is not None:
-        for i, cell in enumerate(cells):
-            point = load_cell(checkpoint_dir, cell_key(*cell[:4]))
-            if point is not None:
-                done[i] = (point, None)
-            else:
-                todo.append((i, cell))
-    else:
-        todo = list(enumerate(cells))
+        points = [load_cell(checkpoint_dir, cell_key(*c)) for c in cells]
+    todo = [i for i, point in enumerate(points) if point is None]
 
     if todo:
         from ..vibe.executor import _enable_warm_start
 
         init = _enable_warm_start if warm_start else None
         try:
-            fresh = parallel_map(_point_worker, [c for _, c in todo], jobs,
+            fresh = parallel_map(run_cell, [cells[i] for i in todo], jobs,
                                  initializer=init)
         finally:
             if warm_start:
@@ -561,22 +520,12 @@ def run_cluster(providers: tuple, cfg: ClusterConfig,
 
                 warmcache.enable_warm_start(False)
                 warmcache.clear_pool()
-        for (i, cell), result in zip(todo, fresh):
-            done[i] = result
+        for i, point in zip(todo, fresh):
+            points[i] = point
             if checkpoint_dir is not None:
-                store_cell(checkpoint_dir, cell_key(*cell[:4]), result[0])
+                store_cell(checkpoint_dir, cell_key(*cells[i]), point)
 
-    points = [done[i][0] for i in range(len(cells))]
-    report = assemble_report(providers, cfg, rates, points)
-    if shards > 1:
-        report.shard_stats = {}
-        for i, cell in enumerate(cells):
-            stats = done[i][1]
-            if stats is None:
-                continue  # cell restored from a (shard-agnostic) checkpoint
-            rate_label = "closed" if cell[2] is None else f"{cell[2]:g}"
-            report.shard_stats[f"{cell[0]}@{rate_label}"] = stats
-    return report
+    return assemble_report(providers, cfg, rates, points)
 
 
 def resolve_rates(cfg: ClusterConfig, rates: tuple | None) -> tuple:

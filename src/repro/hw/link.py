@@ -99,12 +99,6 @@ class Channel:
         self.rng = rng or random.Random(0)
         self.name = name
         self.sink: Callable[[Packet], None] | None = None
-        #: optional shard-boundary hook (see repro.shard.boundary): called
-        #: as ``divert(packet, deliver_at)`` for every scheduled delivery;
-        #: returning True means the packet left this shard as a wire
-        #: record instead of being delivered locally.  None (the default)
-        #: costs one attribute load per delivery.
-        self.shard_divert: Callable[[Packet, float], bool] | None = None
         self._line = Resource(sim, capacity=1)
         #: virtual line occupancy left behind by an arithmetic burst:
         #: packet-level senders arriving before this instant wait it out
@@ -181,21 +175,9 @@ class Channel:
         self._schedule_delivery(packet, delay)
 
     def _schedule_delivery(self, packet: Packet, delay: float) -> None:
-        """Schedule one delivery ``delay`` from now (the boundary hook).
-
-        ``deliver_at`` is computed as ``now + delay`` — the *same* float
-        operation :meth:`Simulator.timeout` performs — so an exported
-        wire record carries the exact timestamp the local delivery event
-        would have fired at.
-        """
-        sim = self.sim
-        divert = self.shard_divert
-        if divert is not None and divert(packet, sim._now + delay):
-            # the packet crossed a shard cut: it counts as delivered by
-            # this channel (the peer shard replays the sink side)
-            self.delivered_packets += 1
-            return
-        deliver = sim.timeout(delay, packet)
+        """Hand ``packet`` to the sink ``delay`` from now (the original
+        and, under a ``dup`` fault, its trailing copy)."""
+        deliver = self.sim.timeout(delay, packet)
         deliver.callbacks.append(self._deliver)
 
     def _deliver(self, event: Event) -> None:

@@ -279,14 +279,13 @@ class _SourceArbiter:
     Several channels can deliver packets to one switch at the exact same
     simulated instant (symmetric topologies with uniform or bursty
     arrivals make this the common case, not a corner).  Without
-    arbitration the packets would be forwarded in heap-insertion order —
-    a sequence-number accident that is stable for a single run but *not*
-    reproducible when the same workload is partitioned across shards
-    (:mod:`repro.shard`), because each shard numbers its events
-    independently.  The arbiter makes the tie-break a function of packet
-    *content*: arrivals at one instant are batched and dispatched in
-    ``packet.src`` order once every ordinary (priority-0) event at that
-    instant has run.
+    arbitration the packets would be forwarded in heap-insertion order,
+    a sequence-number accident of how the kernel happened to number the
+    delivery events.  The arbiter makes the tie-break a function of
+    packet *content*: arrivals at one instant are batched and dispatched
+    in ``packet.src`` order once every ordinary (priority-0) event at
+    that instant has run.  Which arrival wins the output port decides
+    the contention counters and latencies the cluster goldens pin.
 
     The sort is total: a single channel can never deliver two packets at
     the same instant (its serialisation spaces them apart), and every
@@ -309,8 +308,7 @@ class _SourceArbiter:
         if not pending:
             # first arrival this instant: schedule the flush *after* all
             # priority-0 events at the same timestamp, so every arrival
-            # (local deliveries and cross-shard injections alike) joins
-            # this batch before it is ordered
+            # at this instant joins this batch before it is ordered
             flush = Event(self.sim)
             flush.callbacks.append(self._flush)
             flush.succeed(priority=1)

@@ -99,12 +99,12 @@ class ServiceClient:
     def wait(self, job_id: str, timeout: float = 300.0,
              poll: float = 0.2) -> dict:
         """Poll until the job leaves the queued/running states."""
-        deadline = time.time() + timeout
+        deadline = time.monotonic() + timeout  # immune to clock steps
         while True:
             summary = self.job(job_id)
             if summary["state"] not in ("queued", "running"):
                 return summary
-            if time.time() >= deadline:
+            if time.monotonic() >= deadline:
                 raise ServiceError(0, f"timed out waiting for {job_id} "
                                       f"(state {summary['state']})")
             time.sleep(poll)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from .spec import ExperimentSpec
 
 __all__ = ["execute_spec", "cluster_plan", "run_spec_worker",
-           "cluster_cell_worker", "point_metrics"]
+           "point_metrics"]
 
 
 def _cluster_pieces(spec: ExperimentSpec):
@@ -119,16 +119,3 @@ def point_metrics(point: dict) -> dict:
 def run_spec_worker(spec_dict: dict) -> str:
     """Execute a whole spec in a worker process (run/chaos jobs)."""
     return execute_spec(ExperimentSpec.from_dict(spec_dict))
-
-
-def cluster_cell_worker(provider: str, cfg, rate, check: bool) -> dict:
-    """Execute one cluster cell in a worker process.
-
-    Delegates to the runner's own cell worker so the per-cell seed
-    derivation — and therefore every simulated byte — matches a direct
-    ``vibe cluster`` invocation exactly.
-    """
-    from ..cluster.runner import _point_worker
-
-    point, _stats = _point_worker(provider, cfg, rate, check)
-    return point

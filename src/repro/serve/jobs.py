@@ -140,7 +140,9 @@ class JobQueue:
     def take(self, timeout: float | None = None) -> Job | None:
         """Next job, round-robin over clients; None on timeout/closed."""
         with self._cond:
-            deadline = None if timeout is None else time.time() + timeout
+            # monotonic: a wall-clock step must not end or stall a wait
+            deadline = (None if timeout is None
+                        else time.monotonic() + timeout)
             while True:
                 job = self._pop_locked()
                 if job is not None:
@@ -150,7 +152,7 @@ class JobQueue:
                 if self._closed:
                     return None
                 remaining = None if deadline is None \
-                    else deadline - time.time()
+                    else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     return None
                 self._cond.wait(remaining if remaining is not None

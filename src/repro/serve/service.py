@@ -39,8 +39,8 @@ from ..obs.metrics import MetricsRegistry
 from ..snap.format import CODE_VERSION
 from ..vibe.executor import _enable_warm_start, effective_jobs
 from .cache import ResultCache
-from .execute import (assemble_cluster_result, cluster_cell_worker,
-                      cluster_plan, point_metrics, run_spec_worker)
+from .execute import (assemble_cluster_result, cluster_plan,
+                      point_metrics, run_spec_worker)
 from .jobs import Job, JobQueue, QueueFullError
 from .spec import ExperimentSpec, SpecError
 
@@ -246,7 +246,7 @@ class ExperimentService:
     def _run_cluster_job(self, job: Job) -> None:
         """Fan the sweep's cells over the warm pool, streaming each
         completion; cells hit/feed the shared ``cell-<key>`` store."""
-        from ..cluster.runner import load_cell, store_cell
+        from ..cluster.runner import load_cell, run_cell, store_cell
 
         assert self._pool is not None
         providers, cfg, rates, cells, keys = cluster_plan(job.spec)
@@ -264,7 +264,7 @@ class ExperimentService:
                 self._emit_cell(job, i, cells[i], points[i],
                                 cache_hit=True)
             else:
-                fut = self._pool.submit(cluster_cell_worker, *cell)
+                fut = self._pool.submit(run_cell, *cell)
                 pending[fut] = (i, key)
         while pending:
             done, _ = concurrent.futures.wait(

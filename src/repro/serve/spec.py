@@ -51,6 +51,16 @@ def _require(params: dict, allowed: set, kind: str) -> None:
                         f"(allowed: {', '.join(sorted(allowed))})")
 
 
+def _provider(name) -> str:
+    from ..check import ALL_PROVIDERS
+
+    name = str(name)
+    if name not in ALL_PROVIDERS:
+        raise SpecError(f"unknown provider {name!r}; "
+                        f"known: {', '.join(ALL_PROVIDERS)}")
+    return name
+
+
 def _providers(params: dict) -> tuple:
     from ..check import ALL_PROVIDERS
 
@@ -59,12 +69,7 @@ def _providers(params: dict) -> tuple:
         return tuple(ALL_PROVIDERS)
     if isinstance(raw, str):
         raw = raw.split(",")
-    provs = tuple(str(p) for p in raw)
-    for p in provs:
-        if p not in ALL_PROVIDERS:
-            raise SpecError(f"unknown provider {p!r}; "
-                            f"known: {', '.join(ALL_PROVIDERS)}")
-    return provs
+    return tuple(_provider(p) for p in raw)
 
 
 def _normalize_run(params: dict, seed: int) -> dict:
@@ -81,7 +86,7 @@ def _normalize_run(params: dict, seed: int) -> dict:
                         f"got {fidelity!r}")
     out = {
         "benchmark": benchmark,
-        "provider": str(params.get("provider", "clan")),
+        "provider": _provider(params.get("provider", "clan")),
         "fidelity": fidelity,
     }
     if params.get("sizes"):

@@ -39,9 +39,10 @@ __all__ = [
 
 MAGIC = b"VIBESNAP"
 #: bump on any change to the framing or the payload encodings —
-#: including new fields in the pickled state tier (v2: providers carry
-#: an admission-control ``conn_rejects`` counter)
-FORMAT_VERSION = 2
+#: including new or removed fields in the pickled state tier (v2:
+#: providers carry an admission-control ``conn_rejects`` counter; v3:
+#: channels no longer carry a delivery-divert hook)
+FORMAT_VERSION = 3
 #: stamped into every header; a restore across package versions refuses
 CODE_VERSION = f"repro-{__version__}/snap-{FORMAT_VERSION}"
 

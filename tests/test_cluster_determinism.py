@@ -7,6 +7,10 @@ counterparts of the suite-wide determinism fixtures.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import pytest
+
 from repro.cluster import ClusterConfig, run_cluster, run_cluster_once
 
 CFG = ClusterConfig(nodes=4, clients=4, requests=4, window=2)
@@ -20,8 +24,6 @@ def test_same_seed_same_point():
 
 
 def test_different_seed_different_schedule():
-    from dataclasses import replace
-
     a = run_cluster_once("mvia", CFG, 8_000.0)
     b = run_cluster_once("mvia", replace(CFG, seed=1), 8_000.0)
     # Poisson arrivals reshuffle, so the latency curve must move
@@ -34,9 +36,12 @@ def test_report_json_is_byte_identical_across_runs():
     assert a.to_json() == b.to_json()
 
 
-def test_parallel_sweep_matches_serial_byte_for_byte():
-    serial = run_cluster(("mvia", "bvia"), CFG, rates=RATES, jobs=1)
-    fanned = run_cluster(("mvia", "bvia"), CFG, rates=RATES, jobs=2)
+@pytest.mark.parametrize("topology,nodes,servers", [
+    ("star", 4, 1), ("dumbbell", 6, 2), ("fattree", 8, 2)])
+def test_parallel_sweep_matches_serial_byte_for_byte(topology, nodes, servers):
+    cfg = replace(CFG, topology=topology, nodes=nodes, servers=servers)
+    serial = run_cluster(("mvia", "bvia"), cfg, rates=RATES, jobs=1)
+    fanned = run_cluster(("mvia", "bvia"), cfg, rates=RATES, jobs=2)
     assert serial.to_json() == fanned.to_json()
 
 

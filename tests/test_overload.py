@@ -4,8 +4,7 @@ Covers the policy records (parsing, backoff determinism), the client
 retry engine (exactly-once accounting, liveness against a dead server),
 the server admission path (shedding, NAKs, connection caps), per-tenant
 SLO verdicts and the ``slo_knee``, and the byte-determinism contract:
-a report with retries and shedding enabled is byte-identical for any
-``--jobs`` and any ``--shards N``.
+a report with retries and shedding on is byte-identical for any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from repro.cluster import ClusterConfig, run_cluster, run_cluster_once
 from repro.cluster.policy import (DEFAULT_DEADLINE_US, RetryPolicy,
                                   ServerPolicy)
 from repro.cluster.runner import slo_knee
-from repro.shard import run_cluster_once_sharded
 
 # a config comfortably past the knee: fixed:100 caps one server at
 # 10k rps while four clients offer 48k, so shedding and retries engage
@@ -243,21 +241,13 @@ def test_retry_client_survives_dead_server():
 
 @given(seed=st.integers(min_value=0, max_value=31))
 @settings(max_examples=3, deadline=None)
-def test_report_bytes_identical_across_jobs_and_shards(seed):
+def test_report_bytes_identical_across_jobs(seed):
     cfg = replace(OVERLOAD, requests=4, seed=seed)
-    rates = (48_000.0,)
+    # two cells, so jobs=2 really fans out (one cell runs inline)
+    rates = (24_000.0, 48_000.0)
     serial = run_cluster(("mvia",), cfg, rates=rates, jobs=1)
     fanned = run_cluster(("mvia",), cfg, rates=rates, jobs=2)
     assert serial.to_json() == fanned.to_json()
-    sharded = run_cluster(("mvia",), cfg, rates=rates, jobs=1, shards=3,
-                          shard_workers="inline")
-    assert serial.to_json() == sharded.to_json()
-
-
-def test_sharded_point_matches_single_heap():
-    pt, _stats = run_cluster_once_sharded("mvia", OVERLOAD, 48_000.0,
-                                          shards=2, workers="inline")
-    assert pt == run_cluster_once("mvia", OVERLOAD, 48_000.0)
 
 
 # ---------------------------------------------------------------------------

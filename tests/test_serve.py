@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.serve import (
     SpecError,
     execute_spec,
 )
+from repro.serve import client as serve_client, jobs as serve_jobs
 from repro.serve.jobs import Job, JobQueue, QueueFullError
 
 SMALL_CLUSTER = {"nodes": 2, "clients": 2, "requests": 2,
@@ -89,6 +92,8 @@ def test_seed_and_params_change_the_key():
     {"kind": "run", "params": {"benchmark": "no_such_bench"}},
     {"kind": "run", "params": {"benchmark": "base_latency",
                                "fidelity": "warp"}},
+    {"kind": "run", "params": {"benchmark": "base_latency",
+                               "provider": "nope"}},
     {"kind": "cluster", "params": {"bogus_param": 1}},
     {"kind": "cluster", "params": {"providers": ["enoexist"]}},
     {"kind": "chaos", "params": {"scenarios": ["no_such_scenario"]}},
@@ -121,6 +126,30 @@ def test_queue_capacity_overflow_raises():
     q.submit(_job(seed=2))
     with pytest.raises(QueueFullError):
         q.submit(_job(seed=3))
+
+
+def _stepped_clock() -> SimpleNamespace:
+    """Stand-in ``time`` module whose wall clock jumps an hour forward
+    after its first read, so a deadline taken from it is stale mid-wait."""
+    offsets = iter([0.0])
+    return SimpleNamespace(time=lambda: time.time() + next(offsets, 3600.0),
+                           monotonic=time.monotonic, sleep=time.sleep)
+
+
+def test_queue_take_survives_wall_clock_step(monkeypatch):
+    q, job = JobQueue(capacity=4), _job(seed=1)
+    monkeypatch.setattr(serve_jobs, "time", _stepped_clock())
+    threading.Timer(0.2, q.submit, (job,)).start()
+    assert q.take(30.0) is job
+
+
+def test_client_wait_survives_wall_clock_step(monkeypatch):
+    states = iter(["queued", "running", "done"])
+    monkeypatch.setattr(ServiceClient, "job",
+                        lambda self, job_id: {"state": next(states)})
+    monkeypatch.setattr(serve_client, "time", _stepped_clock())
+    cli = ServiceClient("http://127.0.0.1:1")
+    assert cli.wait("job-1", timeout=30.0, poll=0.01)["state"] == "done"
 
 
 def test_cancel_queued_job_is_removed_and_queue_not_wedged():
