@@ -16,12 +16,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator
 
-import numpy as np
-
 from ..sim import Event, Resource, Simulator
 from ..sim.ids import id_space
 
-__all__ = ["Packet", "Burst", "Channel", "Link", "DuplexPort"]
+__all__ = ["Packet", "Channel", "Link", "DuplexPort"]
 
 _packet_ids = id_space("packet")
 
@@ -48,26 +46,6 @@ class Packet:
     def __post_init__(self) -> None:
         if self.size < 0:
             raise ValueError("packet size must be >= 0")
-
-
-@dataclass
-class Burst:
-    """A multi-packet record carried through the wire model as one unit.
-
-    The struct-of-arrays staging (numpy ``float64`` arrays, one slot per
-    packet) holds the per-packet timestamps a burst-aware observer needs
-    without materialising per-packet events: ``t_start``/``t_end`` bound
-    each packet's serialisation window and ``t_deliver`` is its arrival
-    at the channel sink.  Only :meth:`Channel.plan_burst` fills them.
-    """
-
-    packets: list
-    t_start: np.ndarray | None = None
-    t_end: np.ndarray | None = None
-    t_deliver: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.packets)
 
 
 class Channel:
@@ -196,83 +174,39 @@ class Channel:
 
         Pure computation (no state touched): given the instants each
         packet becomes available (``emit_times``) and its payload size,
-        returns ``(starts, ends, delivers)`` numpy arrays — when each
-        packet's serialisation begins and ends and when it reaches the
-        sink — reproducing exactly what per-packet :meth:`send` calls
-        would compute on an initially-free line (or one busy until
-        ``line_free``).  The per-packet serialisation times are
-        vectorised (bitwise-identical to :meth:`serialization_time`);
-        the FIFO-drain recurrence ``start_k = max(emit_k, end_{k-1})``
-        runs as an exact scalar loop so every timestamp reproduces the
-        event path's float operations bit for bit.
+        returns ``(starts, ends, delivers)`` lists — when each packet's
+        serialisation begins and ends and when it reaches the sink —
+        reproducing exactly what per-packet :meth:`send` calls would
+        compute on an initially-free line (or one busy until
+        ``line_free``).  The FIFO-drain recurrence
+        ``start_k = max(emit_k, end_{k-1})`` runs as one scalar loop with
+        :meth:`serialization_time`'s float operations in the same
+        association, so every timestamp reproduces the event path's bit
+        for bit.
         """
-        sizes = np.asarray(sizes, dtype=np.float64)
-        ser = self.per_packet_cost + (sizes + self.header_bytes) / self.bandwidth
-        n = len(sizes)
-        starts = np.empty(n, dtype=np.float64)
-        ends = np.empty(n, dtype=np.float64)
+        ppc = self.per_packet_cost
+        hdr = self.header_bytes
+        bw = self.bandwidth
+        prop = self.prop_delay
+        starts: list[float] = []
+        ends: list[float] = []
+        delivers: list[float] = []
         prev_end = line_free
-        for k, (e, s) in enumerate(zip(emit_times, ser.tolist())):
+        for e, size in zip(emit_times, sizes):
             st = e if e > prev_end else prev_end
-            prev_end = st + s
-            starts[k] = st
-            ends[k] = prev_end
-        return starts, ends, ends + self.prop_delay
+            prev_end = st + (ppc + (size + hdr) / bw)
+            starts.append(st)
+            ends.append(prev_end)
+            delivers.append(prev_end + prop)
+        return starts, ends, delivers
 
-    def note_burst(self, n: int, nbytes: int, busy_until: float,
-                   delivered: bool = True) -> None:
+    def note_burst(self, n: int, nbytes: int, busy_until: float) -> None:
         """Commit an arithmetic burst: bulk counters + virtual occupancy."""
         self.sent_packets += n
         self.sent_bytes += nbytes
-        if delivered:
-            self.delivered_packets += n
+        self.delivered_packets += n
         if busy_until > self._ff_busy_until:
             self._ff_busy_until = busy_until
-
-    def send_burst(self, burst: "Burst | list[Packet]") -> Generator[Event, Any, None]:
-        """Process fragment: serialise a whole burst in O(1) line events.
-
-        The line is held once for the burst; per-packet serialisation
-        windows and delivery instants are computed arithmetically
-        (:meth:`plan_burst`) and delivery callbacks are scheduled up
-        front, so the event count is one line hold plus one delivery per
-        packet instead of a request/timeout/release chain each.  Falls
-        back to packet-at-a-time :meth:`send` whenever an observer needs
-        per-packet treatment: a tracer, an armed fault injector, or a
-        lossy wire.
-        """
-        packets = burst.packets if isinstance(burst, Burst) else burst
-        if not packets:
-            return
-        sim = self.sim
-        if (self.loss_rate or sim.faults is not None
-                or sim.tracer is not None):
-            for packet in packets:
-                yield from self.send(packet)
-            return
-        if self.sink is None:
-            raise RuntimeError(f"{self.name}: no sink attached")
-        busy = self._ff_busy_until
-        if busy > 0.0:
-            wait = busy - sim._now
-            if wait > 0.0:
-                yield sim.timeout(wait)
-        yield self._line.request()
-        try:
-            now = sim._now
-            sizes = [p.size for p in packets]
-            starts, ends, delivers = self.plan_burst(
-                np.full(len(packets), now), sizes)
-            if isinstance(burst, Burst):
-                burst.t_start, burst.t_end, burst.t_deliver = (
-                    starts, ends, delivers)
-            for packet, at in zip(packets, delivers.tolist()):
-                self._schedule_delivery(packet, at - now)
-            yield sim.timeout(float(ends[-1]) - now)
-        finally:
-            self._line.release()
-        self.sent_packets += len(packets)
-        self.sent_bytes += sum(sizes)
 
 
 class Link:

@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Generator
 
-import numpy as np
-
 from ..sim import Event, Simulator
 from .link import Channel, DuplexPort, Packet
 from .node import Node
@@ -214,10 +212,11 @@ class OutputPort:
         """Arithmetic replay of :meth:`forward` for a batch of arrivals.
 
         Pure computation: walks the cut-through backlog recurrence (or
-        the store-and-forward pass-through) over ``arrive_times`` without
-        touching port state and returns ``(departs, commit)`` where
-        ``departs[k]`` is when frame ``k`` reaches the downlink channel
-        and ``commit()`` applies the counter and backlog-state deltas —
+        the store-and-forward pass-through) over ``arrive_times`` in one
+        scalar loop without touching port state and returns
+        ``(departs, commit)`` where ``departs`` is a list whose ``k``-th
+        entry is when frame ``k`` reaches the downlink channel and
+        ``commit()`` applies the counter and backlog-state deltas —
         call it only once the whole burst is accepted.  Returns ``None``
         when the arrivals interleave with frames the port has already
         accounted ahead of them (``_last_at`` past the first arrival):
@@ -232,7 +231,7 @@ class OutputPort:
             def commit() -> None:
                 self.forwarded += n
 
-            return np.asarray(arrive_times, dtype=np.float64), commit
+            return list(arrive_times), commit
         if self._last_at > arrive_times[0]:
             return None
         backlog = self._backlog
@@ -240,11 +239,11 @@ class OutputPort:
         contended = 0
         backpressured = 0
         max_backlog = self.max_backlog_us
-        departs = np.asarray(arrive_times, dtype=np.float64).copy()
+        departs: list[float] = []
         rate = self._line_rate
         hdr = self._header_bytes
         buffer_us = self._buffer_us
-        for k, (t, size) in enumerate(zip(arrive_times, sizes)):
+        for t, size in zip(arrive_times, sizes):
             b = backlog - (t - last)
             if b < 0.0:
                 b = 0.0
@@ -256,7 +255,8 @@ class OutputPort:
                     max_backlog = b
                 if b > buffer_us:
                     backpressured += 1
-                departs[k] = t + b
+                t += b
+            departs.append(t)
 
         def commit() -> None:
             self.forwarded += n

@@ -189,14 +189,10 @@ def segment_pages(segments: Iterable, page_size: int) -> list[int]:
 
 def fragment_sizes(total: int, mtu: int) -> list[int]:
     """Fragment byte counts for a message (always at least one fragment)."""
-    if total == 0:
-        return [0]
-    sizes = []
-    remaining = total
-    while remaining > 0:
-        take = min(mtu, remaining)
-        sizes.append(take)
-        remaining -= take
+    full, rest = divmod(total, mtu)
+    sizes = [mtu] * full
+    if rest or not sizes:
+        sizes.append(rest)
     return sizes
 
 
@@ -357,14 +353,18 @@ class NicEngine:
         return (up, switch, oport, down, peer_nic, peer_eng,
                 peer_up, sport, sdown)
 
-    def _plan_burst(self, vi: VI, desc: Descriptor,
-                    frags: list[DataFrag]) -> _BurstPlan | None:
-        """Try to solve the whole message arithmetically.  None = fall back."""
+    def _plan_burst(self, vi: VI, desc: Descriptor, data: bytes, seq: int,
+                    sizes: list[int]) -> _BurstPlan | None:
+        """Try to solve the whole message arithmetically.  None = fall back.
+
+        Works from the message geometry alone (``seq``, the fragment
+        ``sizes`` and the gathered ``data``): no :class:`DataFrag` is
+        built unless the plan declines and the packet path runs."""
         sim = self.sim
-        n = len(frags)
+        n = len(sizes)
         if n < 2 and sim.fidelity != "flow":
             return None
-        if frags[0].op != "send":
+        if desc.op is DescriptorOp.RDMA_WRITE:
             return None
         if (sim.tracer is not None or sim.faults is not None
                 or sim.checker is not None):
@@ -380,12 +380,12 @@ class NicEngine:
         peer_vi = peer_eng.p.vis.get(vi.peer[1])
         if (peer_vi is None or not peer_vi.is_connected
                 or peer_vi.rx_state is not None
-                or peer_vi.expected_rx_seq != frags[0].seq
+                or peer_vi.expected_rx_seq != seq
                 or peer_eng.has_buffered(peer_vi)
                 or peer_vi.recv_q.claimable == 0):
             return None
         rdesc = peer_vi.recv_q._claimable[0]
-        total_len = frags[0].total_len
+        total_len = len(data)
         if total_len > rdesc.total_length:
             return None
 
@@ -412,25 +412,27 @@ class NicEngine:
 
         c = self.costs
         t0 = sim._now
-        sizes = [len(f.data) for f in frags]
-        nbytes = sum(sizes)
         # -- sender engine: per-frag DMA fetch + tx cost ------------------
         # every recurrence below replays the event path's float additions
-        # in the same order and association (x + transfer_time(n), one
+        # in the same order and association (x + transfer_time(n), with
+        # transfer_time = per_transfer_cost + n / bandwidth inlined; one
         # cost per timeout) so the computed timestamps are bit-identical
         dma_free = dma._ff_busy_until
+        dma_ppc = dma.per_transfer_cost
+        dma_bw = dma.bandwidth
         tx_cost = c.nic_tx_per_frag
         emit: list[float] = []
         prev = t0
         for size in sizes:
             ds = prev if prev > dma_free else dma_free
-            dma_free = ds + dma.transfer_time(size)
+            dma_free = ds + (dma_ppc + size / dma_bw)
             prev = dma_free + tx_cost
             emit.append(prev)
         # -- forward wire path: uplink -> switch -> port -> downlink ------
         _, up_ends, up_delivers = up.plan_burst(
             emit, sizes, line_free=up._ff_busy_until)
-        arrive_port = up_delivers + switch.params.switch_latency
+        sw_lat = switch.params.switch_latency
+        arrive_port = [d + sw_lat for d in up_delivers]
         port_plan = oport.plan_burst(arrive_port, sizes)
         if port_plan is None:
             return None
@@ -457,19 +459,20 @@ class NicEngine:
 
         ptable = peer_eng.node.mem.page_table
         pdma_free = pdma._ff_busy_until
+        pdma_ppc = pdma.per_transfer_cost
+        pdma_bw = pdma.bandwidth
         rx_cost = rc.nic_rx_per_frag
         r_free = peer_eng._ff_rx_free
         pages_total = 0
         misses = 0
         miss_bytes = 0
-        for k in range(n):
-            t = float(rx_arrive[k])
+        offset = 0
+        for t, size in zip(rx_arrive, sizes):
             if r_free > t:
                 t = r_free
             t += rx_cost
             if translate_on:
-                pages = peer_eng._placement_pages(
-                    rdesc, frags[k].offset, sizes[k])
+                pages = peer_eng._placement_pages(rdesc, offset, size)
                 pages_total += len(pages)
                 if not host_table:
                     if pages:
@@ -488,9 +491,10 @@ class NicEngine:
                         else:
                             t += rc.tlb_hit
             ds = t if t > pdma_free else pdma_free
-            t = ds + pdma.transfer_time(sizes[k])
+            t = ds + (pdma_ppc + size / pdma_bw)
             pdma_free = t
             r_free = t
+            offset += size
 
         def _complete_seq(t_: float, wq: WorkQueue, costs_, choices_) -> float:
             # one addition per timeout, as _finish issues them
@@ -520,7 +524,7 @@ class NicEngine:
             _, a_ends, a_del = peer_up.plan_burst(
                 [ack_emit], [ACK_WIRE_BYTES],
                 line_free=peer_up._ff_busy_until)
-            s_arrive = float(a_del[0]) + switch.params.switch_latency
+            s_arrive = a_del[0] + sw_lat
             splan = sport.plan_burst([s_arrive], [ACK_WIRE_BYTES])
             if splan is None:
                 _restore_tlb()
@@ -529,7 +533,7 @@ class NicEngine:
             _, sd_ends, sd_del = sdown.plan_burst(
                 s_departs, [ACK_WIRE_BYTES],
                 line_free=sdown._ff_busy_until)
-            ta = float(sd_del[0])
+            ta = sd_del[0]
             if self._ff_rx_free > ta:
                 ta = self._ff_rx_free
             ta += c.ack_rx
@@ -546,38 +550,35 @@ class NicEngine:
             return None
 
         metrics = sim.metrics
-        data = b"".join(f.data for f in frags)
-        immediate = frags[0].immediate
-        seq = frags[0].seq
+        immediate = desc.control.immediate
         est = n * 17 + pages_total + 2 * misses + (15 if reliable else 0)
 
         def commit() -> None:
             # packet-id parity with the event path (no Packet objects)
-            for _ in range(n + (1 if reliable else 0)):
-                next(_hwlink._packet_ids)
+            _hwlink._packet_ids.next_value += n + (1 if reliable else 0)
             self.nic.note_tx_burst(n)
-            dma.note_burst(n, nbytes, dma_free)
-            up.note_burst(n, nbytes, float(up_ends[-1]))
+            dma.note_burst(n, total_len, dma_free)
+            up.note_burst(n, total_len, up_ends[-1])
             switch.forwarded += n
             port_commit()
-            down.note_burst(n, nbytes, float(down_ends[-1]))
+            down.note_burst(n, total_len, down_ends[-1])
             peer_nic.note_rx_burst(n)
             peer_eng.messages_received += 1
             if metrics is not None:
                 metrics.observe(
                     f"via.{peer_eng.node.name}.msg_recv_bytes",
                     total_len, DEFAULT_SIZE_BUCKETS)
-            pdma.note_burst(n + misses, nbytes + miss_bytes, pdma_free)
+            pdma.note_burst(n + misses, total_len + miss_bytes, pdma_free)
             peer_vi.expected_rx_seq = seq + 1
             claimed = peer_vi.recv_q.claim()
             assert claimed is rdesc
             peer_eng._ff_rx_free = r_free
             if reliable:
                 peer_nic.note_tx_burst(1)
-                peer_up.note_burst(1, ACK_WIRE_BYTES, float(a_ends[-1]))
+                peer_up.note_burst(1, ACK_WIRE_BYTES, a_ends[-1])
                 switch.forwarded += 1
                 sport_commit()
-                sdown.note_burst(1, ACK_WIRE_BYTES, float(sd_ends[-1]))
+                sdown.note_burst(1, ACK_WIRE_BYTES, sd_ends[-1])
                 self.nic.note_rx_burst(1)
                 self._ff_rx_free = snd_rx_free
 
@@ -649,12 +650,15 @@ class NicEngine:
             if chk is not None:
                 chk.on_local_dma(self.p, vi, desc)
             data = gather(self.node.mem, desc)
-            frags = self._build_frags(vi, desc, data)
-            plan = (self._plan_burst(vi, desc, frags)
+            seq = vi.next_send_seq
+            vi.next_send_seq += 1
+            sizes = fragment_sizes(len(data), self.mtu)
+            plan = (self._plan_burst(vi, desc, data, seq, sizes)
                     if self.sim.fidelity != "packet" else None)
             if plan is not None:
                 yield from self._run_burst(plan)
             else:
+                frags = self._build_frags(vi, desc, data, seq, sizes)
                 reliable = vi.reliability is not Reliability.UNRELIABLE
                 if reliable:
                     state = _SendState(vi, desc, frags, self._peer_node(vi))
@@ -683,12 +687,10 @@ class NicEngine:
             yield from self._finish(vi.send_q, desc,
                                     CompletionStatus.SUCCESS, desc.total_length)
 
-    def _build_frags(self, vi: VI, desc: Descriptor, data: bytes) -> list[DataFrag]:
+    def _build_frags(self, vi: VI, desc: Descriptor, data: bytes, seq: int,
+                     sizes: list[int]) -> list[DataFrag]:
         assert vi.peer is not None
-        seq = vi.next_send_seq
-        vi.next_send_seq += 1
         op = "rdma_write" if desc.op is DescriptorOp.RDMA_WRITE else "send"
-        sizes = fragment_sizes(len(data), self.mtu)
         frags = []
         offset = 0
         for i, size in enumerate(sizes):

@@ -73,7 +73,7 @@ def _providers(params: dict) -> tuple:
 
 
 def _normalize_run(params: dict, seed: int) -> dict:
-    from ..vibe.suite import SUITE
+    from ..vibe.suite import SIZES_AWARE, SUITE
 
     _require(params, {"benchmark", "provider", "fidelity", "sizes"}, "run")
     benchmark = params.get("benchmark")
@@ -90,6 +90,9 @@ def _normalize_run(params: dict, seed: int) -> dict:
         "fidelity": fidelity,
     }
     if params.get("sizes"):
+        if benchmark not in SIZES_AWARE:
+            raise SpecError(f"benchmark {benchmark!r} takes no sizes; "
+                            f"those that do: {', '.join(sorted(SIZES_AWARE))}")
         out["sizes"] = tuple(int(s) for s in params["sizes"])
     return out
 

@@ -38,17 +38,13 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
+import sys
 from collections import OrderedDict, deque
 
 __all__ = ["fingerprint", "fingerprint_update"]
 
 _F64 = struct.Struct(">d")
 _I64 = struct.Struct(">q")
-
-try:  # numpy ships in the environment; gate anyway for minimal installs
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is available in CI
-    _np = None
 
 
 class _Hasher:
@@ -127,8 +123,11 @@ class _Hasher:
             mix(b"G")
             self.walk(obj.getstate())
             return
-        if _np is not None and isinstance(obj, _np.ndarray):
-            arr = _np.ascontiguousarray(obj)
+        # numpy is looked up, never imported: if nothing imported it, no
+        # array can exist, and the simulation stays numpy-free
+        np = sys.modules.get("numpy")
+        if np is not None and isinstance(obj, np.ndarray):
+            arr = np.ascontiguousarray(obj)
             mix(b"A", str(arr.dtype).encode(), _I64.pack(arr.ndim),
                 *(_I64.pack(d) for d in arr.shape), arr.tobytes())
             return

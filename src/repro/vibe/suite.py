@@ -101,6 +101,21 @@ JOBS_AWARE = frozenset({
     "mtu_latency", "mtu_bandwidth",
 })
 
+#: benchmarks that sweep a ``sizes=[...]`` list of message sizes.  The
+#: rest take no ``sizes`` keyword (the ``**overrides`` ones hand it to
+#: :class:`TransferConfig`, which rejects it), so a served spec naming
+#: one with ``sizes`` is refused up front.
+SIZES_AWARE = frozenset({
+    "memreg",
+    "base_latency", "base_bandwidth",
+    "base_latency_blocking", "base_bandwidth_blocking",
+    "reuse_latency", "reuse_bandwidth",
+    "cq_latency", "cq_bandwidth", "cq_overhead",
+    "rdma_write_latency", "rdma_read_latency",
+    "msg_layer_latency", "msg_layer_bandwidth",
+    "getput_latency",
+})
+
 #: benchmarks whose kwargs flow into a :class:`TransferConfig`, and thus
 #: accept a ``fidelity="auto"|"flow"`` fast-forward override.  The rest
 #: build their testbeds directly and silently drop the keyword (so the

@@ -7,7 +7,8 @@ from repro.providers import Testbed, get_spec
 from repro.providers.engine import AckPayload, DataFrag, RdmaReadReq
 from repro.via import CompletionStatus, Descriptor, Reliability
 
-from conftest import connected_endpoints, run_pair, run_proc, simple_send
+from conftest import (connected_endpoints, run_pair, run_proc, simple_recv,
+                      simple_send)
 
 
 def _inject(tb, src, dst, kind, size, payload):
@@ -215,3 +216,38 @@ def test_transport_failure_breaks_the_connection():
     assert out["first"] is CompletionStatus.TRANSPORT_ERROR
     assert out["second"] is CompletionStatus.FLUSHED
     assert out["state"] is ViState.ERROR
+
+
+@pytest.mark.parametrize("fidelity, frags", [("auto", 0), ("packet", 8 * 64)])
+def test_fast_forward_builds_no_fragments(monkeypatch, fidelity, frags):
+    """A fast-forwarded message is planned from its geometry: no
+    DataFrag exists unless the packet path runs (64 per message here)."""
+    made = []
+
+    class CountingFrag(DataFrag):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self.frag)
+
+    monkeypatch.setattr("repro.providers.engine.DataFrag", CountingFrag)
+    size, count = 65_536, 8
+    payloads = [bytes([i + 1]) * size for i in range(count)]
+    received = []
+    tb = Testbed("clan", mtu=1024, fidelity=fidelity)
+    client_setup, server_setup = connected_endpoints(tb, bufsize=size)
+
+    def client():
+        ep = yield from client_setup()
+        for data in payloads:
+            yield from simple_send(*ep, data)
+
+    def server():
+        h, vi, region, mh = yield from server_setup()
+        for _ in payloads:
+            _, data = yield from simple_recv(h, vi, region, mh, size)
+            received.append(data)
+
+    run_pair(tb, client(), server())
+    assert received == payloads
+    assert len(made) == frags
+    assert tb.sim.ff_bursts == (count if fidelity == "auto" else 0)

@@ -94,6 +94,8 @@ def test_seed_and_params_change_the_key():
                                "fidelity": "warp"}},
     {"kind": "run", "params": {"benchmark": "base_latency",
                                "provider": "nope"}},
+    {"kind": "run", "params": {"benchmark": "multivi_latency",
+                               "sizes": [4]}},
     {"kind": "cluster", "params": {"bogus_param": 1}},
     {"kind": "cluster", "params": {"providers": ["enoexist"]}},
     {"kind": "chaos", "params": {"scenarios": ["no_such_scenario"]}},

@@ -11,6 +11,7 @@ from repro.vibe import (
     run_benchmark,
 )
 from repro.vibe.metrics import BenchResult, Measurement
+from repro.vibe.suite import SIZES_AWARE
 
 
 def test_suite_registry_is_complete():
@@ -143,3 +144,14 @@ def test_every_suite_entry_takes_a_provider_first():
         for p in params[1:]:
             assert p.default is not inspect.Parameter.empty \
                 or p.kind is p.VAR_KEYWORD, (name, p.name)
+
+
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_sizes_aware_is_exactly_the_benchmarks_taking_sizes(name):
+    """SIZES_AWARE (what served run specs may pass ``sizes`` to) must
+    match what the benchmarks themselves accept."""
+    if name in SIZES_AWARE:
+        run_benchmark(name, "clan", sizes=[4])
+    else:
+        with pytest.raises(TypeError):
+            run_benchmark(name, "clan", sizes=[4])
