@@ -89,6 +89,49 @@ def test_kernel_allocation_footprint():
         f"per-event garbage is being kept alive")
 
 
+def test_hold_allocation_footprint():
+    """Guardrail for timed resource holds: a hold in flight (granted,
+    its timed part scheduled) must stay within a small per-hold block
+    budget, and a drained batch of holds may retain only the bounded
+    pools.  A grant that allocated a request event, a timeout or a
+    closure again would show up here first.
+    """
+    n = 10_000
+    gc.collect()
+    sim = Simulator()
+    res = Resource(sim, capacity=n)      # every hold is granted at once
+    for i in range(2000):                # warm the pools and caches
+        res.hold(float(1 + i % 7))
+    sim.run()
+    for _ in range(2000):
+        res.release()
+    gc.collect()
+    gc.disable()
+    try:
+        base = sys.getallocatedblocks()
+        for i in range(n):
+            res.hold(float(1 + i % 97))
+        sim.run(until=sim.now + 0.5)     # deliver every grant record
+        in_flight = sys.getallocatedblocks() - base
+        sim.run()
+        for _ in range(n):
+            res.release()
+        drained = sys.getallocatedblocks() - base
+    finally:
+        gc.enable()
+    # measured ~5.9 blocks/hold (the hold, its callbacks list, two seq
+    # ints, its heap/bucket entry); request() + timeout() took ~8.7
+    blocks_per_hold = in_flight / n
+    assert blocks_per_hold <= 7.0, (
+        f"{blocks_per_hold:.2f} allocated blocks per held slot "
+        f"(budget 7.0) — the timed-hold fast path has regressed")
+    assert res.in_use == 0 and res.queued == 0
+    # as for plain timeouts: only the bounded pools (~2.3k blocks)
+    assert drained <= 6000, (
+        f"{drained} blocks retained after draining {n} holds "
+        f"(budget 6000) — per-hold garbage is being kept alive")
+
+
 def test_via_message_rate(benchmark):
     """Full-stack messages simulated per wall-second (cLAN, 4 B)."""
     N = 300

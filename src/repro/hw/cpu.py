@@ -109,7 +109,8 @@ class CpuActor:
             raise ValueError(f"unknown time kind {kind!r}")
 
     def _acquire_cpu(self) -> Generator[Event, Any, None]:
-        """Acquire the CPU, leaving no stale state on interruption.
+        """Acquire the CPU for :meth:`spin_wait`, leaving no stale state
+        on interruption.
 
         A plain ``yield resource.request()`` is unsafe: if the waiting
         process is interrupted (or the request fails) while still
@@ -137,12 +138,17 @@ class CpuActor:
         faults = self.sim.faults
         if faults is not None:
             duration = faults.cpu_time(self.cpu.name, duration)
-        yield from self._acquire_cpu()
+        # inlined Resource.acquire: a generator per call costs time and
+        # peak memory on the hottest resource of every run
+        resource = self.cpu.resource
+        hold = resource.hold(duration)
         try:
-            yield self.sim.timeout(duration)
-            self.charge(duration, kind)
-        finally:
-            self.cpu.resource.release()
+            yield hold
+        except BaseException:
+            hold.abandon()
+            raise
+        resource.release()
+        self.charge(duration, kind)
 
     def copy(self, nbytes: int, kind: str = "sys") -> Generator[Event, Any, None]:
         """memcpy ``nbytes`` on the host (kernel staging copies are 'sys')."""

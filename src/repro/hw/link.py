@@ -114,11 +114,14 @@ class Channel:
             wait = busy - sim._now
             if wait > 0.0:
                 yield sim.timeout(wait)
-        yield self._line.request()
+        line = self._line
+        hold = line.hold(self.serialization_time(packet))
         try:
-            yield sim.timeout(self.serialization_time(packet))
-        finally:
-            self._line.release()
+            yield hold
+        except BaseException:
+            hold.abandon()
+            raise
+        line.release()
         self.sent_packets += 1
         self.sent_bytes += packet.size
         tracer = sim.tracer

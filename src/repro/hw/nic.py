@@ -107,11 +107,14 @@ class DMAEngine:
             wait = busy - sim._now
             if wait > 0.0:
                 yield sim.timeout(wait)
-        yield self._bus.request()
+        bus = self._bus
+        hold = bus.hold(self.transfer_time(nbytes))
         try:
-            yield sim.timeout(self.transfer_time(nbytes))
-        finally:
-            self._bus.release()
+            yield hold
+        except BaseException:
+            hold.abandon()
+            raise
+        bus.release()
         self.transfers += 1
         self.bytes_moved += nbytes
 

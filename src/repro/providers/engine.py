@@ -801,19 +801,24 @@ class NicEngine:
             self.p.handle_control_packet(pl)
 
     def _ff_rx_gate(self) -> Op:
-        """Queue behind a burst's virtual recv-engine occupancy."""
-        ff = self._ff_rx_free
-        if ff > 0.0:
-            wait = ff - self.sim._now
-            if wait > 0.0:
-                yield self.sim.timeout(wait)
+        """Queue behind a burst's virtual recv-engine occupancy (callers
+        skip it while ``_ff_rx_free`` is 0.0, as in pure packet mode)."""
+        wait = self._ff_rx_free - self.sim._now
+        if wait > 0.0:
+            yield self.sim.timeout(wait)
 
     def _rx_data(self, pl: DataFrag) -> Op:
         c = self.costs
-        yield from self._ff_rx_gate()
-        yield self.nic.recv_engine.request()
+        if self._ff_rx_free > 0.0:
+            yield from self._ff_rx_gate()
+        engine = self.nic.recv_engine
+        hold = engine.hold(c.nic_rx_per_frag)
         try:
-            yield self.sim.timeout(c.nic_rx_per_frag)
+            yield hold
+        except BaseException:
+            hold.abandon()
+            raise
+        try:
             self.sim.trace("nic", "frag_in", self.node.name,
                            vi=pl.dst_vi, seq=pl.seq, frag=pl.frag)
             vi = self.p.vis.get(pl.dst_vi)
@@ -827,7 +832,7 @@ class NicEngine:
             else:
                 yield from self._rx_send(vi, pl)
         finally:
-            self.nic.recv_engine.release()
+            engine.release()
 
     # -- ordinary sends ---------------------------------------------------
     def _rx_send(self, vi: VI, pl: DataFrag) -> Op:
@@ -1058,10 +1063,16 @@ class NicEngine:
     def _rx_read_req(self, pl: RdmaReadReq) -> Op:
         """Target side of an RDMA read: stream the data back."""
         c = self.costs
-        yield from self._ff_rx_gate()
-        yield self.nic.recv_engine.request()
+        if self._ff_rx_free > 0.0:
+            yield from self._ff_rx_gate()
+        engine = self.nic.recv_engine
+        hold = engine.hold(c.nic_rx_per_frag)
         try:
-            yield self.sim.timeout(c.nic_rx_per_frag)
+            yield hold
+        except BaseException:
+            hold.abandon()
+            raise
+        try:
             vi = self.p.vis.get(pl.dst_vi)
             if vi is None or not vi.is_connected:
                 self.drops += 1
@@ -1074,7 +1085,7 @@ class NicEngine:
                 yield from self._send_ack_now(vi, pl.read_id, "nak_read")
                 return
         finally:
-            self.nic.recv_engine.release()
+            engine.release()
         self.sim.process(self._stream_read_resp(vi, pl), name="read-resp")
 
     def _stream_read_resp(self, vi: VI, pl: RdmaReadReq) -> Op:
@@ -1144,12 +1155,16 @@ class NicEngine:
 
     def _rx_ack(self, pl: AckPayload) -> Op:
         c = self.costs
-        yield from self._ff_rx_gate()
-        yield self.nic.recv_engine.request()
+        if self._ff_rx_free > 0.0:
+            yield from self._ff_rx_gate()
+        engine = self.nic.recv_engine
+        hold = engine.hold(c.ack_rx)
         try:
-            yield self.sim.timeout(c.ack_rx)
-        finally:
-            self.nic.recv_engine.release()
+            yield hold
+        except BaseException:
+            hold.abandon()
+            raise
+        engine.release()
         if pl.kind == "nak_read":
             # protection NAK for an RDMA read request (seq carries read_id)
             entry = self._pending_reads.pop(pl.seq, None)

@@ -11,7 +11,7 @@ from .core import (
     Simulator,
     Timeout,
 )
-from .resources import Resource, ResourceRequest, Signal, Store
+from .resources import Resource, ResourceHold, ResourceRequest, Signal, Store
 from .stats import BusyTracker, Counter, TimeWeighted
 from .trace import TraceEvent, Tracer
 
@@ -25,6 +25,7 @@ __all__ = [
     "PENDING",
     "Process",
     "Resource",
+    "ResourceHold",
     "ResourceRequest",
     "Signal",
     "SimulationError",

@@ -36,13 +36,27 @@ implementation:
   smaller key, which is exactly what one big heap would do.  Kicks with
   non-zero priority (interrupts, priority −1) would violate the
   monotonicity argument, so they go on the heap as lightweight records.
+  Every record on the deque has ``time``, ``seq`` and a ``_fire()`` that
+  does its own recycling.
+- **Timed-hold records.**  ``Resource.hold(d)`` (see
+  :mod:`repro.sim.resources`) replaces ``yield request()`` → resume →
+  ``yield timeout(d)`` with one resume.  Its grant takes the same
+  ``(now, 0, seq)`` key the request's grant event took, but sits on the
+  immediate deque (the key is monotone there, like a kick's).  Firing
+  the grant schedules the hold ``d`` later under the next sequence
+  number, which is the one the resumed holder's ``timeout(d)`` would
+  have drawn.  So ``events_run`` and ``_seq`` match the two-resume
+  form, and ``ctx_switches`` does too because a grant counts as the
+  resume it replaces.  A grant abandoned before it fires (the holder
+  was interrupted) counts as an event and nothing else, as an
+  orphaned grant event did.
 - **Same-timestamp buckets.**  Priority-0 schedules for the same
   absolute time are appended to one FIFO bucket list that occupies a
   single heap slot, keyed by its *first* entry's sequence number.
   Entries are appended in increasing-seq order, so the bucket is
   internally sorted and its heap key is its minimum; the drain loop
   walks the current bucket directly and only falls back to the heap
-  when an immediate kick or a negative-priority entry at the same
+  when an immediate record or a negative-priority entry at the same
   timestamp outranks the bucket's front (compared by the same packed
   key).  This turns the common O(log n) heap push/pop per event into an
   O(1) list append/index.
@@ -309,14 +323,21 @@ class _Kick:
     __slots__ = ("time", "seq", "process", "value", "mode")
 
     def _fire(self) -> None:
-        mode = self.mode
+        # Back to the pool before the resume: the fields are in locals,
+        # and a kick the resume schedules may reuse this record.
         process = self.process
+        value = self.value
+        mode = self.mode
+        self.process = self.value = None
+        pool = process.sim._kick_pool
+        if len(pool) < _KICK_POOL_MAX:
+            pool.append(self)
         if mode == _KICK_SEND:
-            process._step_send(self.value)
+            process._step_send(value)
         elif mode == _KICK_INTERRUPT:
-            process._step_throw(Interrupt(self.value))
+            process._step_throw(Interrupt(value))
         else:
-            process._step_throw(self.value)
+            process._step_throw(value)
 
 
 class Process(Event):
@@ -568,16 +589,17 @@ class Simulator:
     """The event loop: a heap of ``(time, priority·2⁴⁸ + seq, event)``.
 
     The packed int key orders exactly like the ``(priority, seq)`` pair
-    it replaces.  Priority-0 kick records additionally flow through
-    ``_immediate``, a FIFO deque whose keys are monotonic (see the
-    module docstring); the loop always processes whichever of the two
-    structures holds the smaller key next.
+    it replaces.  Priority-0 kick and timed-hold grant records
+    additionally flow through ``_immediate``, a FIFO deque whose keys
+    are monotonic (see the module docstring); the loop always processes
+    whichever of the two structures holds the smaller key next.
     """
 
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, Any]] = []
-        self._immediate: deque[_Kick] = deque()
+        #: _Kick and ResourceHold grant records, in (now, seq) order
+        self._immediate: deque = deque()
         #: open same-timestamp buckets: absolute time -> [(seq, event), ...]
         self._buckets: dict[float, list[tuple[int, Event]]] = {}
         self._seq = 0
@@ -598,7 +620,11 @@ class Simulator:
         #: None-when-disabled discipline — hook sites in the hardware
         #: and engine models read this once and skip on None
         self.faults = None
-        #: kernel-level totals (always on: two plain int increments)
+        #: kernel-level totals (always on: two plain int increments).
+        #: ``ctx_switches`` counts process resumes; the grant of a timed
+        #: hold counts as the resume it replaces (see the module
+        #: docstring), so the total does not depend on whether a holder
+        #: uses ``Resource.hold`` or ``request()`` + ``timeout()``.
         self.events_run = 0
         self.ctx_switches = 0
         #: simulation fidelity: "packet" runs every wire packet as its
@@ -742,12 +768,6 @@ class Simulator:
             heappush(self._heap,
                      (self._now, priority * _PRIO_SHIFT + seq, kick))
 
-    def _recycle_kick(self, kick: _Kick) -> None:
-        if len(self._kick_pool) < _KICK_POOL_MAX:
-            kick.process = None
-            kick.value = None
-            self._kick_pool.append(kick)
-
     def step(self) -> None:
         """Process the single next event."""
         if not self._immediate and not self._heap:
@@ -815,7 +835,7 @@ class Simulator:
                         if (imm and imm[0].seq < eseq) or (
                             heap and heap[0][0] == cur_t and heap[0][1] < eseq
                         ):
-                            # Rare: an immediate kick or a negative-priority
+                            # Rare: an immediate record or a negative-priority
                             # heap entry outranks the rest of this bucket.
                             # Push the remainder back and let the generic
                             # path below re-merge everything by key.
@@ -868,12 +888,11 @@ class Simulator:
                     else:
                         use_imm = True
                     if use_imm:
-                        # an immediate kick's time is always <= now <= deadline
+                        # an immediate record's time is always <= now <= deadline
                         imm.popleft()
                         self._now = kick.time
                         runs += 1
                         kick._fire()
-                        self._recycle_kick(kick)
                         if sentinel:
                             return
                         continue
@@ -901,7 +920,6 @@ class Simulator:
                     callbacks = event.callbacks
                 except AttributeError:      # a _Kick record (interrupt path)
                     event._fire()
-                    self._recycle_kick(event)
                     if sentinel:
                         return
                     continue

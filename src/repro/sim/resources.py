@@ -15,7 +15,7 @@ from typing import Any, Generator
 from .core import PENDING, Event, SimulationError, Simulator
 from .core import _BUCKET_MIN_HEAP
 
-__all__ = ["Resource", "Store", "Signal", "ResourceRequest"]
+__all__ = ["Resource", "Store", "Signal", "ResourceRequest", "ResourceHold"]
 
 
 class ResourceRequest(Event):
@@ -45,6 +45,61 @@ class ResourceRequest(Event):
                 pass
 
 
+class ResourceHold(Event):
+    """A slot of a :class:`Resource` held for ``delay`` after its grant.
+
+    The event fires ``delay`` after the FIFO grant; the holder then owns
+    the slot and frees it with :meth:`Resource.release`.  The grant is a
+    record on the simulator's immediate queue keyed ``(time, seq)``
+    exactly like the grant event of a request (see "Timed-hold records"
+    in :mod:`repro.sim.core`).  ``seq`` is 0 while the hold is queued.
+    """
+
+    __slots__ = ("resource", "delay", "time", "seq")
+
+    def _fire(self) -> None:
+        # The grant record: run from the immediate queue at (time, seq).
+        if self.resource is None:       # abandoned before its grant fired
+            return
+        sim = self.sim
+        # the grant stands in for the holder's resume, which would have
+        # drawn the next seq for its timeout(delay)
+        sim.ctx_switches += 1
+        self._scheduled = True
+        sim._seq = seq = sim._seq + 1
+        when = sim._now + self.delay
+        heap = sim._heap
+        if len(heap) < _BUCKET_MIN_HEAP:
+            heappush(heap, (when, seq, self))
+        else:
+            buckets = sim._buckets
+            bucket = buckets.get(when)
+            if bucket is None:
+                buckets[when] = bucket = []
+                heappush(heap, (when, seq, bucket))
+            bucket.append((seq, self))
+
+    def abandon(self) -> None:
+        """Stop waiting: leave the queue if still queued, else free the slot.
+
+        Call it when the waiter gives up at its ``yield`` (an interrupt
+        or a thrown exception).  A grant that has not fired yet then
+        fires as a bare event; a hold already running fires with nobody
+        waiting, like an orphaned timeout.
+        """
+        resource = self.resource
+        if resource is None:
+            return
+        self.resource = None
+        if self.seq:
+            resource.release()
+        else:
+            resource._queue.remove(self)
+
+
+_HOLD_NEW = ResourceHold.__new__
+
+
 class Resource:
     """A FIFO multi-server resource (``capacity`` concurrent holders)."""
 
@@ -54,7 +109,7 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self._in_use = 0
-        self._queue: deque[ResourceRequest] = deque()
+        self._queue: deque[ResourceRequest | ResourceHold] = deque()
 
     @property
     def in_use(self) -> int:
@@ -64,14 +119,19 @@ class Resource:
     def queued(self) -> int:
         return len(self._queue)
 
-    def _grant(self, req: ResourceRequest) -> None:
+    def _grant(self, req: ResourceRequest | ResourceHold) -> None:
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        if req.__class__ is ResourceHold:
+            req.time = sim._now
+            req.seq = seq
+            sim._immediate.append(req)
+            return
         # Inlined req.succeed(self) at delay 0 / priority 0: a request
         # is granted at most once, so the already-triggered check of the
         # generic path cannot fire.
         req._scheduled = True
         req._value = self
-        sim = self.sim
-        sim._seq = seq = sim._seq + 1
         now = sim._now
         heap = sim._heap
         if len(heap) < _BUCKET_MIN_HEAP:
@@ -94,6 +154,37 @@ class Resource:
             self._queue.append(req)
         return req
 
+    def hold(self, duration: float) -> ResourceHold:
+        """Return an event that fires ``duration`` after a slot is granted.
+
+        The caller owns the slot once the event fires and must
+        :meth:`release` it, as after :meth:`request`.  A waiter that can
+        be interrupted calls :meth:`ResourceHold.abandon` when its
+        ``yield`` raises (see :meth:`acquire`).
+        """
+        if duration < 0:
+            raise ValueError(f"negative hold duration: {duration}")
+        # Inlined construction, as in Simulator.timeout: holds are the
+        # hot allocation of every fixed-cost resource stage.
+        sim = self.sim
+        h = _HOLD_NEW(ResourceHold)
+        h.sim = sim
+        pool = sim._list_pool
+        h.callbacks = pool.pop() if pool else []
+        h._value = None
+        h._ok = True
+        h._scheduled = False
+        h._defused = False
+        h.resource = self
+        h.delay = duration
+        h.seq = 0
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            self._grant(h)
+        else:
+            self._queue.append(h)
+        return h
+
     def release(self) -> None:
         """Free a slot; grants the oldest queued request, if any."""
         if self._in_use <= 0:
@@ -103,13 +194,19 @@ class Resource:
         else:
             self._in_use -= 1
 
-    def acquire(self, hold: float) -> Generator[Event, Any, None]:
-        """Convenience process fragment: request, hold for ``hold``, release."""
-        yield self.request()
+    def acquire(self, duration: float) -> Generator[Event, Any, None]:
+        """Process fragment: hold a slot for ``duration``, then release it.
+
+        An interrupted waiter leaves the queue, or frees the slot if it
+        was already granted.
+        """
+        hold = self.hold(duration)
         try:
-            yield self.sim.timeout(hold)
-        finally:
-            self.release()
+            yield hold
+        except BaseException:
+            hold.abandon()
+            raise
+        self.release()
 
 
 class Store:

@@ -1,7 +1,7 @@
 """State-tier snapshots: full serialization at quiescent points.
 
 At a quiescent point — event heap, same-timestamp buckets, and the
-immediate kick queue all empty, no process mid-step — every live object
+immediate-run queue all empty, no process mid-step — every live object
 in a testbed is plain data: counters, deques of completed descriptors,
 RNG streams, LRU caches, connection tables.  :func:`snapshot_state`
 serializes the whole :class:`~repro.providers.registry.Testbed` graph
@@ -86,7 +86,7 @@ def check_quiescent(sim) -> None:
     with nothing scheduled."""
     pending = []
     if sim._immediate:
-        pending.append(f"{len(sim._immediate)} immediate kick(s)")
+        pending.append(f"{len(sim._immediate)} immediate record(s)")
     if sim._heap or sim._buckets:
         n = len(sim._heap) + sum(len(b) for b in sim._buckets.values())
         pending.append(f"{n} scheduled event(s)")

@@ -26,9 +26,17 @@ from ..via.provider import NicHandle
 from .metrics import Measurement
 
 __all__ = ["TransferConfig", "Endpoint", "run_latency", "run_bandwidth",
-           "reuse_schedule", "split_segments"]
+           "reuse_schedule", "split_segments", "pattern_bytes"]
 
 _CTL_SIZE = 4  # application-level control messages (ready / done)
+_BYTE_RAMP = bytes(range(256))
+
+
+def pattern_bytes(n: int) -> bytes:
+    """``n`` payload bytes counting 0, 1, ..., 255, 0, 1, ... (the
+    programming-model benchmarks' test pattern)."""
+    whole, rest = divmod(n, 256)
+    return _BYTE_RAMP * whole + _BYTE_RAMP[:rest]
 
 
 @dataclass(frozen=True)

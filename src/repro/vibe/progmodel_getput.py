@@ -13,6 +13,7 @@ from ..layers.getput import GetPut
 from ..layers.msg import MsgEndpoint
 from ..providers.registry import ProviderSpec, Testbed
 from ..units import paper_size_sweep
+from .harness import pattern_bytes
 from .metrics import BenchResult, Measurement
 
 __all__ = ["getput_latency"]
@@ -35,7 +36,7 @@ def _run(provider, size: int, iters: int, op: str, seed: int):
         yield from h.accept(req, vi)
         gp = GetPut(h, vi, msg)
         win = yield from gp.expose(max(size, 4096))
-        h.write(win, bytes(i % 256 for i in range(size)))
+        h.write(win, pattern_bytes(size))
         if op == "get" and not h.provider.supports_rdma_read:
             yield from gp.serve()
         else:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from ..layers.msg import MsgEndpoint
 from ..providers.registry import ProviderSpec, Testbed
 from ..units import paper_size_sweep
+from .harness import pattern_bytes
 from .metrics import BenchResult, Measurement
 
 __all__ = ["msg_layer_latency", "msg_layer_bandwidth", "eager_threshold_sweep"]
@@ -54,7 +55,7 @@ def _msg_pingpong(provider, size: int, iters: int, warmup: int,
                   seed: int) -> float:
     tb = Testbed(provider, seed=seed)
     cs, ss = _endpoints(tb, eager_size, pool, reg_cache)
-    payload = bytes(i % 256 for i in range(size))
+    payload = pattern_bytes(size)
     out: dict = {}
 
     def client():
@@ -84,7 +85,7 @@ def _msg_stream(provider, size: int, count: int, eager_size: int,
                 nonblocking: bool = False) -> float:
     tb = Testbed(provider, seed=seed)
     cs, ss = _endpoints(tb, eager_size, pool, reg_cache)
-    payload = bytes(i % 256 for i in range(size))
+    payload = pattern_bytes(size)
     out: dict = {}
 
     def client():

@@ -13,6 +13,7 @@ from __future__ import annotations
 from ..layers.msg import MsgEndpoint
 from ..layers.stream import ViaStream
 from ..providers.registry import ProviderSpec, Testbed
+from .harness import pattern_bytes
 from .metrics import BenchResult, Measurement
 
 __all__ = ["DEFAULT_CHUNKS", "stream_throughput"]
@@ -42,7 +43,7 @@ def stream_throughput(provider: "str | ProviderSpec",
 def _stream_once(provider, chunk, total_bytes, eager_size, seed) -> float:
     tb = Testbed(provider, seed=seed)
     out: dict = {}
-    payload = bytes(i % 256 for i in range(total_bytes))
+    payload = pattern_bytes(total_bytes)
 
     def sender():
         h = tb.open("node0", "sender")

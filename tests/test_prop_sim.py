@@ -1,9 +1,11 @@
 """Property-based tests for the simulation kernel."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Resource, Simulator, Store
+from repro.hw.cpu import HostCPU
+from repro.sim import Interrupt, Resource, ResourceHold, Simulator, Store
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1,
@@ -105,3 +107,208 @@ def test_store_bounded_capacity_never_overflows(capacity, items):
     sim.process(consumer())
     sim.run()
     assert max_len[0] <= capacity
+
+
+# -- Resource.hold against its request() + timeout() reference -----------
+
+def reference_hold(res, duration):
+    """The reference for ``hold``: ``yield request()`` then ``yield
+    timeout(duration)``, interrupt-safe the way ``CpuActor._acquire_cpu``
+    is (cancel while queued, release once granted).  Returns holding."""
+    req = res.request()
+    try:
+        yield req
+    except BaseException:
+        if req.triggered:
+            res.release()
+        else:
+            req.cancel()
+        raise
+    try:
+        yield res.sim.timeout(duration)
+    except BaseException:
+        res.release()
+        raise
+
+
+def timed_hold(res, duration):
+    hold = res.hold(duration)
+    try:
+        yield hold
+    except BaseException:
+        hold.abandon()
+        raise
+
+
+def reference_acquire(res, duration):
+    yield from reference_hold(res, duration)
+    res.release()
+
+
+def reference_busy(actor, duration, kind="user"):
+    """The reference for ``CpuActor.busy``: request() + timeout()."""
+    if duration == 0.0:
+        return
+    yield from actor._acquire_cpu()
+    try:
+        yield actor.sim.timeout(duration)
+        actor.charge(duration, kind)
+    finally:
+        actor.cpu.resource.release()
+
+
+#: small multiples of 0.5 µs, so same-instant ties are the common case
+_TICK = st.integers(min_value=0, max_value=4).map(lambda k: k * 0.5)
+_STEP = st.one_of(
+    # (kind, resource, duration, through acquire())
+    st.tuples(st.just("hold"), st.integers(0, 2), _TICK, st.booleans()),
+    st.tuples(st.just("timeout"), _TICK),
+    st.tuples(st.just("zero")),      # timeout(0)
+    st.tuples(st.just("kick")),      # re-yield a processed event
+)
+_PROGRAM = st.fixed_dictionaries({
+    "k": st.integers(min_value=2, max_value=3),
+    "procs": st.lists(st.tuples(_TICK, st.lists(_STEP, min_size=1, max_size=8)),
+                      min_size=1, max_size=10),
+    "noise": st.lists(_TICK, max_size=24),
+    "interrupts": st.lists(
+        st.tuples(st.integers(min_value=1, max_value=16).map(lambda k: k * 0.5),
+                  st.integers(min_value=0, max_value=9)),
+        max_size=4),
+})
+
+
+def run_program(program, use_hold):
+    """Run a random resource program; return everything observable."""
+    sim = Simulator()
+    resources = [Resource(sim, 1), Resource(sim, 1),
+                 Resource(sim, program["k"])]
+    log = []
+    held = timed_hold if use_hold else reference_hold
+    acquire = ((lambda res, d: res.acquire(d)) if use_hold
+               else reference_acquire)
+
+    def body(pid, start, steps):
+        try:
+            yield sim.timeout(start)
+        except Interrupt:
+            log.append((sim.now, pid, "start", "interrupted"))
+        for i, step in enumerate(steps):
+            try:
+                if step[0] == "hold":
+                    _, r, d, via_acquire = step
+                    res = resources[r]
+                    if via_acquire:
+                        yield from acquire(res, d)
+                        log.append((sim.now, pid, i, res.in_use, res.queued))
+                    else:
+                        yield from held(res, d)
+                        log.append((sim.now, pid, i, res.in_use, res.queued))
+                        res.release()
+                elif step[0] == "timeout":
+                    yield sim.timeout(step[1])
+                    log.append((sim.now, pid, i))
+                elif step[0] == "zero":
+                    yield sim.timeout(0.0)
+                    log.append((sim.now, pid, i))
+                else:
+                    done = sim.timeout(0.0)
+                    yield done
+                    yield done
+                    log.append((sim.now, pid, i, "kick"))
+            except Interrupt:
+                log.append((sim.now, pid, i, "interrupted"))
+
+    procs = [sim.process(body(pid, start, steps))
+             for pid, (start, steps) in enumerate(program["procs"])]
+    for n, delay in enumerate(program["noise"]):
+        sim.timeout(delay).callbacks.append(
+            lambda _e, n=n: log.append((sim.now, "noise", n)))
+
+    def interrupter(at, victim):
+        yield sim.timeout(at)
+        proc = procs[victim % len(procs)]
+        # only a process parked on a pending event: one with a resume
+        # kick pending would be resumed twice, the second time at a
+        # yield that differs between the two variants
+        if proc.is_alive and proc._target is not None:
+            proc.interrupt()
+            log.append((sim.now, "interrupt", victim % len(procs)))
+
+    for at, victim in program["interrupts"]:
+        sim.process(interrupter(at, victim))
+    sim.run()
+    return (log, sim.now, sim.events_run, sim._seq, sim.ctx_switches,
+            [(r.in_use, r.queued) for r in resources])
+
+
+@given(_PROGRAM)
+@settings(max_examples=120, deadline=None)
+def test_hold_matches_request_timeout_reference(program):
+    """``hold(d)`` resumes the holder once where the reference resumes it
+    twice, yet the completion log (times and same-instant order), the
+    clock and every kernel counter must come out identical."""
+    got = run_program(program, use_hold=True)
+    want = run_program(program, use_hold=False)
+    assert got == want
+    assert all(slot == (0, 0) for slot in got[-1])
+
+
+@pytest.mark.parametrize("when", ["queued", "granted", "holding"])
+def test_busy_interrupt_matches_reference(when):
+    """``CpuActor.busy`` interrupted while queued, after its grant but
+    before the grant record fires, and mid-hold: the slot is freed and
+    the run is counter-for-counter the request() + timeout() one."""
+
+    def scenario(use_hold):
+        sim = Simulator()
+        cpu = HostCPU(sim)
+        actors = {n: cpu.actor(n) for n in ("hold", "work", "late")}
+        busy = ((lambda a, d: a.busy(d)) if use_hold else reference_busy)
+        log = []
+        pending_grant = []
+
+        def worker(name, start, duration):
+            if start:
+                yield sim.timeout(start)
+            try:
+                yield from busy(actors[name], duration)
+                log.append((sim.now, name))
+            except Interrupt:
+                log.append((sim.now, name, "interrupted"))
+
+        sim.process(worker("hold", 0.0, 5.0))
+        victim = sim.process(worker("work", 0.0, 3.0))
+        sim.process(worker("late", 1.0, 2.0))
+
+        def interrupter():
+            if when == "queued":
+                yield sim.timeout(2.0)
+            elif when == "granted":
+                # drawn after the holder's hold, before the t=5 grant
+                yield sim.timeout(2.0)
+                yield sim.timeout(3.0)
+            else:
+                yield sim.timeout(6.0)
+            pending_grant.append(any(
+                isinstance(r, ResourceHold) and r.resource is cpu.resource
+                for r in sim._immediate))
+            victim.interrupt()
+
+        sim.process(interrupter())
+        sim.run()
+        usage = {n: (a.rusage.utime, a.rusage.stime)
+                 for n, a in actors.items()}
+        return (log, usage, sim.now, sim.events_run, sim._seq,
+                sim.ctx_switches, cpu.resource.in_use, cpu.resource.queued,
+                pending_grant)
+
+    got = scenario(use_hold=True)
+    want = scenario(use_hold=False)
+    assert got[:-1] == want[:-1]
+    log, usage, *_rest, in_use, queued, pending_grant = got
+    assert (in_use, queued) == (0, 0)
+    assert ("work" in [e[1] for e in log]) and usage["work"] == (0.0, 0.0)
+    assert pending_grant == [when == "granted"]
+    expected_at = {"queued": 2.0, "granted": 5.0, "holding": 6.0}[when]
+    assert (expected_at, "work", "interrupted") in log

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Resource, Signal, SimulationError, Simulator, Store
+from repro.sim import Interrupt, Resource, Signal, SimulationError, Simulator, Store
 
 
 def test_resource_grants_fifo():
@@ -58,6 +58,79 @@ def test_resource_counts():
 def test_resource_bad_capacity():
     with pytest.raises(ValueError):
         Resource(Simulator(), capacity=0)
+
+
+def test_acquire_interrupted_while_queued_does_not_leak_the_slot():
+    """A waiter interrupted in the queue must leave it: its dead request
+    used to be granted to nobody, keeping the slot and starving every
+    later acquirer."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    done = []
+
+    def worker(name, hold):
+        try:
+            yield from res.acquire(hold)
+            done.append((name, sim.now))
+        except Interrupt:
+            done.append((name, "interrupted"))
+
+    sim.process(worker("holder", 10.0))
+    waiter = sim.process(worker("waiter", 1.0))
+
+    def late():
+        yield sim.timeout(3.0)
+        yield from worker("late", 5.0)
+
+    def interrupter():
+        yield sim.timeout(2.0)
+        waiter.interrupt()
+
+    sim.process(late())
+    sim.process(interrupter())
+    sim.run()
+    assert done == [("waiter", "interrupted"), ("holder", 10.0),
+                    ("late", 15.0)]
+    assert (res.in_use, res.queued) == (0, 0)
+
+
+def test_hold_fires_after_grant_and_keeps_the_slot():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    log = []
+
+    def worker(name):
+        yield res.hold(2.0)
+        log.append((name, sim.now, res.in_use, res.queued))
+        res.release()
+
+    sim.process(worker("a"))
+    sim.process(worker("b"))
+    sim.run()
+    assert log == [("a", 2.0, 1, 1), ("b", 4.0, 1, 0)]
+    assert (res.in_use, res.queued) == (0, 0)
+
+
+def test_hold_rejects_negative_duration():
+    with pytest.raises(ValueError):
+        Resource(Simulator()).hold(-1.0)
+
+
+def test_abandon_is_idempotent_and_frees_a_granted_slot():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    granted = res.hold(1.0)
+    queued = res.hold(1.0)
+    assert (res.in_use, res.queued) == (1, 1)
+    queued.abandon()
+    queued.abandon()
+    assert (res.in_use, res.queued) == (1, 0)
+    granted.abandon()
+    granted.abandon()
+    assert (res.in_use, res.queued) == (0, 0)
+    sim.run()        # the abandoned grant still fires, as a bare event
+    assert sim.events_run == 1 and sim.ctx_switches == 0
+    assert not granted.triggered
 
 
 def test_store_fifo_order():

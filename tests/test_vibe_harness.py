@@ -10,7 +10,15 @@ from repro.vibe import (
     run_latency,
     split_segments,
 )
+from repro.vibe.harness import pattern_bytes
 from repro.vibe.metrics import BenchResult, Measurement, merge_tables
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 200_000])
+def test_pattern_bytes_is_the_per_byte_ramp(n):
+    """The programming-model payloads must stay byte-for-byte the
+    ``bytes(i % 256 for i in range(n))`` they were built as before."""
+    assert pattern_bytes(n) == bytes(i % 256 for i in range(n))
 
 
 def test_reuse_schedule_full_reuse():
