@@ -210,12 +210,12 @@ def _warm_comparison(repeats: int = 10) -> dict:
 
 
 def _serve_comparison(repeats: int = 3) -> dict:
-    """Control-plane wall-clock: cold submit vs warm pool vs cache hit.
+    """Control-plane wall-clock: cold submit vs running pool vs cache hit.
 
     One in-process ``vibe serve`` instance, one small sweep spec.  The
-    cold figure includes worker spawn and testbed construction; the
-    warm-pool figure resubmits fresh seeds against the already-armed
-    workers; the cache-hit figure resubmits the identical spec and is
+    cold figure includes worker spawn and imports; the running-pool
+    figure (``serve_warm_pool_ms``) resubmits fresh seeds against the
+    already-started workers; the cache-hit figure resubmits the identical spec and is
     answered from the content-addressed result cache without any
     simulation.  Trend only — never gated: all three move with machine
     load, and the cache-hit win is obvious enough not to need a floor.
@@ -443,9 +443,9 @@ def main(argv: list[str] | None = None) -> int:
                          "its keys into the existing kernel baseline")
     ap.add_argument("--serve", action="store_true",
                     help="measure only the control-plane comparison "
-                         "(cold submit vs warm pool vs cache hit through "
-                         "`vibe serve`) and merge its keys into the "
-                         "kernel baseline; trend only, never gated")
+                         "(cold submit vs running pool vs cache hit "
+                         "through `vibe serve`) and merge its keys into "
+                         "the kernel baseline; trend only, never gated")
     args = ap.parse_args(argv)
 
     if args.cluster and args.out == DEFAULT_OUT:

@@ -125,19 +125,8 @@ def cmd_run(args) -> None:
         # only non-default fidelity is forwarded, so default runs keep
         # their exact result metadata (fidelity never reaches params)
         kwargs["fidelity"] = args.fidelity
-    if args.warm_start:
-        # every testbed the benchmark builds restores from a shared
-        # construction checkpoint; results are byte-identical to cold
-        from .snap import clear_pool, enable_warm_start
-
-        enable_warm_start(True)
-    try:
-        result = run_benchmark(args.benchmark, provider, jobs=args.jobs,
-                               **kwargs)
-    finally:
-        if args.warm_start:
-            enable_warm_start(False)
-            clear_pool()
+    result = run_benchmark(args.benchmark, provider, jobs=args.jobs,
+                           **kwargs)
     if isinstance(result, list):
         for r in result:
             print(r.table())
@@ -350,8 +339,7 @@ def cmd_cluster(args) -> None:
     elif args.quick:
         rates = QUICK_RATE_GRID
     report = run_cluster(providers, cfg, rates=rates, jobs=args.jobs,
-                         check=args.check, warm_start=args.warm_start,
-                         checkpoint_dir=args.checkpoint_dir)
+                         check=args.check, checkpoint_dir=args.checkpoint_dir)
     print(report.summary())
     if args.json_out:
         with open(args.json_out, "w") as fh:
@@ -402,7 +390,11 @@ def cmd_serve(args) -> None:
                             cache_dir=args.cache_dir,
                             queue_capacity=args.queue_capacity,
                             quick_quiesce=args.quick_quiesce)
-    svc.start()
+    try:
+        svc.start()
+    except OSError as exc:
+        sys.exit(f"vibe serve: cannot listen on {args.host}:{args.port}: "
+                 f"{exc}")
     stop = threading.Event()
 
     def _signalled(_signum, _frame) -> None:
@@ -411,7 +403,7 @@ def cmd_serve(args) -> None:
     signal.signal(signal.SIGTERM, _signalled)
     signal.signal(signal.SIGINT, _signalled)
     print(f"vibe serve: listening on {svc.url} "
-          f"({svc.workers} warm workers, cache in {svc.cache_dir})",
+          f"({svc.workers} workers, cache in {svc.cache_dir})",
           flush=True)
     while not stop.is_set():
         stop.wait(0.5)
@@ -684,10 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="simulation fidelity: packet = every event, "
                           "auto/flow = batch clean steady-state bursts "
                           "(data-transfer benchmarks only)")
-    run.add_argument("--warm-start", action="store_true",
-                     help="restore each cell's testbed from a shared "
-                          "construction checkpoint (byte-identical "
-                          "results, less wall-clock)")
     run.add_argument("--json-out", metavar="FILE.json",
                      help="also write the results as canonical JSON "
                           "(the bytes a served `submit run` returns)")
@@ -763,10 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cluster_identity_flags(clus)
     clus.add_argument("--json-out", metavar="FILE.json",
                       help="also write the report as JSON")
-    clus.add_argument("--warm-start", action="store_true",
-                      help="restore each cell's testbed from a shared "
-                           "construction checkpoint (byte-identical "
-                           "report, less wall-clock)")
     clus.add_argument("--checkpoint-dir", metavar="DIR",
                       help="persist each finished cell to DIR; re-running "
                            "with the same DIR skips completed cells, so "
@@ -797,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     srv = sub.add_parser(
         "serve",
-        help="run the experiment service: job queue, warm worker pool, "
+        help="run the experiment service: job queue, worker pool, "
              "content-addressed result cache, live SSE streams")
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=DEFAULT_PORT,

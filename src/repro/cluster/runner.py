@@ -486,13 +486,9 @@ def store_cell(checkpoint_dir: str, key: str, point: dict) -> None:
 
 def run_cluster(providers: tuple, cfg: ClusterConfig,
                 rates: tuple | None = None, jobs: int = 1,
-                check: bool = False, warm_start: bool = False,
+                check: bool = False,
                 checkpoint_dir: str | None = None) -> ClusterReport:
     """Sweep every (provider, rate) cell; never raises, inspect ``ok``.
-
-    ``warm_start`` restores each cell's testbed from a shared
-    construction checkpoint (every cell takes the snapshot path, so the
-    report is byte-identical to a cold sweep at any ``jobs``).
 
     ``checkpoint_dir`` makes the campaign resumable: each finished cell
     is written to ``cell-<content-hash>.json`` keyed by (code version,
@@ -508,18 +504,7 @@ def run_cluster(providers: tuple, cfg: ClusterConfig,
     todo = [i for i, point in enumerate(points) if point is None]
 
     if todo:
-        from ..vibe.executor import _enable_warm_start
-
-        init = _enable_warm_start if warm_start else None
-        try:
-            fresh = parallel_map(run_cell, [cells[i] for i in todo], jobs,
-                                 initializer=init)
-        finally:
-            if warm_start:
-                from ..snap import warmcache
-
-                warmcache.enable_warm_start(False)
-                warmcache.clear_pool()
+        fresh = parallel_map(run_cell, [cells[i] for i in todo], jobs)
         for i, point in zip(todo, fresh):
             points[i] = point
             if checkpoint_dir is not None:

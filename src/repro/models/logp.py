@@ -15,9 +15,8 @@ quantitative:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..vibe.harness import TransferConfig, run_bandwidth, run_latency
 from ..vibe.metrics import BenchResult
@@ -50,6 +49,20 @@ class LogGPFit:
         return 1.0 / self.G if self.G > 0 else float("inf")
 
 
+def _fit_line(xs: list[float], ys: list[float]) -> tuple[float, float]:
+    """Least-squares line ``y = a + b*x`` through the points: ``(a, b)``.
+
+    The closed-form normal equations over centred ``math.fsum`` sums;
+    needs at least two distinct ``x``.
+    """
+    n = len(xs)
+    mx = math.fsum(xs) / n
+    my = math.fsum(ys) / n
+    b = (math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+         / math.fsum((x - mx) ** 2 for x in xs))
+    return my - b * mx, b
+
+
 def fit_loggp(latency: BenchResult, bandwidth: BenchResult,
               overhead_us: float | None = None) -> LogGPFit:
     """Least-squares LogGP fit from base latency + bandwidth sweeps.
@@ -59,26 +72,25 @@ def fit_loggp(latency: BenchResult, bandwidth: BenchResult,
     ``n / bw(n)``).  ``o`` is split out of the intercept using the
     measured CPU time per message when available.
     """
-    sizes = np.array([p.param for p in latency.points], dtype=float)
-    lats = np.array([p.latency_us for p in latency.points], dtype=float)
-    A = np.vstack([np.ones_like(sizes), sizes]).T
-    (intercept, G), *_ = np.linalg.lstsq(A, lats, rcond=None)
-    resid = float(np.sqrt(np.mean((A @ np.array([intercept, G]) - lats) ** 2)))
+    sizes = [float(p.param) for p in latency.points]
+    lats = [float(p.latency_us) for p in latency.points]
+    intercept, G = _fit_line(sizes, lats)
+    resid = math.sqrt(math.fsum((intercept + G * s - y) ** 2
+                                for s, y in zip(sizes, lats)) / len(lats))
 
-    bw_sizes = np.array([p.param for p in bandwidth.points], dtype=float)
-    bw = np.array([p.bandwidth_mbs for p in bandwidth.points], dtype=float)
-    per_msg = bw_sizes / bw                      # µs per message
-    Ab = np.vstack([np.ones_like(bw_sizes), bw_sizes]).T
-    (g, _Gb), *_ = np.linalg.lstsq(Ab, per_msg, rcond=None)
+    bw_sizes = [float(p.param) for p in bandwidth.points]
+    per_msg = [s / p.bandwidth_mbs                # µs per message
+               for s, p in zip(bw_sizes, bandwidth.points)]
+    g, _Gb = _fit_line(bw_sizes, per_msg)
 
     if overhead_us is None:
         # attribute a quarter of the intercept to each side's overhead —
         # the conventional split when o cannot be measured directly
-        o = float(intercept) / 4.0
+        o = intercept / 4.0
     else:
         o = overhead_us
-    L = float(intercept) - 2.0 * o
-    return LogGPFit(latency.provider, L=L, o=o, g=float(g), G=float(G),
+    L = intercept - 2.0 * o
+    return LogGPFit(latency.provider, L=L, o=o, g=g, G=G,
                     residual_us=resid)
 
 

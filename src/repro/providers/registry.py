@@ -151,25 +151,6 @@ class Testbed:
             attach_faults(self, faults)
 
     # -- checkpoint/restore (repro.snap) ----------------------------------
-    @classmethod
-    def create(cls, provider: "str | ProviderSpec", **kwargs) -> "Testbed":
-        """Warm-aware constructor: identical semantics to ``Testbed(...)``.
-
-        With warm start enabled (``repro.snap.enable_warm_start``),
-        eligible cells restore from a shared construction checkpoint
-        instead of re-running construction — including the first cell,
-        so every cell takes the same code path and a warm sweep's
-        results are byte-identical to a cold one.  Ineligible cells
-        (spec objects, armed faults) silently build cold.
-        """
-        from ..snap import warmcache
-
-        if warmcache.warm_enabled():
-            blob = warmcache.get_or_build(provider, kwargs)
-            if blob is not None:
-                return cls.from_checkpoint(blob)
-        return cls(provider, **kwargs)
-
     def checkpoint(self) -> bytes:
         """Serialize this testbed at a quiescent point (state tier)."""
         from ..snap import snapshot_state

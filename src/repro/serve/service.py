@@ -1,12 +1,9 @@
-"""The experiment service: HTTP/JSON control plane over a warm pool.
+"""The experiment service: HTTP/JSON control plane over a worker pool.
 
 Dependency-free (stdlib ``http.server``): a :class:`ThreadingHTTPServer`
 front end, a bounded per-client-fair :class:`~repro.serve.jobs.JobQueue`,
-and a persistent :class:`~concurrent.futures.ProcessPoolExecutor` whose
-workers are armed with the warm-start checkpoint pool
-(:func:`repro.vibe.executor._enable_warm_start`), so repeated sweeps
-never rebuild testbeds — the first cell per (provider, construction)
-key snapshots a testbed, every later cell restores it byte-identically.
+and a :class:`~concurrent.futures.ProcessPoolExecutor` that lives as
+long as the service, so workers pay their imports once, not per job.
 
 Endpoints (full schemas in ``docs/SERVICE.md``)::
 
@@ -37,7 +34,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..obs.metrics import MetricsRegistry
 from ..snap.format import CODE_VERSION
-from ..vibe.executor import _enable_warm_start, effective_jobs
+from ..vibe.executor import effective_jobs
 from .cache import ResultCache
 from .execute import (assemble_cluster_result, cluster_plan,
                       point_metrics, run_spec_worker)
@@ -76,16 +73,20 @@ class ExperimentService:
     # -- lifecycle ---------------------------------------------------
 
     def start(self) -> None:
-        """Bind the port, arm the warm pool, start runner threads."""
+        """Bind the port, start the worker pool and runner threads.
+
+        Binding comes first: on a busy port the ``OSError`` propagates
+        with the service still unstarted, so ``start()`` can be retried
+        and ``stop()`` stays a no-op.
+        """
         if self._started:
             raise RuntimeError("service already started")
-        self._started = True
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers, initializer=_enable_warm_start)
-        handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer((self.host, self.port), handler)
+        self._httpd = ThreadingHTTPServer((self.host, self.port),
+                                          _make_handler(self))
         self._httpd.daemon_threads = True
         self.port = self._httpd.server_address[1]
+        self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        self._started = True
         serve = threading.Thread(target=self._httpd.serve_forever,
                                  name="vibe-serve-http", daemon=True)
         serve.start()
@@ -244,7 +245,7 @@ class ExperimentService:
         self._finish(job, result, cache_hit=False)
 
     def _run_cluster_job(self, job: Job) -> None:
-        """Fan the sweep's cells over the warm pool, streaming each
+        """Fan the sweep's cells over the worker pool, streaming each
         completion; cells hit/feed the shared ``cell-<key>`` store."""
         from ..cluster.runner import load_cell, run_cell, store_cell
 

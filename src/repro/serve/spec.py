@@ -207,7 +207,7 @@ class ExperimentSpec:
     def result_key(self) -> str:
         """The spec's content address: ``(canonical, seed, CODE_VERSION)``
         hashed by the same :func:`~repro.snap.snapshot_key` campaign
-        checkpoints and warm-start blobs use."""
+        checkpoints use."""
         return snapshot_key(self.canonical(), self.seed)
 
     def describe(self) -> str:

@@ -732,26 +732,6 @@ class Simulator:
         return AllOf(self, events)
 
     # -- scheduling -------------------------------------------------------
-    def _schedule(self, event: Event, delay: float, priority: int) -> None:
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        self._seq = seq = self._seq + 1
-        if priority == 0:
-            when = self._now + delay
-            heap = self._heap
-            if len(heap) < _BUCKET_MIN_HEAP:
-                heappush(heap, (when, seq, event))
-            else:
-                buckets = self._buckets
-                bucket = buckets.get(when)
-                if bucket is None:
-                    buckets[when] = bucket = []
-                    heappush(heap, (when, seq, bucket))
-                bucket.append((seq, event))
-        else:
-            heappush(self._heap,
-                     (self._now + delay, priority * _PRIO_SHIFT + seq, event))
-
     def _kick(self, process: Process, value: Any, mode: int, priority: int) -> None:
         """Schedule a process resume with the key ``(now, priority, seq)``."""
         self._seq = seq = self._seq + 1

@@ -31,8 +31,6 @@ from .fingerprint import fingerprint
 from .recipe import (BUILDERS, Session, build_session, checkpoint_replay,
                      register_builder, restore_replay)
 from .state import check_quiescent, restore_state, snapshot_state
-from .warmcache import (clear_pool, enable_warm_start, get_or_build,
-                        pool_stats, warm_enabled)
 
 # registering the standard builders is a side effect of importing them
 from . import programs as _programs  # noqa: F401
@@ -48,8 +46,6 @@ __all__ = [
     "BUILDERS", "Session", "register_builder", "build_session",
     "checkpoint_replay", "restore_replay",
     "transfer_session", "warmed_testbed",
-    "enable_warm_start", "warm_enabled", "get_or_build", "clear_pool",
-    "pool_stats",
 ]
 
 

@@ -1,8 +1,8 @@
 """Reflective structural fingerprint of a live simulation.
 
 :func:`fingerprint` walks an arbitrary object graph — dataclasses,
-``__slots__`` classes, dicts, deques, sets, RNG streams, numpy arrays,
-even suspended generator frames — and folds every reachable value into
+``__slots__`` classes, dicts, deques, sets, RNG streams, even
+suspended generator frames — and folds every reachable value into
 one SHA-256.  Two simulations with the same fingerprint are in the same
 observable state for every encoding this repo defines (golden traces,
 harvested metrics, reports), because all of those are derived from the
@@ -38,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-import sys
 from collections import OrderedDict, deque
 
 __all__ = ["fingerprint", "fingerprint_update"]
@@ -122,14 +121,6 @@ class _Hasher:
         if isinstance(obj, random.Random):
             mix(b"G")
             self.walk(obj.getstate())
-            return
-        # numpy is looked up, never imported: if nothing imported it, no
-        # array can exist, and the simulation stays numpy-free
-        np = sys.modules.get("numpy")
-        if np is not None and isinstance(obj, np.ndarray):
-            arr = np.ascontiguousarray(obj)
-            mix(b"A", str(arr.dtype).encode(), _I64.pack(arr.ndim),
-                *(_I64.pack(d) for d in arr.shape), arr.tobytes())
             return
         if isinstance(obj, type):
             mix(b"C", f"{obj.__module__}.{obj.__qualname__}".encode())

@@ -17,8 +17,7 @@ The blob's identity is :func:`blob_hash`, a SHA-256 over the entire
 byte string; because the payload encodings are canonical (sorted-key
 JSON, insertion-ordered pickles with canonicalized sets, id allocators
 reset per capture), the hash is a pure function of (config, seed, code
-version) — the content-address the warm-start cache and the golden
-tests key on.
+version) — the content-address the golden tests key on.
 """
 
 from __future__ import annotations
@@ -141,7 +140,8 @@ def snapshot_key(config_repr: str, seed: int) -> str:
     """Content-address a snapshot *source*: (config, seed, code-version).
 
     Pure function of its arguments — identical across processes and
-    machines — used by the warm-start cache and campaign checkpoints.
+    machines — used by campaign checkpoints and the service's result
+    cache.
     """
     raw = repr((CODE_VERSION, config_repr, seed)).encode()
     return hashlib.sha256(raw).hexdigest()

@@ -12,7 +12,7 @@ restored-and-finished run can be compared field by field.
 two-node testbed, runs one full ping-pong (handshake, data, teardown)
 to quiescence, and returns the testbed ready for
 :func:`~repro.snap.state.snapshot_state` — the blob the golden tests
-pin and the warm-start cache shares.
+pin.
 """
 
 from __future__ import annotations

@@ -98,7 +98,7 @@ def check_quiescent(sim) -> None:
             " — run to completion first, or take a replay-tier checkpoint")
 
 
-def snapshot_state(testbed, extra_meta: dict | None = None) -> bytes:
+def snapshot_state(testbed) -> bytes:
     """Serialize a quiescent ``testbed`` into a canonical state blob."""
     sim = testbed.sim
     check_quiescent(sim)
@@ -119,8 +119,6 @@ def snapshot_state(testbed, extra_meta: dict | None = None) -> bytes:
         "events_run": sim.events_run,
         "ids": capture_ids(),
     }
-    if extra_meta:
-        meta.update(extra_meta)
     return encode(TIER_STATE, payload, meta)
 
 

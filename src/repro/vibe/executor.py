@@ -56,8 +56,8 @@ def task_seed(base_seed: int, *key: Any) -> int:
     return int.from_bytes(digest[:4], "big") & 0x7FFFFFFF
 
 
-def parallel_map(fn: Callable, tasks: Iterable[Sequence], jobs: int = 1,
-                 initializer: Callable | None = None) -> list:
+def parallel_map(fn: Callable, tasks: Iterable[Sequence],
+                 jobs: int = 1) -> list:
     """Apply ``fn(*task)`` to every task, preserving task order.
 
     With ``jobs <= 1`` (or a single task) this is a plain serial loop.
@@ -66,12 +66,6 @@ def parallel_map(fn: Callable, tasks: Iterable[Sequence], jobs: int = 1,
     indistinguishable from the serial one.  ``fn`` and all task
     arguments must be picklable (module-level functions, frozen
     dataclasses, plain data).
-
-    ``initializer`` (a picklable zero-argument callable) runs once in
-    every worker before its first task — and, for symmetry, once
-    in-process on the serial path — so per-process switches like the
-    warm-start pool (``repro.snap.enable_warm_start``) behave the same
-    at every ``--jobs`` value.
     """
     tasks = [tuple(t) for t in tasks]
     if not tasks:
@@ -80,11 +74,8 @@ def parallel_map(fn: Callable, tasks: Iterable[Sequence], jobs: int = 1,
         return []
     jobs = effective_jobs(jobs)
     if jobs <= 1 or len(tasks) <= 1:
-        if initializer is not None:
-            initializer()
         return [fn(*t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
-                             initializer=initializer) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         futures = [pool.submit(fn, *t) for t in tasks]
         return [f.result() for f in futures]
 
@@ -94,10 +85,3 @@ def _run_named(name: str, provider: Any, kwargs: dict) -> Any:
     from .suite import run_benchmark   # deferred: suite imports this module
 
     return run_benchmark(name, provider, **kwargs)
-
-
-def _enable_warm_start() -> None:
-    """Picklable pool initializer: arm the warm-start checkpoint pool."""
-    from ..snap import enable_warm_start
-
-    enable_warm_start(True)

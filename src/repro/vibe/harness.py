@@ -63,11 +63,9 @@ class TransferConfig:
     fidelity: str = "packet"      # "packet" | "auto" | "flow" fast-forward
 
     def testbed(self, provider: "str | ProviderSpec", seed: int = 0) -> Testbed:
-        # create() is warm-start aware: under a warmed sweep, eligible
-        # cells restore a shared construction checkpoint (repro.snap)
-        return Testbed.create(provider, seed=seed, loss_rate=self.loss_rate,
-                              mtu=self.mtu, check=self.check,
-                              fidelity=self.fidelity)
+        return Testbed(provider, seed=seed, loss_rate=self.loss_rate,
+                       mtu=self.mtu, check=self.check,
+                       fidelity=self.fidelity)
 
 
 def reuse_schedule(iters: int, reuse_fraction: float, pool: int) -> list[int]:

@@ -179,7 +179,6 @@ def _stamp_meta(result, name: str, provider, kwargs: dict) -> None:
 def run_all(providers=DEFAULT_PROVIDERS,
             benchmarks: list[str] | None = None,
             jobs: int = 1,
-            warm_start: bool = False,
             **kwargs) -> dict[str, dict[str, "BenchResult | list[BenchResult]"]]:
     """Run (a subset of) the suite on each provider.
 
@@ -189,30 +188,12 @@ def run_all(providers=DEFAULT_PROVIDERS,
     because each task is a self-contained deterministic simulation and
     collection preserves task order.
 
-    ``warm_start`` enables the construction-checkpoint pool
-    (:mod:`repro.snap.warmcache`) in every worker: cells sharing a
-    testbed configuration restore one snapshot instead of rebuilding
-    the fabric per cell.  Every cell — including the first — goes
-    through the snapshot path, so results are byte-identical to a cold
-    run at any ``jobs`` value; only wall-clock changes.
-
     Returns ``{benchmark: {provider: result}}``.
     """
     names = benchmarks or list(SUITE)
     tasks = [(name, provider, kwargs)
              for name in names for provider in providers]
-    init = executor._enable_warm_start if warm_start else None
-    try:
-        results = executor.parallel_map(executor._run_named, tasks, jobs,
-                                        initializer=init)
-    finally:
-        if warm_start:
-            # the serial path enabled the pool in this process; workers
-            # die with the executor, so only local state needs undoing
-            from ..snap import warmcache
-
-            warmcache.enable_warm_start(False)
-            warmcache.clear_pool()
+    results = executor.parallel_map(executor._run_named, tasks, jobs)
     out: dict[str, dict] = {name: {} for name in names}
     for (name, provider, _), result in zip(tasks, results):
         out[name][provider] = result

@@ -1,9 +1,11 @@
-"""numpy stays off the simulation's import path.
+"""What the simulation's import path leaves out.
 
-Only the LogP fit (:mod:`repro.models.logp`) uses numpy.  Simulating,
-serving and fingerprinting must neither import it nor behave
-differently without it, so every benchmark process skips its import
-time and memory.
+numpy is not a dependency: simulating, serving and the LogP fit
+(:mod:`repro.models.logp`) all run without importing it.  Running a
+benchmark does not import the checkpoint subsystem (:mod:`repro.snap`)
+either; only the callers that checkpoint on purpose pay for it.
+Each check runs in a fresh interpreter, so nothing an earlier test
+imported can hide an import.
 """
 
 from __future__ import annotations
@@ -13,38 +15,50 @@ import pathlib
 import subprocess
 import sys
 
-import numpy as np
-
-from repro.snap import fingerprint
-
 _SIMULATE_PROG = """\
 import sys
-import repro.providers, repro.vibe, repro.cluster, repro.serve
+import repro.providers, repro.vibe, repro.cluster, repro.serve, repro.models
+from repro.models import fit_loggp
 from repro.serve import ExperimentSpec
 from repro.vibe import run_benchmark
+from repro.vibe.metrics import BenchResult, Measurement
 
 run_benchmark("base_latency", "clan", sizes=[4])
 ExperimentSpec.from_dict({"kind": "run",
                           "params": {"benchmark": "base_latency",
                                      "sizes": [4, 1024]}})
+sizes = [4, 1024, 4096]
+fit_loggp(
+    BenchResult("base_latency", "synth", [
+        Measurement(param=s, latency_us=10.0 + 0.01 * s) for s in sizes]),
+    BenchResult("base_bandwidth", "synth", [
+        Measurement(param=s, bandwidth_mbs=s / (5.0 + 0.01 * s))
+        for s in sizes]))
 print("numpy" in sys.modules)
 """
 
+_RUN_BENCHMARK_PROG = """\
+import sys
+from repro.vibe import run_benchmark
 
-def test_simulation_and_serving_do_not_import_numpy():
+run_benchmark("base_latency", "clan", sizes=[4])
+print("repro.snap" in sys.modules)
+"""
+
+
+def _run(prog: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(pathlib.Path(__file__).parent.parent / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", _SIMULATE_PROG],
+    out = subprocess.run([sys.executable, "-c", prog],
                          env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
 
 
-def test_fingerprint_tells_arrays_apart():
-    base = np.arange(6, dtype=np.int64).reshape(2, 3)
-    changed_byte = base.copy()
-    changed_byte[1, 2] = 99
-    variants = [base.astype(np.int32), base.reshape(3, 2), changed_byte]
-    assert fingerprint(base) == fingerprint(base.copy())
-    assert len({fingerprint(v) for v in [base] + variants}) == 4
+def test_simulation_and_serving_do_not_import_numpy():
+    assert _run(_SIMULATE_PROG) == "False"
+
+
+def test_run_benchmark_does_not_import_snap():
+    assert _run(_RUN_BENCHMARK_PROG) == "False"

@@ -2,13 +2,14 @@
 
 The service's core contract is byte-identity: a result fetched over the
 control plane must equal, byte for byte, what the direct CLI path
-produces — whether it was simulated by the warm pool, reassembled from
+produces — whether it was simulated by the worker pool, reassembled from
 per-cell checkpoints, or served whole from the result cache.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from types import SimpleNamespace
@@ -311,6 +312,36 @@ def test_jobs_listing_includes_submitted_jobs(client):
     job = client.submit(_cluster_spec(23))  # cached by earlier test
     assert job["id"] not in listed
     assert job["id"] in {j["id"] for j in client.jobs()}
+
+
+# -- lifecycle ----------------------------------------------------------------
+
+def test_start_on_busy_port_leaves_service_restartable(tmp_path):
+    from repro.cli import main
+
+    cache_dir = str(tmp_path / "cache")
+    holder = socket.socket()
+    try:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen(1)
+        busy = holder.getsockname()[1]
+        svc = ExperimentService(port=busy, workers=1, cache_dir=cache_dir)
+        with pytest.raises(OSError):
+            svc.start()
+        svc.stop()   # nothing started: a no-op, not an error
+        svc.port = 0
+        svc.start()
+        try:
+            assert ServiceClient(svc.url).health()["ok"] is True
+        finally:
+            svc.stop()
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--port", str(busy), "--workers", "1",
+                  "--cache-dir", cache_dir])
+        message = str(exited.value.code)
+        assert f"127.0.0.1:{busy}" in message and "\n" not in message
+    finally:
+        holder.close()
 
 
 # -- cancellation under a busy worker ---------------------------------------

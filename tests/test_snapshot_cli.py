@@ -1,18 +1,16 @@
 """CLI surface of the checkpoint/restore subsystem.
 
-`vibe run --warm-start`, `vibe cluster --warm-start/--checkpoint-dir`,
-and `vibe chaos --rewind` are exercised through :func:`repro.cli.main`
-— the same entry CI drives — plus the :func:`rewind_scenario` API
-underneath.  The byte-identity claims (cold report == warm report ==
-resumed report) are asserted on the emitted JSON files, mirroring the
-CI ``snap`` job's ``cmp`` steps.
+`vibe cluster --checkpoint-dir` and `vibe chaos --rewind` are exercised
+through :func:`repro.cli.main` — the same entry CI drives — plus the
+:func:`rewind_scenario` API underneath.  The byte-identity claim (cold
+report == resumed report) is asserted on the emitted JSON files,
+mirroring the CI ``snap`` job's ``cmp`` steps.
 """
 
 import json
 
 import pytest
 
-from repro import snap
 from repro.cli import main
 from repro.faults.chaos import rewind_scenario
 from repro.faults.scenarios import get_scenario
@@ -25,14 +23,6 @@ def _cluster_json(tmp_path, name, extra):
     out = tmp_path / name
     main(_CLUSTER_ARGS + ["--json-out", str(out)] + extra)
     return out.read_bytes()
-
-
-def test_cluster_warm_start_byte_identical(tmp_path, capsys):
-    cold = _cluster_json(tmp_path, "cold.json", [])
-    warm = _cluster_json(tmp_path, "warm.json", ["--warm-start"])
-    assert warm == cold
-    # the warm pool is torn down with the sweep
-    assert snap.pool_stats() == {"entries": 0, "hits": 0, "builds": 0}
 
 
 def test_cluster_checkpoint_dir_resumes_byte_identical(tmp_path, capsys):
@@ -49,14 +39,6 @@ def test_cluster_checkpoint_dir_resumes_byte_identical(tmp_path, capsys):
                             ["--checkpoint-dir", str(ckpt)])
     assert first == cold
     assert resumed == cold
-
-
-def test_run_warm_start_same_output(capsys):
-    main(["--providers", "mvia", "run", "base_latency"])
-    cold = capsys.readouterr().out
-    main(["--providers", "mvia", "run", "base_latency", "--warm-start"])
-    warm = capsys.readouterr().out
-    assert warm == cold
 
 
 # ---------------------------------------------------------------------------

@@ -239,37 +239,3 @@ def test_state_tier_refuses_live_waiting_processes():
     tb.run()
     with pytest.raises(snap.SnapshotStateError):
         tb.checkpoint()
-
-
-# ---------------------------------------------------------------------------
-# warm start: the construction-checkpoint path is invisible to results
-# ---------------------------------------------------------------------------
-
-def test_warm_start_results_byte_identical():
-    from repro.vibe.harness import TransferConfig, run_latency
-
-    cfg = TransferConfig(size=128, iters=4, warmup=1)
-    cold = [run_latency(p, cfg) for p in ALL_PROVIDERS]
-    snap.enable_warm_start(True)
-    try:
-        warm = [run_latency(p, cfg) for p in ALL_PROVIDERS]
-        stats = snap.pool_stats()
-    finally:
-        snap.enable_warm_start(False)
-        snap.clear_pool()
-    assert [repr(m) for m in warm] == [repr(m) for m in cold]
-    # one build per provider, every later cell a hit
-    assert stats["builds"] == len(ALL_PROVIDERS)
-
-
-def test_warm_start_ineligible_faulted_cells_fall_back():
-    from repro.providers import Testbed
-
-    snap.enable_warm_start(True)
-    try:
-        tb = Testbed.create("mvia", faults=_FAULT_PLAN)
-        assert tb.injector is not None
-        assert snap.pool_stats()["entries"] == 0
-    finally:
-        snap.enable_warm_start(False)
-        snap.clear_pool()
