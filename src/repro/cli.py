@@ -121,9 +121,9 @@ def cmd_run(args) -> None:
 
         provider = load_spec(args.provider_spec)
     kwargs = {}
-    if args.fidelity != "packet":
-        # only non-default fidelity is forwarded, so default runs keep
-        # their exact result metadata (fidelity never reaches params)
+    if args.fidelity is not None:
+        # forwarded only when given: a default run keeps its exact
+        # result metadata (fidelity never reaches params)
         kwargs["fidelity"] = args.fidelity
     result = run_benchmark(args.benchmark, provider, jobs=args.jobs,
                            **kwargs)
@@ -416,8 +416,9 @@ def cmd_serve(args) -> None:
 def _submit_spec(args) -> dict:
     """The experiment spec a ``vibe submit`` invocation describes."""
     if args.spec_kind == "run":
-        params = {"benchmark": args.benchmark, "provider": args.provider,
-                  "fidelity": args.fidelity}
+        params = {"benchmark": args.benchmark, "provider": args.provider}
+        if args.fidelity is not None:
+            params["fidelity"] = args.fidelity
         if args.sizes:
             params["sizes"] = _sizes(args.sizes)
     elif args.spec_kind == "cluster":
@@ -644,6 +645,14 @@ def _add_submit_common(p: argparse.ArgumentParser) -> None:
                         "match the direct CLI's --json-out exactly)")
 
 
+_RUN_FIDELITY_HELP = (
+    "simulation fidelity.  Unset: benchmarks on the ping-pong/stream "
+    "harness run at flow (every message planned arithmetically, exact "
+    "on their one-way-at-a-time traffic), the rest at packet.  "
+    "packet = step every packet; auto = plan multi-fragment messages; "
+    "flow = plan every message (harness benchmarks only)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vibe",
@@ -671,11 +680,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--provider", default="clan")
     run.add_argument("--provider-spec", metavar="JSON",
                      help="run against a user-defined provider spec file")
-    run.add_argument("--fidelity", default="packet",
-                     choices=["packet", "auto", "flow"],
-                     help="simulation fidelity: packet = every event, "
-                          "auto/flow = batch clean steady-state bursts "
-                          "(data-transfer benchmarks only)")
+    run.add_argument("--fidelity", choices=["packet", "auto", "flow"],
+                     help=_RUN_FIDELITY_HELP)
     run.add_argument("--json-out", metavar="FILE.json",
                      help="also write the results as canonical JSON "
                           "(the bytes a served `submit run` returns)")
@@ -711,8 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--fidelity", default="packet",
                       choices=["packet", "auto", "flow"],
                       help="auto/flow fast-forwards clean bursts and "
-                           "reports the skipped fraction (disables the "
-                           "per-event trace)")
+                           "reports the skipped fraction and why plans "
+                           "declined (disables the per-event trace)")
     prof.add_argument("--trace-out", metavar="FILE.json",
                       help="write a Perfetto-loadable Chrome trace")
     prof.add_argument("--metrics-out", metavar="FILE.json",
@@ -809,8 +815,8 @@ def build_parser() -> argparse.ArgumentParser:
     smr = smsub.add_parser("run", help="one suite benchmark")
     smr.add_argument("benchmark", choices=sorted(SUITE))
     smr.add_argument("--provider", default="clan")
-    smr.add_argument("--fidelity", default="packet",
-                     choices=["packet", "auto", "flow"])
+    smr.add_argument("--fidelity", choices=["packet", "auto", "flow"],
+                     help=_RUN_FIDELITY_HELP)
     smr.add_argument("--sizes", help="comma-separated message sizes")
     smr.add_argument("--seed", type=int, default=0)
     _add_submit_common(smr)

@@ -10,6 +10,7 @@ at the end.
 Naming scheme (sorted output, stable across runs)::
 
     sim.events_run                    kernel-level totals
+    sim.ff.decline.single_fragment    fast-forward fallbacks, by reason
     cpu.<node>.<actor>.utime_us       per-actor rusage split
     nic.<node>.dma.bytes              NIC subsystems
     via.<node>.send.completed         VIA descriptor/CQ path
@@ -46,6 +47,8 @@ def harvest_into(registry: MetricsRegistry, tb) -> MetricsRegistry:
         registry.set_gauge("sim.ff_time_us", sim.ff_time)
         registry.inc("sim.ff_events_skipped", sim.ff_events_skipped)
         registry.inc("sim.ff_bursts", sim.ff_bursts)
+    for reason, count in sorted(sim.ff_declines.items()):
+        registry.inc(f"sim.ff.decline.{reason}", count)
 
     for name in tb.node_names:
         node = tb.fabric.node(name)

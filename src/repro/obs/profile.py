@@ -27,6 +27,7 @@ __all__ = ["TransferProfile", "profile_transfer", "run_metadata",
            "combined_trace_json", "combined_metrics_json"]
 
 _DISCRIMINATOR = 7
+_DECLINE = "sim.ff.decline."
 
 
 def _reset_id_counters() -> None:
@@ -89,14 +90,19 @@ class TransferProfile:
         lines.append(f"  {'one-way total':<14s} {total:8.2f} us")
         lines.append(f"  events traced  {len(self.events):8d}")
         lines.append(f"  metrics        {len(self.registry):8d}")
-        ff_us = self._gauge("sim.ff_time_us")
-        if ff_us:
-            # fast-forwarded runs only; packet-mode output keeps its bytes
+        ff_us = self._gauge("sim.ff_time_us") or 0.0
+        declines = {name[len(_DECLINE):]: int(self.registry.get(name).value)
+                    for name in self.registry.names()
+                    if name.startswith(_DECLINE)}
+        if ff_us or declines:
+            # fast-forward runs only; packet-mode output keeps its bytes
             now_us = self._gauge("sim.now_us") or 1.0
             skipped = int(self._gauge("sim.ff_events_skipped") or 0)
             lines.append(f"  fast-forward   {ff_us:8.2f} us "
                          f"({ff_us / now_us:6.1%} of simulated time, "
                          f"~{skipped} events skipped)")
+            for reason, count in declines.items():
+                lines.append(f"    declined     {count:8d}  {reason}")
         retx = self._counter_total("via.", ".retransmissions")
         naks = self._counter_total("via.", ".naks_sent")
         dups = self._counter_total("via.", ".drops")

@@ -496,17 +496,40 @@ class SimulatedProvider(ViaProvider):
         claimed = vi.send_q.claim()
         assert claimed is desc
         if db_delay is None:
+            if vi.scan_pending:
+                # the NIC works the queue in order: sends still waiting
+                # for a recovery scan go first, or this one overtakes them
+                self._dispatch_pending(vi, len(vi.scan_pending))
             self.sim.process(self.engine.send_message(vi, desc),
                              name=f"send-vi{vi.vi_id}")
         else:
             # the doorbell was lost (injected fault): the descriptor
             # sits until the NIC's periodic recovery scan finds it
+            vi.scan_pending.append(desc)
             self.sim.process(self._dispatch_after_scan(vi, desc, db_delay),
                              name=f"db-scan-vi{vi.vi_id}")
+
+    def _dispatch_pending(self, vi: VI, count: int) -> None:
+        """Dispatch the first ``count`` scan-pending sends, in post order."""
+        for d in vi.scan_pending[:count]:
+            if d.posted:  # else flushed by a disconnect/error meanwhile
+                self.sim.process(self.engine.send_message(vi, d),
+                                 name=f"send-vi{vi.vi_id}")
+        del vi.scan_pending[:count]
 
     def _dispatch_after_scan(self, vi: VI, desc: Descriptor,
                              delay: float) -> Op:
         yield self.sim.timeout(delay)
+        pending = vi.scan_pending
+        at = next((i for i, d in enumerate(pending) if d is desc), None)
+        if at is None:
+            return  # a later ring or an earlier scan dispatched it
+        if at:
+            # earlier sends still wait on slower scans: this scan finds
+            # them too, and they keep their place in the queue
+            self._dispatch_pending(vi, at + 1)
+            return
+        del pending[0]
         if not desc.posted:
             return  # flushed by a disconnect/error before the scan ran
         yield from self.engine.send_message(vi, desc)

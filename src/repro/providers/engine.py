@@ -315,41 +315,49 @@ class NicEngine:
     # touched so concurrent event-path traffic still queues behind the
     # burst, and schedules only the completion writebacks as real
     # events.  Anything the plan cannot prove falls back to the packet
-    # path, which stays bit-identical to the pre-burst model.
+    # path, which stays bit-identical to the pre-burst model; each
+    # fallback counts its reason as ``sim.ff.decline.<reason>``.
+
+    def _ff_decline(self, reason: str) -> None:
+        """Count one declined plan as ``sim.ff.decline.<reason>``; the
+        message then takes the packet path."""
+        declines = self.sim.ff_declines
+        declines[reason] = declines.get(reason, 0) + 1
 
     def _ff_route(self, vi: VI):
         """Resolve forward and reverse wire paths through a flat Fabric.
 
-        Returns the hardware objects a burst plan needs, or None when
-        the topology is anything the arithmetic model does not cover
-        (tiered fabrics, detached ports, unexpected sinks)."""
+        Returns the hardware objects a burst plan needs, or None (with
+        its decline counted) when the topology is anything the
+        arithmetic model does not cover (tiered fabrics, detached
+        ports, unexpected sinks)."""
         port = self.nic.port
         if port is None or vi.peer is None:
-            return None
+            return self._ff_decline("route_detached")
         up = port.out_channel
         switch = getattr(up.sink, "__self__", None)
         if not isinstance(switch, Switch):
-            return None
+            return self._ff_decline("route_not_flat")
         dst = vi.peer[0]
         down = switch._downlinks.get(dst)
         oport = switch._ports.get(dst)
         if down is None or oport is None:
-            return None
+            return self._ff_decline("route_no_peer_port")
         peer_nic = getattr(down.sink, "__self__", None)
         if not isinstance(peer_nic, NIC) or peer_nic.port is None:
-            return None
+            return self._ff_decline("route_peer_not_nic")
         peer_eng = getattr(peer_nic.rx_handler, "__self__", None)
         if not isinstance(peer_eng, NicEngine):
-            return None
+            return self._ff_decline("route_peer_not_engine")
         peer_up = peer_nic.port.out_channel
         if getattr(peer_up.sink, "__self__", None) is not switch:
-            return None
+            return self._ff_decline("route_peer_uplink")
         sdown = switch._downlinks.get(self.node.name)
         sport = switch._ports.get(self.node.name)
         if sdown is None or sport is None:
-            return None
+            return self._ff_decline("route_no_return_port")
         if getattr(sdown.sink, "__self__", None) is not self.nic:
-            return None
+            return self._ff_decline("route_return_sink")
         return (up, switch, oport, down, peer_nic, peer_eng,
                 peer_up, sport, sdown)
 
@@ -363,18 +371,18 @@ class NicEngine:
         sim = self.sim
         n = len(sizes)
         if n < 2 and sim.fidelity != "flow":
-            return None
+            return self._ff_decline("single_fragment")
         if desc.op is DescriptorOp.RDMA_WRITE:
-            return None
+            return self._ff_decline("rdma_write")
         if (sim.tracer is not None or sim.faults is not None
                 or sim.checker is not None):
-            return None
+            return self._ff_decline("hooks_armed")
         reliable = vi.reliability is not Reliability.UNRELIABLE
         if reliable and self.p._recovery_armed:
-            return None
+            return self._ff_decline("recovery_armed")
         route = self._ff_route(vi)
         if route is None:
-            return None
+            return None  # _ff_route counted its own reason
         (up, switch, oport, down, peer_nic, peer_eng,
          peer_up, sport, sdown) = route
         peer_vi = peer_eng.p.vis.get(vi.peer[1])
@@ -383,11 +391,11 @@ class NicEngine:
                 or peer_vi.expected_rx_seq != seq
                 or peer_eng.has_buffered(peer_vi)
                 or peer_vi.recv_q.claimable == 0):
-            return None
+            return self._ff_decline("peer_not_ready")
         rdesc = peer_vi.recv_q._claimable[0]
         total_len = len(data)
         if total_len > rdesc.total_length:
-            return None
+            return self._ff_decline("recv_too_small")
 
         def _wire_ok(ch) -> bool:
             return (ch.loss_rate == 0.0 and ch._line.in_use == 0
@@ -396,19 +404,19 @@ class NicEngine:
         dma = self.nic.dma
         pdma = peer_nic.dma
         if not (_wire_ok(up) and _wire_ok(down)):
-            return None
+            return self._ff_decline("wire_busy")
         if (dma._bus.in_use or dma._bus.queued
                 or pdma._bus.in_use or pdma._bus.queued):
-            return None
+            return self._ff_decline("dma_busy")
         if peer_nic.recv_engine.in_use or peer_nic.recv_engine.queued:
-            return None
+            return self._ff_decline("peer_rx_busy")
         if reliable:
             if not (_wire_ok(peer_up) and _wire_ok(sdown)):
-                return None
+                return self._ff_decline("ack_wire_busy")
             if self.nic.recv_engine.in_use or self.nic.recv_engine.queued:
-                return None
+                return self._ff_decline("ack_rx_busy")
         if not oport.cut_through and n > oport.capacity_frames:
-            return None
+            return self._ff_decline("port_capacity")
 
         c = self.costs
         t0 = sim._now
@@ -435,7 +443,7 @@ class NicEngine:
         arrive_port = [d + sw_lat for d in up_delivers]
         port_plan = oport.plan_burst(arrive_port, sizes)
         if port_plan is None:
-            return None
+            return self._ff_decline("port_backlog")
         departs, port_commit = port_plan
         _, down_ends, rx_arrive = down.plan_burst(
             departs, sizes, line_free=down._ff_busy_until)
@@ -528,7 +536,7 @@ class NicEngine:
             splan = sport.plan_burst([s_arrive], [ACK_WIRE_BYTES])
             if splan is None:
                 _restore_tlb()
-                return None
+                return self._ff_decline("ack_port_backlog")
             s_departs, sport_commit = splan
             _, sd_ends, sd_del = sdown.plan_burst(
                 s_departs, [ACK_WIRE_BYTES],
@@ -547,7 +555,7 @@ class NicEngine:
             # a bounded run would have cut the cascade mid-flight; the
             # packet path reproduces the truncated state exactly
             _restore_tlb()
-            return None
+            return self._ff_decline("run_horizon")
 
         metrics = sim.metrics
         immediate = desc.control.immediate

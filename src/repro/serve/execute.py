@@ -75,7 +75,7 @@ def execute_spec(spec: ExperimentSpec) -> str:
 
         params = spec.params
         kwargs = {}
-        if params["fidelity"] != "packet":
+        if "fidelity" in params:
             kwargs["fidelity"] = params["fidelity"]
         if "sizes" in params:
             kwargs["sizes"] = list(params["sizes"])

@@ -80,15 +80,18 @@ def _normalize_run(params: dict, seed: int) -> dict:
     if benchmark not in SUITE:
         raise SpecError(f"unknown benchmark {benchmark!r}; "
                         "see `vibe list`")
-    fidelity = params.get("fidelity", "packet")
-    if fidelity not in _FIDELITIES:
-        raise SpecError(f"fidelity must be one of {_FIDELITIES}, "
-                        f"got {fidelity!r}")
     out = {
         "benchmark": benchmark,
         "provider": _provider(params.get("provider", "clan")),
-        "fidelity": fidelity,
     }
+    # absent means the benchmark's own default, which is not "packet"
+    # for the harness benchmarks, so it stays out of the canonical form
+    if "fidelity" in params:
+        fidelity = params["fidelity"]
+        if fidelity not in _FIDELITIES:
+            raise SpecError(f"fidelity must be one of {_FIDELITIES}, "
+                            f"got {fidelity!r}")
+        out["fidelity"] = fidelity
     if params.get("sizes"):
         if benchmark not in SIZES_AWARE:
             raise SpecError(f"benchmark {benchmark!r} takes no sizes; "

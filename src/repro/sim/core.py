@@ -641,6 +641,9 @@ class Simulator:
         #: synthesized arithmetically
         self.ff_events_skipped = 0
         self.ff_bursts = 0
+        #: plans a model declined, by reason (harvested as
+        #: ``sim.ff.decline.<reason>``); the message ran packet by packet
+        self.ff_declines: dict[str, int] = {}
         self._ff_watermark = 0.0
         #: active run() deadline: the next *boundary* a fast-forward may
         #: not cross (a truncated run must truncate identically in every

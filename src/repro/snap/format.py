@@ -40,8 +40,10 @@ MAGIC = b"VIBESNAP"
 #: bump on any change to the framing or the payload encodings —
 #: including new or removed fields in the pickled state tier (v2:
 #: providers carry an admission-control ``conn_rejects`` counter; v3:
-#: channels no longer carry a delivery-divert hook)
-FORMAT_VERSION = 3
+#: channels no longer carry a delivery-divert hook; v4: VIs carry their
+#: scan-pending sends, the simulator its fast-forward decline counts,
+#: and served ``run`` results name an explicit fidelity in ``meta``)
+FORMAT_VERSION = 4
 #: stamped into every header; a restore across package versions refuses
 CODE_VERSION = f"repro-{__version__}/snap-{FORMAT_VERSION}"
 

@@ -171,6 +171,9 @@ class VI:
         #: engine bookkeeping: lowest not-yet-accepted incoming sequence
         #: number (duplicate retransmissions are below this)
         self.expected_rx_seq = 0
+        #: provider bookkeeping: sends whose doorbell was lost, in post
+        #: order, waiting for the NIC's recovery scan to dispatch them
+        self.scan_pending: list[Descriptor] = []
 
     # -- state machine -------------------------------------------------------
     def require_state(self, *states: ViState) -> None:
@@ -244,6 +247,7 @@ class VI:
         self.next_send_seq = 0
         self.rx_state = None
         self.expected_rx_seq = 0
+        self.scan_pending.clear()
         chk = self.sim.checker
         if chk is not None:
             chk.on_vi_reset(self)

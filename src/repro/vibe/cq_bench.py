@@ -51,14 +51,17 @@ def cq_bandwidth(provider: "str | ProviderSpec",
 
 def cq_overhead(provider: "str | ProviderSpec",
                 sizes: list[int] | None = None,
-                mode: WaitMode = WaitMode.POLL) -> BenchResult:
-    """LatCQ − Lat per size: the §4.3.3 comparison, directly."""
+                mode: WaitMode = WaitMode.POLL,
+                fidelity: str = TransferConfig.fidelity) -> BenchResult:
+    """LatCQ − Lat per size: the §4.3.3 comparison, directly.  Both
+    runs use the one ``fidelity``."""
     sizes = sizes or paper_size_sweep()
     points = []
     for s in sizes:
-        base = run_latency(provider, TransferConfig(size=s, mode=mode))
-        with_cq = run_latency(provider, TransferConfig(size=s, mode=mode,
-                                                       use_recv_cq=True))
+        base = run_latency(provider, TransferConfig(size=s, mode=mode,
+                                                    fidelity=fidelity))
+        with_cq = run_latency(provider, TransferConfig(
+            size=s, mode=mode, use_recv_cq=True, fidelity=fidelity))
         points.append(Measurement(
             param=s,
             extra={

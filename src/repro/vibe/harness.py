@@ -60,7 +60,10 @@ class TransferConfig:
     loss_rate: float | None = None
     discriminator: int = 11
     check: bool = False           # attach the conformance checker
-    fidelity: str = "packet"      # "packet" | "auto" | "flow" fast-forward
+    #: "flow" plans every message (one fragment or many) arithmetically;
+    #: exact here because both engines move data one way at a time.
+    #: "packet" steps every packet; "auto" plans multi-fragment ones.
+    fidelity: str = "flow"
 
     def testbed(self, provider: "str | ProviderSpec", seed: int = 0) -> Testbed:
         return Testbed(provider, seed=seed, loss_rate=self.loss_rate,

@@ -116,17 +116,18 @@ SIZES_AWARE = frozenset({
     "getput_latency",
 })
 
-#: benchmarks whose kwargs flow into a :class:`TransferConfig`, and thus
-#: accept a ``fidelity="auto"|"flow"`` fast-forward override.  The rest
-#: build their testbeds directly and silently drop the keyword (so the
-#: CLI can pass ``--fidelity`` uniformly).  ``cq_overhead`` is excluded:
-#: it compares a with-CQ run against a bare baseline and must run both
-#: at the same fidelity.
+#: benchmarks built on the two harness engines: their kwargs flow into
+#: a :class:`TransferConfig`, so they run at its ``"flow"`` default
+#: (exact on their one-way-at-a-time traffic) and accept a
+#: ``fidelity="packet"|"auto"|"flow"`` override.  The rest build their
+#: testbeds directly, run at ``packet``, and silently drop the keyword
+#: (so the CLI can pass ``--fidelity`` uniformly).  ``cq_overhead``
+#: runs its with-CQ and bare baselines at the one fidelity it is given.
 FIDELITY_AWARE = frozenset({
     "base_latency", "base_bandwidth",
     "base_latency_blocking", "base_bandwidth_blocking",
     "reuse_latency", "reuse_bandwidth",
-    "cq_latency", "cq_bandwidth",
+    "cq_latency", "cq_bandwidth", "cq_overhead",
     "multivi_latency", "multivi_bandwidth",
     "segments_latency", "segments_bandwidth",
     "pipeline_bandwidth",
@@ -141,7 +142,8 @@ def run_benchmark(name: str, provider: str, **kwargs):
     A ``jobs`` keyword is forwarded only to benchmarks that support
     internal fan-out (:data:`JOBS_AWARE`); for the rest it is dropped so
     callers can pass a global ``--jobs`` uniformly.  Likewise
-    ``fidelity`` reaches only the :data:`FIDELITY_AWARE` benchmarks.
+    ``fidelity`` reaches only the :data:`FIDELITY_AWARE` benchmarks,
+    and ``meta.params`` records it only when the caller passed it.
     """
     try:
         fn = SUITE[name]

@@ -6,7 +6,9 @@ Three layers of protection:
 1. golden values — ``base_latency``/``base_bandwidth`` for all three
    providers pinned to the exact floats the seed kernel produced, so any
    kernel "optimisation" that perturbs event ordering (and therefore the
-   simulated clock) fails loudly;
+   simulated clock) fails loudly.  They run at ``fidelity="packet"``,
+   which steps every packet, and again at the harness default
+   (``flow``), whose arithmetic plans must land on the same floats;
 2. ``jobs=1`` vs ``jobs=4`` — the process-pool fan-out must return
    byte-identical ``BenchResult``s (each task is a self-contained
    simulation; collection preserves task order);
@@ -63,21 +65,38 @@ GOLDEN_BANDWIDTH = {
 }
 
 
+def _latency(provider, **kwargs):
+    result = base_latency(provider, sizes=GOLDEN_SIZES, **kwargs)
+    return [(m.param, m.latency_us, m.cpu_send, m.cpu_recv)
+            for m in result.points]
+
+
+def _bandwidth(provider, **kwargs):
+    result = base_bandwidth(provider, sizes=GOLDEN_SIZES, **kwargs)
+    return [(m.param, m.bandwidth_mbs) for m in result.points]
+
+
 @pytest.mark.parametrize("provider", sorted(GOLDEN_LATENCY))
 def test_golden_base_latency(provider):
     """Exact equality on purpose: the kernel's determinism contract says
     optimisations must not move a single event, hence not a single ULP."""
-    result = base_latency(provider, sizes=GOLDEN_SIZES)
-    got = [(m.param, m.latency_us, m.cpu_send, m.cpu_recv)
-           for m in result.points]
-    assert got == GOLDEN_LATENCY[provider]
+    assert _latency(provider, fidelity="packet") == GOLDEN_LATENCY[provider]
 
 
 @pytest.mark.parametrize("provider", sorted(GOLDEN_BANDWIDTH))
 def test_golden_base_bandwidth(provider):
-    result = base_bandwidth(provider, sizes=GOLDEN_SIZES)
-    got = [(m.param, m.bandwidth_mbs) for m in result.points]
-    assert got == GOLDEN_BANDWIDTH[provider]
+    assert _bandwidth(provider, fidelity="packet") == \
+        GOLDEN_BANDWIDTH[provider]
+
+
+@pytest.mark.parametrize("provider", sorted(GOLDEN_LATENCY))
+def test_golden_base_latency_at_default_fidelity(provider):
+    assert _latency(provider) == GOLDEN_LATENCY[provider]
+
+
+@pytest.mark.parametrize("provider", sorted(GOLDEN_BANDWIDTH))
+def test_golden_base_bandwidth_at_default_fidelity(provider):
+    assert _bandwidth(provider) == GOLDEN_BANDWIDTH[provider]
 
 
 @pytest.mark.parametrize("provider", ("mvia", "bvia", "clan"))

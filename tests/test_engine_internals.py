@@ -3,6 +3,8 @@
 import pytest
 
 from repro.hw.link import Packet
+from repro.obs.harvest import harvest_testbed
+from repro.obs.profile import profile_transfer
 from repro.providers import Testbed, get_spec
 from repro.providers.engine import AckPayload, DataFrag, RdmaReadReq
 from repro.via import CompletionStatus, Descriptor, Reliability
@@ -251,3 +253,31 @@ def test_fast_forward_builds_no_fragments(monkeypatch, fidelity, frags):
     assert received == payloads
     assert len(made) == frags
     assert tb.sim.ff_bursts == (count if fidelity == "auto" else 0)
+
+
+@pytest.mark.parametrize("fidelity", ["auto", "packet"])
+def test_fast_forward_declines_are_counted_by_reason(fidelity):
+    """A one-fragment send at ``auto`` declines as ``single_fragment``;
+    packet mode never plans, so its harvest names no decline and keeps
+    its bytes.  ``vibe profile`` prints the count under fast-forward."""
+    tb = Testbed("clan", fidelity=fidelity)
+    client_setup, server_setup = connected_endpoints(tb, bufsize=64)
+
+    def client():
+        ep = yield from client_setup()
+        yield from simple_send(*ep, b"x" * 64)
+
+    def server():
+        h, vi, region, mh = yield from server_setup()
+        yield from simple_recv(h, vi, region, mh, 64)
+
+    run_pair(tb, client(), server())
+    declines = {name: m["value"]
+                for name, m in harvest_testbed(tb).snapshot().items()
+                if name.startswith("sim.ff.decline.")}
+    if fidelity == "packet":
+        assert declines == {}
+        return
+    assert declines == {"sim.ff.decline.single_fragment": 1}
+    summary = profile_transfer("clan", fidelity=fidelity).summary()
+    assert "declined            2  single_fragment" in summary

@@ -24,6 +24,7 @@ in-order prefix of what was sent.
 
 import hashlib
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -331,3 +332,32 @@ def test_fuzzed_fault_plans_preserve_invariants(case):
         for i in range(case["count"])
     ]
     assert got == expected[:len(got)]
+
+
+def _lossy_doorbell_plan(seed: int) -> FaultPlan:
+    return FaultPlan(name="doorbell-order", seed=seed, faults=(
+        FaultSpec(kind="wire_loss", rate=0.05),
+        FaultSpec(kind="wire_loss", rate=0.05),
+        FaultSpec(kind="doorbell_drop", rate=0.5),
+    ))
+
+
+@pytest.mark.parametrize("plan", [
+    # these two once delivered 0, 2, 1 and 1, 0, 2
+    pytest.param(_lossy_doorbell_plan(0), id="lossy-seed0"),
+    pytest.param(_lossy_doorbell_plan(1), id="lossy-seed1"),
+    # the first send's lost doorbell waits on a slower scan than the
+    # second's, so the second scan must take the first send along
+    pytest.param(FaultPlan(name="slow-scan-first", faults=(
+        FaultSpec(kind="doorbell_drop", magnitude=300.0, count=1),
+        FaultSpec(kind="doorbell_drop", magnitude=20.0, count=1),
+    )), id="slow-scan-first"),
+])
+def test_lost_doorbell_never_lets_a_later_send_overtake(plan):
+    """A send whose doorbell was lost waits for the recovery scan; a
+    later ring or scan must dispatch it first, not overtake it (VIA
+    works a queue in order)."""
+    got = run_faulted_stream("mvia", Reliability.RELIABLE_DELIVERY, plan,
+                             size=1, count=3, window=2)
+    assert got == [hashlib.sha256(_payload(i, 1)).hexdigest()
+                   for i in range(3)]
