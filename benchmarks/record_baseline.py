@@ -2,7 +2,7 @@
 
 Measures the two kernel-bound workloads from ``bench_simulator_perf.py``
 and writes their keys into ``BENCH_simkernel.json``, keeping the keys
-``--warm`` and ``--serve`` record there::
+``--warm`` records there::
 
     python benchmarks/record_baseline.py                 # record
     python benchmarks/record_baseline.py --check PATH    # CI smoke
@@ -209,58 +209,6 @@ def _warm_comparison(repeats: int = 10) -> dict:
     }
 
 
-def _serve_comparison(repeats: int = 3) -> dict:
-    """Control-plane wall-clock: cold submit vs running pool vs cache hit.
-
-    One in-process ``vibe serve`` instance, one small sweep spec.  The
-    cold figure includes worker spawn and imports; the running-pool
-    figure (``serve_warm_pool_ms``) resubmits fresh seeds against the
-    already-started workers; the cache-hit figure resubmits the identical spec and is
-    answered from the content-addressed result cache without any
-    simulation.  Trend only — never gated: all three move with machine
-    load, and the cache-hit win is obvious enough not to need a floor.
-    """
-    import tempfile
-
-    from repro.serve import ExperimentService, ServiceClient
-
-    def spec(seed):
-        return {"kind": "cluster",
-                "params": {"nodes": 2, "clients": 2, "requests": 4,
-                           "providers": ["mvia"], "rates": [8_000.0]},
-                "seed": seed}
-
-    def timed(client, s):
-        t0 = time.perf_counter()
-        job = client.submit(s)
-        client.wait(job["id"], timeout=600, poll=0.02)
-        _body, hit = client.result(job["id"])
-        return (time.perf_counter() - t0) * 1e3, hit
-
-    with tempfile.TemporaryDirectory() as tmp:
-        svc = ExperimentService(port=0, workers=2, cache_dir=tmp)
-        svc.start()
-        try:
-            client = ServiceClient(svc.url, client="bench")
-            cold_ms, hit = timed(client, spec(7_000))
-            assert not hit, "fresh spec must not be a cache hit"
-            warm_ms = min(timed(client, spec(7_001 + i))[0]
-                          for i in range(repeats))
-            cache_ms = float("inf")
-            for _ in range(repeats):
-                ms, hit = timed(client, spec(7_000))
-                assert hit, "resubmitted spec must be a cache hit"
-                cache_ms = min(cache_ms, ms)
-        finally:
-            svc.stop()
-    return {
-        "serve_cold_ms": cold_ms,
-        "serve_warm_pool_ms": warm_ms,
-        "serve_cache_hit_ms": cache_ms,
-        "serve_cold_over_cache_hit": cold_ms / cache_ms,
-    }
-
-
 def _rate(fn, n: int, repeats: int) -> float:
     """Best-of-``repeats`` operations/sec for ``fn`` (n ops per call)."""
     fn()  # warm-up: imports, pools, code caches
@@ -441,11 +389,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="measure only the warm-state reuse comparison "
                          "(cold warm-up vs checkpoint restore) and merge "
                          "its keys into the existing kernel baseline")
-    ap.add_argument("--serve", action="store_true",
-                    help="measure only the control-plane comparison "
-                         "(cold submit vs running pool vs cache hit "
-                         "through `vibe serve`) and merge its keys into "
-                         "the kernel baseline; trend only, never gated")
     args = ap.parse_args(argv)
 
     if args.cluster and args.out == DEFAULT_OUT:
@@ -454,10 +397,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.cluster:
             return check_cluster(args.check, args.tolerance, args.repeats)
         return check(args.check, args.tolerance, args.repeats)
-
-    if args.serve:
-        _record(args.out, _serve_comparison(args.repeats))
-        return 0
 
     if args.warm:
         warm = _warm_comparison()

@@ -114,31 +114,26 @@ def cmd_figure(args) -> None:
         sys.exit(f"no figure {n}; the paper has figures 1-7")
 
 
-def cmd_run(args) -> None:
-    provider = args.provider
-    if args.provider_spec:
-        from .providers.custom import load_spec
+def cmd_experiment(args) -> None:
+    """``vibe run|cluster|chaos``: run the spec ``vibe submit`` sends
+    for the same flags in-process, through the service's executor."""
+    from .serve.execute import run_spec
+    from .serve.spec import ExperimentSpec, SpecError
 
-        provider = load_spec(args.provider_spec)
-    kwargs = {}
-    if args.fidelity is not None:
-        # forwarded only when given: a default run keeps its exact
-        # result metadata (fidelity never reaches params)
-        kwargs["fidelity"] = args.fidelity
-    result = run_benchmark(args.benchmark, provider, jobs=args.jobs,
-                           **kwargs)
-    if isinstance(result, list):
-        for r in result:
-            print(r.table())
-            print()
-    else:
-        print(result.table())
+    try:
+        spec = ExperimentSpec.from_dict(_submit_spec(args))
+    except SpecError as exc:
+        sys.exit(f"vibe {args.command}: {exc}")
+    report = run_spec(spec, jobs=args.jobs,
+                      cell_dir=getattr(args, "checkpoint_dir", None))
+    print(report.summary())
     if args.json_out:
-        from .vibe.metrics import results_to_json
-
         with open(args.json_out, "w") as fh:
-            fh.write(results_to_json(result))
-        print(f"results written to {args.json_out}")
+            fh.write(report.to_json())
+        what = "results" if spec.kind == "run" else f"{spec.kind} report"
+        print(f"{what} written to {args.json_out}")
+    if not report.ok:
+        sys.exit(1)
 
 
 def cmd_list(_args) -> None:
@@ -259,38 +254,37 @@ def _chaos_scenarios(args) -> tuple | None:
                  for name in spec.split(",") if name)
 
 
+def _chaos_providers(args) -> list | None:
+    """The providers a chaos campaign is narrowed to, or None for all
+    four: ``vibe chaos`` reads the global ``--providers`` (its default
+    means every stack), ``vibe submit chaos`` its own ``--provider``."""
+    if args.command == "submit":
+        return None if args.provider == "all" else args.provider.split(",")
+    return None if tuple(args.providers) == PROVIDERS else args.providers
+
+
+def _chaos_spec_params(args) -> dict:
+    """Experiment-spec params for a chaos invocation's flags (None
+    means every scenario, or every provider)."""
+    return {"quick": args.quick, "scenarios": _chaos_scenarios(args),
+            "providers": _chaos_providers(args)}
+
+
 def cmd_chaos(args) -> None:
-    from .faults import run_chaos
-
-    providers = tuple(args.providers)
-    if providers == PROVIDERS:
-        # chaos should batter every stack unless explicitly narrowed
-        providers = None  # run_chaos defaults to ALL_PROVIDERS
     if args.rewind:
-        _chaos_rewind(providers, args)
-        return
-    report = run_chaos(providers=providers,
-                       scenarios=_chaos_scenarios(args),
-                       seed=args.seed, quick=args.quick)
-    print(report.summary())
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(report.to_json())
-        print(f"chaos report written to {args.json_out}")
-    if not report.ok:
-        sys.exit(1)
+        _chaos_rewind(args)
+    else:
+        cmd_experiment(args)
 
 
-def _chaos_rewind(providers, args) -> None:
+def _chaos_rewind(args) -> None:
     """``vibe chaos --rewind``: checkpoint each cell just before its
     first fault arms, restore, and re-run the fault window traced."""
+    from .check import ALL_PROVIDERS
     from .faults.chaos import rewind_scenario
     from .faults.scenarios import SCENARIOS, get_scenario
 
-    if providers is None:
-        from .check import ALL_PROVIDERS
-
-        providers = ALL_PROVIDERS
+    providers = _chaos_providers(args) or ALL_PROVIDERS
     names = _chaos_scenarios(args)
     if names:
         chosen = tuple(get_scenario(n) for n in names)
@@ -310,42 +304,6 @@ def _chaos_rewind(providers, args) -> None:
             ok = ok and rw.result.ok and rw.matches_cold
     print("PASS" if ok else "FAIL")
     if not ok:
-        sys.exit(1)
-
-
-def cmd_cluster(args) -> None:
-    from .check import ALL_PROVIDERS
-    from .cluster import QUICK_RATE_GRID, ClusterConfig, run_cluster
-
-    providers = (ALL_PROVIDERS if args.provider == "all"
-                 else tuple(args.provider.split(",")))
-    extra = {}
-    if args.deadline_us is not None:
-        extra["deadline_us"] = args.deadline_us
-    cfg = ClusterConfig(
-        topology=args.topology, nodes=args.nodes, servers=args.servers,
-        clients=args.clients, requests=args.requests,
-        req_size=args.req_size, resp_size=args.resp_size,
-        window=args.window, arrival=args.arrival, service=args.service,
-        mode=args.mode, think_us=args.think_us, seed=args.seed,
-        fidelity=args.fidelity,
-        retry=args.retry, server_policy=args.server_policy,
-        tenants=args.tenants, slo_p99_us=args.slo_p99_us,
-        slo_goodput=args.slo_goodput, **extra,
-    )
-    rates = None
-    if args.rate:
-        rates = tuple(float(r) for r in args.rate.split(","))
-    elif args.quick:
-        rates = QUICK_RATE_GRID
-    report = run_cluster(providers, cfg, rates=rates, jobs=args.jobs,
-                         check=args.check, checkpoint_dir=args.checkpoint_dir)
-    print(report.summary())
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(report.to_json())
-        print(f"cluster report written to {args.json_out}")
-    if not report.ok:
         sys.exit(1)
 
 
@@ -413,24 +371,31 @@ def cmd_serve(args) -> None:
     print("vibe serve: stopped", flush=True)
 
 
+def _run_spec_params(args) -> dict:
+    """Experiment-spec params for a run invocation's flags."""
+    params = {"benchmark": args.benchmark, "provider": args.provider}
+    if args.provider_spec:
+        # the design travels inline, so it is part of the spec's key
+        from .providers.custom import read_spec_file
+
+        params["provider"] = read_spec_file(args.provider_spec)
+    if args.fidelity is not None:
+        # forwarded only when given: a default run keeps its exact
+        # result metadata (fidelity never reaches params)
+        params["fidelity"] = args.fidelity
+    if args.sizes:
+        params["sizes"] = _sizes(args.sizes)
+    return params
+
+
 def _submit_spec(args) -> dict:
-    """The experiment spec a ``vibe submit`` invocation describes."""
-    if args.spec_kind == "run":
-        params = {"benchmark": args.benchmark, "provider": args.provider}
-        if args.fidelity is not None:
-            params["fidelity"] = args.fidelity
-        if args.sizes:
-            params["sizes"] = _sizes(args.sizes)
-    elif args.spec_kind == "cluster":
-        params = _cluster_spec_params(args)
-    else:
-        params = {"quick": args.quick}
-        scenarios = _chaos_scenarios(args)
-        if scenarios:
-            params["scenarios"] = list(scenarios)
-        if args.provider != "all":
-            params["providers"] = args.provider.split(",")
-    return {"kind": args.spec_kind, "params": params, "seed": args.seed}
+    """The experiment spec a ``vibe submit <kind>`` invocation sends;
+    ``vibe <kind>`` runs the same spec for the same flags, because each
+    kind's params come from one function shared by both spellings."""
+    kind = args.spec_kind if args.command == "submit" else args.command
+    build = {"run": _run_spec_params, "cluster": _cluster_spec_params,
+             "chaos": _chaos_spec_params}[kind]
+    return {"kind": kind, "params": build(args), "seed": args.seed}
 
 
 def _event_line(event: dict) -> str:
@@ -610,16 +575,13 @@ def _cluster_spec_params(args) -> dict:
         "fidelity": args.fidelity, "retry": args.retry,
         "server_policy": args.server_policy, "tenants": args.tenants,
         "slo_p99_us": args.slo_p99_us, "slo_goodput": args.slo_goodput,
-        "check": bool(args.check),
+        "check": bool(args.check), "providers": args.provider,
+        "quick": args.quick,
     }
     if args.deadline_us is not None:
         params["deadline_us"] = args.deadline_us
-    if args.provider != "all":
-        params["providers"] = args.provider.split(",")
-    if args.rate:
+    if args.rate:  # the spec prefers explicit rates to --quick
         params["rates"] = [float(r) for r in args.rate.split(",")]
-    elif args.quick:
-        params["quick"] = True
     return params
 
 
@@ -685,6 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json-out", metavar="FILE.json",
                      help="also write the results as canonical JSON "
                           "(the bytes a served `submit run` returns)")
+    run.set_defaults(sizes=None, seed=0)  # run-spec fields without a flag
 
     sub.add_parser("list", help="list benchmark names")
 
@@ -819,6 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=_RUN_FIDELITY_HELP)
     smr.add_argument("--sizes", help="comma-separated message sizes")
     smr.add_argument("--seed", type=int, default=0)
+    smr.set_defaults(provider_spec=None)
     _add_submit_common(smr)
     smc = smsub.add_parser("cluster", help="a cluster capacity sweep")
     _add_cluster_identity_flags(smc)
@@ -850,14 +814,14 @@ def main(argv: list[str] | None = None) -> None:
     {
         "table1": cmd_table1,
         "figure": cmd_figure,
-        "run": cmd_run,
+        "run": cmd_experiment,
         "list": cmd_list,
         "breakdown": cmd_breakdown,
         "trace": cmd_trace,
         "profile": cmd_profile,
         "check": cmd_check,
         "chaos": cmd_chaos,
-        "cluster": cmd_cluster,
+        "cluster": cmd_experiment,
         "save": cmd_save,
         "report": cmd_report,
         "compare": cmd_compare,

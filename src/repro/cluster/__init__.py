@@ -26,12 +26,10 @@ from .runner import (
     assemble_report,
     cell_key,
     find_knee,
-    load_cell,
     resolve_rates,
     run_cluster,
     run_cluster_once,
     slo_knee,
-    store_cell,
     sweep_cells,
 )
 from .server import ClusterServer, make_service
@@ -54,13 +52,11 @@ __all__ = [
     "build_testbed",
     "cell_key",
     "find_knee",
-    "load_cell",
     "make_service",
     "make_topology",
     "resolve_rates",
     "run_cluster",
     "run_cluster_once",
     "slo_knee",
-    "store_cell",
     "sweep_cells",
 ]

@@ -29,8 +29,8 @@ from .workload import LATENCY_BUCKETS, ClusterClient, StartGate
 
 __all__ = ["ClusterConfig", "ClusterReport", "RATE_GRID",
            "QUICK_RATE_GRID", "find_knee", "slo_knee", "run_cluster",
-           "run_cluster_once", "run_cell", "cell_key", "load_cell",
-           "store_cell", "resolve_rates", "sweep_cells", "assemble_report"]
+           "run_cluster_once", "run_cell", "cell_key", "resolve_rates",
+           "sweep_cells", "assemble_report"]
 
 #: default total offered loads (requests/s) for a capacity sweep —
 #: geometric, wide enough to cross every provider's knee
@@ -449,39 +449,14 @@ def cell_key(provider: str, cfg: ClusterConfig, rate: float | None,
     identical across processes, resumed campaigns, and the experiment
     service (:mod:`repro.serve`), changed by any input that could
     change the point's bytes.  Campaign checkpoints
-    (``--checkpoint-dir``) and the service's content-addressed result
-    cache both persist cells as ``cell-<key>.json`` through
-    :func:`load_cell`/:func:`store_cell`, so a cell computed by either
-    consumer is a cache hit for the other.
+    (``--checkpoint-dir``) and the service both persist cells as
+    ``cell-<key>.json`` through :class:`repro.serve.ResultCache`, so a
+    cell computed by either consumer is a cache hit for the other.
     """
     from ..snap import snapshot_key
 
     canon = repr((provider, sorted(asdict(cfg).items()), rate, check))
     return snapshot_key(canon, cfg.seed)
-
-
-def load_cell(checkpoint_dir: str, key: str) -> dict | None:
-    """Read one checkpointed cell point, or None if absent/torn."""
-    import os
-
-    path = os.path.join(checkpoint_dir, f"cell-{key}.json")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)["point"]
-    except (OSError, ValueError, KeyError):
-        return None
-
-
-def store_cell(checkpoint_dir: str, key: str, point: dict) -> None:
-    """Atomically persist one finished cell point under its key."""
-    import os
-
-    os.makedirs(checkpoint_dir, exist_ok=True)
-    path = os.path.join(checkpoint_dir, f"cell-{key}.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({"key": key, "point": point}, fh, sort_keys=True)
-    os.replace(tmp, path)  # atomic: a killed campaign leaves no torn cells
 
 
 def run_cluster(providers: tuple, cfg: ClusterConfig,
@@ -493,22 +468,27 @@ def run_cluster(providers: tuple, cfg: ClusterConfig,
     ``checkpoint_dir`` makes the campaign resumable: each finished cell
     is written to ``cell-<content-hash>.json`` keyed by (code version,
     provider, config, rate), and a re-run with the same directory skips
-    cells already on disk — an interrupted campaign continues where it
-    stopped and still emits the byte-identical final report.
+    cells already on disk that verify — an interrupted campaign
+    continues where it stopped and still emits the byte-identical final
+    report.
     """
     rates = resolve_rates(cfg, rates)
     cells = sweep_cells(providers, cfg, rates, check)
     points: list[dict | None] = [None] * len(cells)
+    store = None
     if checkpoint_dir is not None:
-        points = [load_cell(checkpoint_dir, cell_key(*c)) for c in cells]
+        from ..serve.cache import ResultCache
+
+        store = ResultCache(checkpoint_dir)
+        points = [store.get_cell(cell_key(*c)) for c in cells]
     todo = [i for i, point in enumerate(points) if point is None]
 
     if todo:
         fresh = parallel_map(run_cell, [cells[i] for i in todo], jobs)
         for i, point in zip(todo, fresh):
             points[i] = point
-            if checkpoint_dir is not None:
-                store_cell(checkpoint_dir, cell_key(*cells[i]), point)
+            if store is not None:
+                store.put_cell(cell_key(*cells[i]), point)
 
     return assemble_report(providers, cfg, rates, points)
 

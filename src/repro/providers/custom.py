@@ -6,8 +6,9 @@ run the whole suite against it:
 
     vibe run base_latency --provider-spec my_design.json
 
-JSON schema (all cost/network fields optional — they default to the
-``base`` provider's values)::
+The flag carries the object inline, as a ``run`` experiment spec's
+``provider``.  JSON schema (all cost/network fields optional — they
+default to the ``base`` provider's values)::
 
     {
       "name": "my-design",
@@ -47,7 +48,7 @@ from .costs import (
 )
 from .registry import ProviderSpec, get_spec
 
-__all__ = ["load_spec", "spec_to_dict"]
+__all__ = ["load_spec", "parse_spec", "read_spec_file", "spec_to_dict"]
 
 _ENUMS = {
     "translation_agent": TranslationAgent,
@@ -91,9 +92,22 @@ def _parse_plain(base, overrides: dict, what: str):
 
 def load_spec(path: "str | pathlib.Path") -> ProviderSpec:
     """Build a ProviderSpec from a JSON description file."""
-    data = json.loads(pathlib.Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError("provider spec file must contain a JSON object")
+    return parse_spec(read_spec_file(path))
+
+
+def read_spec_file(path: "str | pathlib.Path"):
+    """The decoded JSON of a description file, for :func:`parse_spec`."""
+    return json.loads(pathlib.Path(path).read_text())
+
+
+def parse_spec(data) -> ProviderSpec:
+    """Build a ProviderSpec from a decoded JSON description; a malformed
+    one raises ValueError (KeyError for an unknown ``base``)."""
+    sections = ("choices", "costs", "network", "host")
+    if not isinstance(data, dict) or not all(
+            isinstance(data.get(k, {}), dict) for k in sections):
+        raise ValueError("provider spec must be a JSON object, and its "
+                         f"{', '.join(sections)} JSON objects too")
     base = get_spec(data.get("base", "clan"))
     name = data.get("name", f"custom-{base.name}")
     choices = _parse_choices(base.choices, data.get("choices", {}))

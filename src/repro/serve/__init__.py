@@ -1,21 +1,20 @@
 """Experiment control plane: the simulator as a long-running service.
 
-Everything else in the suite is one-shot CLI — every sweep rebuilds
-testbeds and recomputes identical cells.  This package runs the
-simulator behind a dependency-free HTTP/JSON service (stdlib
-``http.server`` only):
+The simulator runs behind a dependency-free HTTP/JSON service (stdlib
+``http.server`` only), and the one-shot ``vibe run|cluster|chaos``
+commands run the same specs through the same executor in-process:
 
 * :mod:`~repro.serve.spec` — :class:`ExperimentSpec`, the validated,
   canonicalised description of one experiment (``run`` / ``cluster`` /
-  ``chaos``), content-addressed by the same
-  :func:`repro.snap.snapshot_key` hash campaign checkpoints use;
-* :mod:`~repro.serve.cache` — :class:`ResultCache`, atomic JSON files
-  keyed by ``(spec, seed, code version)``, so an identical cell
-  submitted by any client is served from cache byte-identically;
+  ``chaos``), content-addressed by :func:`repro.snap.snapshot_key`;
+* :mod:`~repro.serve.execute` — :func:`run_spec`, the one execution
+  path: the direct CLI calls it, and :func:`execute_spec` (its JSON)
+  is what a served job returns, so the bytes match by construction;
+* :mod:`~repro.serve.cache` — :class:`ResultCache`, the one
+  reader/writer of a cache directory: checksummed, code-versioned
+  ``result-<key>.json`` and ``cell-<key>.json`` entries;
 * :mod:`~repro.serve.jobs` — a bounded FIFO job queue with per-client
   round-robin fairness and an append-only per-job event log;
-* :mod:`~repro.serve.execute` — spec -> result-JSON execution, shared
-  verbatim with the direct CLI so served bytes ``cmp``-match it;
 * :mod:`~repro.serve.service` — :class:`ExperimentService`, the HTTP
   server: job submission, status, results, an SSE event stream per
   job, and a ``/metrics`` endpoint exporting the service's own
@@ -23,17 +22,16 @@ simulator behind a dependency-free HTTP/JSON service (stdlib
 * :mod:`~repro.serve.client` — :class:`ServiceClient`, the stdlib
   client behind ``vibe submit`` / ``vibe jobs``.
 
-Correctness bar (proven by ``tests/test_serve.py`` and the CI ``serve``
-job): a served cell's result JSON is byte-identical to the same cell
-run via the direct CLI, and resubmitting it is answered from the
-content-addressed cache with ``cache_hit: true`` and the same bytes.
+``tests/test_serve.py`` proves the bar: a served result equals the
+direct CLI's ``--json-out`` byte for byte, and resubmitting it is
+answered from the cache with ``cache_hit: true`` and the same bytes.
 """
 
 from __future__ import annotations
 
 from .cache import ResultCache
 from .client import ServiceClient, ServiceError
-from .execute import execute_spec
+from .execute import execute_spec, run_spec
 from .jobs import Job, JobQueue, QueueFullError
 from .service import ExperimentService
 from .spec import ExperimentSpec, SpecError
@@ -42,7 +40,7 @@ __all__ = [
     "ExperimentSpec", "SpecError",
     "ResultCache",
     "Job", "JobQueue", "QueueFullError",
-    "execute_spec",
+    "execute_spec", "run_spec",
     "ExperimentService",
     "ServiceClient", "ServiceError",
 ]

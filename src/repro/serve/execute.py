@@ -1,28 +1,25 @@
-"""Spec execution: the exact code path the direct CLI takes.
+"""Spec execution: the one path every experiment runs through.
 
-The byte-identity contract lives here.  For every spec kind the result
-payload is produced by the same function the one-shot CLI uses:
-
-- ``run``     -> :func:`repro.vibe.suite.run_benchmark` serialised by
-  :func:`repro.vibe.metrics.results_to_json` (what ``vibe run
-  --json-out`` writes);
-- ``cluster`` -> the runner's cells + :func:`repro.cluster.assemble_report`
-  (what ``vibe cluster --json-out`` writes);
-- ``chaos``   -> :func:`repro.faults.run_chaos` ``.to_json()`` (what
-  ``vibe chaos --json-out`` writes).
-
-Cluster specs additionally decompose into the runner's canonical
-``(provider, cfg, rate, check)`` cells so the service can fan them out
-over its persistent worker pool, stream per-cell progress, and cache
-each cell under the same ``cell-<key>.json`` identity that
-``vibe cluster --checkpoint-dir`` uses.
+``vibe run``, ``vibe cluster`` and ``vibe chaos`` build the spec
+``vibe submit`` sends for the same flags and run it with
+:func:`run_spec`, as the service's workers do, so direct and served
+bytes are equal by construction.  Each kind yields a report with
+``summary()``, ``to_json()`` and ``ok``: a :class:`RunReport`, a
+:class:`~repro.cluster.ClusterReport` or a
+:class:`~repro.faults.ChaosReport`.  The service also splits cluster
+specs into the runner's ``(provider, cfg, rate, check)`` cells, to fan
+them over its pool and share ``cell-<key>.json`` entries with
+``vibe cluster --checkpoint-dir``.
 """
 
 from __future__ import annotations
 
+from ..providers.custom import parse_spec
+from ..vibe.metrics import BenchResult, Measurement, results_to_json
+from ..vibe.suite import _stamp_meta, run_benchmark
 from .spec import ExperimentSpec
 
-__all__ = ["execute_spec", "cluster_plan", "run_spec_worker",
+__all__ = ["run_spec", "execute_spec", "RunReport", "cluster_plan",
            "point_metrics"]
 
 
@@ -41,17 +38,15 @@ def _cluster_pieces(spec: ExperimentSpec):
 def cluster_plan(spec: ExperimentSpec):
     """The sweep's cells in canonical order, plus their cache keys.
 
-    Returns ``(providers, cfg, rates, cells, keys)`` where ``cells[i]``
-    is the runner's ``(provider, cfg, rate, check)`` tuple and
-    ``keys[i]`` its single-sourced :func:`repro.cluster.cell_key` —
-    shared bit-for-bit with ``--checkpoint-dir`` campaigns.
+    Returns ``(cells, keys)`` where ``cells[i]`` is the runner's
+    ``(provider, cfg, rate, check)`` tuple and ``keys[i]`` its
+    single-sourced :func:`repro.cluster.cell_key` — shared bit-for-bit
+    with ``--checkpoint-dir`` campaigns.
     """
     from ..cluster.runner import cell_key, sweep_cells
 
-    providers, cfg, rates, check = _cluster_pieces(spec)
-    cells = sweep_cells(providers, cfg, rates, check)
-    keys = [cell_key(*cell) for cell in cells]
-    return providers, cfg, rates, cells, keys
+    cells = sweep_cells(*_cluster_pieces(spec))
+    return cells, [cell_key(*cell) for cell in cells]
 
 
 def assemble_cluster_result(spec: ExperimentSpec,
@@ -63,43 +58,75 @@ def assemble_cluster_result(spec: ExperimentSpec,
     return assemble_report(providers, cfg, rates, points).to_json()
 
 
+class RunReport:
+    """A ``run`` spec's results: one BenchResult or a list of them."""
+
+    ok = True  # a finished benchmark has no verdict to fail
+
+    def __init__(self, result) -> None:
+        self.result = result
+
+    def summary(self) -> str:
+        if isinstance(self.result, list):
+            return "\n".join(f"{r.table()}\n" for r in self.result)
+        return self.result.table()
+
+    def to_json(self) -> str:
+        return results_to_json(self.result)
+
+
+def _run_report(params: dict, jobs: int) -> RunReport:
+    name, provider = params["benchmark"], params["provider"]
+    if isinstance(provider, dict):
+        provider = parse_spec(provider)
+    kwargs = {"jobs": jobs}
+    if "fidelity" in params:
+        kwargs["fidelity"] = params["fidelity"]
+    if "sizes" in params:
+        kwargs["sizes"] = list(params["sizes"])  # a list: meta holds its repr
+    result = run_benchmark(name, provider, **kwargs)
+    if isinstance(result, Measurement):
+        # connection_churn returns a bare point (the paper_suite digest
+        # pins that) whose param is the provider; it takes none of the
+        # keywords above, so its stamp carries none, like the others'
+        result = BenchResult(name, result.param, [result])
+        _stamp_meta(result, name, provider, {})
+    return RunReport(result)
+
+
+def run_spec(spec: ExperimentSpec, *, jobs: int = 1,
+             cell_dir: str | None = None):
+    """Run the whole spec in this process and return its report.
+
+    ``jobs`` fans independent simulations over worker processes and
+    ``cell_dir`` persists (and reuses) a cluster sweep's cells.  Neither
+    changes the report's bytes, so neither is part of the spec.
+    """
+    params = spec.params
+    if spec.kind == "run":
+        return _run_report(params, jobs)
+    if spec.kind == "cluster":
+        from ..cluster.runner import run_cluster
+
+        providers, cfg, rates, check = _cluster_pieces(spec)
+        return run_cluster(providers, cfg, rates=rates, jobs=jobs,
+                           check=check, checkpoint_dir=cell_dir)
+    if spec.kind == "chaos":
+        from ..faults import run_chaos
+
+        return run_chaos(providers=params["providers"],
+                         scenarios=params["scenarios"] or None,
+                         seed=spec.seed, quick=params["quick"])
+    raise ValueError(f"unknown spec kind {spec.kind!r}")
+
+
 def execute_spec(spec: ExperimentSpec) -> str:
     """Run the whole spec inline and return its result JSON.
 
     This is the reference path: the service's fanned-out execution must
     produce exactly these bytes (``tests/test_serve.py`` pins it).
     """
-    if spec.kind == "run":
-        from ..vibe.metrics import results_to_json
-        from ..vibe.suite import run_benchmark
-
-        params = spec.params
-        kwargs = {}
-        if "fidelity" in params:
-            kwargs["fidelity"] = params["fidelity"]
-        if "sizes" in params:
-            kwargs["sizes"] = list(params["sizes"])
-        result = run_benchmark(params["benchmark"], params["provider"],
-                               **kwargs)
-        return results_to_json(result)
-
-    if spec.kind == "cluster":
-        from ..cluster.runner import run_cluster
-
-        providers, cfg, rates, check = _cluster_pieces(spec)
-        report = run_cluster(providers, cfg, rates=rates, check=check)
-        return report.to_json()
-
-    if spec.kind == "chaos":
-        from ..faults import run_chaos
-
-        params = spec.params
-        report = run_chaos(providers=params["providers"],
-                           scenarios=params["scenarios"] or None,
-                           seed=spec.seed, quick=params["quick"])
-        return report.to_json()
-
-    raise ValueError(f"unknown spec kind {spec.kind!r}")
+    return run_spec(spec).to_json()
 
 
 def point_metrics(point: dict) -> dict:
@@ -111,11 +138,3 @@ def point_metrics(point: dict) -> dict:
         "completed": point.get("completed"),
         "violations": len(point.get("violations", ())),
     }
-
-
-# -- picklable pool workers ------------------------------------------
-
-
-def run_spec_worker(spec_dict: dict) -> str:
-    """Execute a whole spec in a worker process (run/chaos jobs)."""
-    return execute_spec(ExperimentSpec.from_dict(spec_dict))

@@ -16,11 +16,11 @@ Endpoints (full schemas in ``docs/SERVICE.md``)::
     GET  /jobs/<id>/events   SSE stream of the job's event log
     POST /jobs/<id>/cancel   cancel queued (immediate) or running job
 
-Two cache layers answer resubmissions without simulation: the
-whole-spec :class:`~repro.serve.cache.ResultCache` (``cache_hit`` jobs
-finish at submit time) and, inside cluster sweeps, the per-cell
-``cell-<key>.json`` store shared bit-for-bit with ``vibe cluster
---checkpoint-dir`` campaigns.
+Two kinds of :class:`~repro.serve.cache.ResultCache` entry answer
+resubmissions without simulation: whole-spec ``result-<key>.json``
+(``cache_hit`` jobs finish at submit time) and, inside cluster sweeps,
+per-cell ``cell-<key>.json`` entries shared bit-for-bit with ``vibe
+cluster --checkpoint-dir`` campaigns.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from ..snap.format import CODE_VERSION
 from ..vibe.executor import effective_jobs
 from .cache import ResultCache
 from .execute import (assemble_cluster_result, cluster_plan,
-                      point_metrics, run_spec_worker)
+                      execute_spec, point_metrics)
 from .jobs import Job, JobQueue, QueueFullError
 from .spec import ExperimentSpec, SpecError
 
@@ -227,7 +227,7 @@ class ExperimentService:
         assert self._pool is not None
         job.cells_total = 1
         job.emit("plan", cells=1, cached_cells=0)
-        future = self._pool.submit(run_spec_worker, job.spec.to_dict())
+        future = self._pool.submit(execute_spec, job.spec)
         while True:
             try:
                 result = future.result(timeout=0.25)
@@ -247,13 +247,13 @@ class ExperimentService:
     def _run_cluster_job(self, job: Job) -> None:
         """Fan the sweep's cells over the worker pool, streaming each
         completion; cells hit/feed the shared ``cell-<key>`` store."""
-        from ..cluster.runner import load_cell, run_cell, store_cell
+        from ..cluster.runner import run_cell
 
         assert self._pool is not None
-        providers, cfg, rates, cells, keys = cluster_plan(job.spec)
+        cells, keys = cluster_plan(job.spec)
         job.cells_total = len(cells)
         points: list[dict | None] = [
-            load_cell(self.cache_dir, key) for key in keys]
+            self.cache.get_cell(key) for key in keys]
         pending: dict = {}
         job.emit("plan", cells=len(cells),
                  cached_cells=sum(p is not None for p in points))
@@ -275,7 +275,7 @@ class ExperimentService:
                 i, key = pending.pop(fut)
                 point = fut.result()  # a cell crash fails the job
                 points[i] = point
-                store_cell(self.cache_dir, key, point)
+                self.cache.put_cell(key, point)
                 job.cells_done += 1
                 self._inc("serve.cells.executed")
                 self._emit_cell(job, i, cells[i], point, cache_hit=False)
@@ -286,7 +286,7 @@ class ExperimentService:
                 still_running = [f for f in pending if not f.cancel()]
                 for fut in still_running:
                     i, key = pending[fut]
-                    store_cell(self.cache_dir, key, fut.result())
+                    self.cache.put_cell(key, fut.result())
                     self._inc("serve.cells.executed")
                 self._cancelled(job, "mid-sweep")
                 return

@@ -14,6 +14,7 @@ silently invalidates every cached result without any migration logic.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict, dataclass, field, fields
 
 from ..snap.format import snapshot_key
@@ -72,6 +73,17 @@ def _providers(params: dict) -> tuple:
     return tuple(_provider(p) for p in raw)
 
 
+def _design(provider: dict) -> dict:
+    """An inline design, checked by the ``--provider-spec`` parser."""
+    from ..providers.custom import parse_spec
+
+    try:
+        parse_spec(provider)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SpecError(f"bad provider design: {exc.args[0]}") from None
+    return copy.deepcopy(provider)  # the spec owns its design
+
+
 def _normalize_run(params: dict, seed: int) -> dict:
     from ..vibe.suite import SIZES_AWARE, SUITE
 
@@ -80,9 +92,12 @@ def _normalize_run(params: dict, seed: int) -> dict:
     if benchmark not in SUITE:
         raise SpecError(f"unknown benchmark {benchmark!r}; "
                         "see `vibe list`")
+    provider = params.get("provider", "clan")
     out = {
         "benchmark": benchmark,
-        "provider": _provider(params.get("provider", "clan")),
+        # a registered name, or a design object (a --provider-spec file)
+        "provider": (_provider(provider) if isinstance(provider, str)
+                     else _design(provider)),
     }
     # absent means the benchmark's own default, which is not "packet"
     # for the harness benchmarks, so it stays out of the canonical form
@@ -185,7 +200,7 @@ class ExperimentSpec:
         try:
             params = _NORMALIZERS[kind](dict(params), seed)
         except KeyError as exc:
-            raise SpecError(str(exc)) from None
+            raise SpecError(exc.args[0]) from None
         return cls(kind=kind, params=params, seed=seed)
 
     def to_dict(self) -> dict:
@@ -216,8 +231,10 @@ class ExperimentSpec:
     def describe(self) -> str:
         """One-line human label for job listings."""
         if self.kind == "run":
-            return (f"run {self.params['benchmark']} "
-                    f"[{self.params['provider']}]")
+            provider = self.params["provider"]
+            if isinstance(provider, dict):
+                provider = provider.get("name", "custom")
+            return f"run {self.params['benchmark']} [{provider}]"
         if self.kind == "cluster":
             rates = self.params["rates"]
             label = "closed" if rates == (None,) else \

@@ -130,5 +130,8 @@ def test_cli_chaos_quick_single_cell(tmp_path, capsys):
 
 
 def test_cli_chaos_rejects_unknown_scenario():
-    with pytest.raises(KeyError):
+    with pytest.raises(SystemExit) as exited:
         main(["--providers", "mvia", "chaos", "--scenario", "nope"])
+    message = str(exited.value.code)
+    assert message.startswith("vibe chaos: unknown chaos scenario 'nope'")
+    assert "\n" not in message

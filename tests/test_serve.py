@@ -9,7 +9,10 @@ per-cell checkpoints, or served whole from the result cache.
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import socket
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -198,6 +201,132 @@ def test_code_version_skew_invalidates_cached_results(tmp_path,
     assert spec.result_key() != old_key
 
 
+def test_concurrent_cell_writers_never_collide(tmp_path):
+    cache = ResultCache(str(tmp_path))
+    point = {"goodput_rps": 1234.5, "violations": []}
+    errors = []
+
+    def write():
+        try:
+            for _ in range(300):
+                cache.put_cell("racy", point)
+        except Exception as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the writers often
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert cache.get_cell("racy") == point
+    assert os.listdir(tmp_path) == ["cell-racy.json"]
+
+
+def test_altered_cell_reads_as_a_miss_and_is_recomputed(tmp_path):
+    from repro.cluster import ClusterConfig, cell_key, run_cluster
+
+    cfg = ClusterConfig(nodes=2, clients=2, requests=2, seed=52)
+    ckpt = str(tmp_path / "ckpt")
+    cold = run_cluster(("mvia",), cfg, rates=(500.0,)).to_json()
+    run_cluster(("mvia",), cfg, rates=(500.0,), checkpoint_dir=ckpt)
+    cache = ResultCache(ckpt)
+    key = cell_key("mvia", cfg, 500.0, False)
+    path = pathlib.Path(cache.path(key, "cell"))
+    entry = json.loads(path.read_text())
+    point = json.loads(entry["result"])
+    point["p99_us"] += 1.0
+    entry["result"] = json.dumps(point, sort_keys=True)
+    path.write_text(json.dumps(entry))
+    assert cache.get_cell(key) is None
+    resumed = run_cluster(("mvia",), cfg, rates=(500.0,),
+                          checkpoint_dir=ckpt)
+    assert resumed.to_json() == cold
+    assert cache.get_cell(key) is not None  # healed by the recompute
+
+
+# -- direct CLI == served, by construction ----------------------------------
+
+_SMALL_CLUSTER_FLAGS = ["--provider", "mvia", "--nodes", "2", "--clients",
+                        "2", "--requests", "2", "--rate", "500"]
+_LANAI_NEXT = (pathlib.Path(__file__).parents[1] / "examples" / "specs"
+               / "lanai_next.json")
+
+
+@pytest.mark.parametrize("direct, submit", [
+    (["run", "base_latency", "--provider", "mvia"],
+     ["submit", "run", "base_latency", "--provider", "mvia"]),
+    (["cluster", *_SMALL_CLUSTER_FLAGS],
+     ["submit", "cluster", *_SMALL_CLUSTER_FLAGS]),
+    (["--providers", "mvia", "chaos", "--quick", "--scenario", "loss_burst"],
+     ["submit", "chaos", "--provider", "mvia", "--quick",
+      "--scenario", "loss_burst"]),
+], ids=["run", "cluster", "chaos"])
+def test_direct_cli_writes_the_served_bytes(direct, submit, tmp_path,
+                                            capsys):
+    from repro.cli import _submit_spec, build_parser, main
+
+    out = tmp_path / "direct.json"
+    main(direct + ["--json-out", str(out)])
+    direct_spec, served_spec = (
+        ExperimentSpec.from_dict(_submit_spec(build_parser().parse_args(a)))
+        for a in (direct, submit))
+    assert direct_spec.result_key() == served_spec.result_key()
+    assert out.read_text() == execute_spec(served_spec)
+
+
+def test_vibe_run_connection_churn_writes_a_one_point_result(tmp_path,
+                                                            capsys):
+    from repro.cli import main
+
+    out = tmp_path / "churn.json"
+    main(["run", "connection_churn", "--provider", "mvia",
+          "--json-out", str(out)])
+    [result] = json.loads(out.read_text())["results"]
+    assert result["benchmark"] == "connection_churn"
+    assert result["meta"]["params"] == {"benchmark": "connection_churn"}
+    assert [p["param"] for p in result["points"]] == ["mvia"]
+    assert result["points"][0]["extra"]["cycles_per_s"] > 0
+    spec = ExperimentSpec.from_dict({"kind": "run", "params": {
+        "benchmark": "connection_churn", "provider": "mvia"}})
+    assert out.read_text() == execute_spec(spec)
+    assert "connection_churn [mvia]" in capsys.readouterr().out
+
+
+def test_provider_spec_file_runs_as_an_inline_design(tmp_path, capsys):
+    from repro.cli import main
+
+    out = tmp_path / "design.json"
+    main(["run", "base_latency", "--provider-spec", str(_LANAI_NEXT),
+          "--json-out", str(out)])
+    design = json.loads(_LANAI_NEXT.read_text())
+    spec = ExperimentSpec.from_dict({"kind": "run", "params": {
+        "benchmark": "base_latency", "provider": design}})
+    assert out.read_text() == execute_spec(spec)
+    # the design is part of the content address
+    changed = {**design, "costs": {**design["costs"], "vi_create": 99.0}}
+    other = ExperimentSpec.from_dict({"kind": "run", "params": {
+        "benchmark": "base_latency", "provider": changed}})
+    assert other.result_key() != spec.result_key()
+
+
+_BAD_DESIGNS = [{"choices": {"bogus": 1}}, {"base": "missing-provider"},
+                {"costs": [1]}, [1, 2]]
+
+
+@pytest.mark.parametrize("design", _BAD_DESIGNS)
+def test_malformed_inline_design_is_a_spec_error(design):
+    with pytest.raises(SpecError, match="bad provider design"):
+        ExperimentSpec.from_dict({"kind": "run", "params": {
+            "benchmark": "base_latency", "provider": design}})
+
+
 # -- end-to-end over HTTP ---------------------------------------------------
 
 def _submit_and_fetch(client, spec, timeout=240.0):
@@ -294,6 +423,15 @@ def test_http_errors_are_structured(client):
     with pytest.raises(ServiceError) as err:
         client.result("job-999999")
     assert err.value.status == 404
+
+
+def test_malformed_inline_design_is_an_http_400(client):
+    for design in _BAD_DESIGNS:
+        with pytest.raises(ServiceError) as err:
+            client.submit({"kind": "run", "params": {
+                "benchmark": "base_latency", "provider": design}})
+        assert err.value.status == 400
+        assert "bad provider design" in str(err.value)
 
 
 def test_health_and_metrics_endpoints(client):
