@@ -11,7 +11,7 @@ import sys
 
 from repro.providers import Testbed
 from repro.sim import Resource, Simulator
-from repro.via import Descriptor
+from repro.via import Descriptor, Reliability
 
 from conftest import PROVIDERS
 
@@ -130,6 +130,62 @@ def test_hold_allocation_footprint():
     assert drained <= 6000, (
         f"{drained} blocks retained after draining {n} holds "
         f"(budget 6000) — per-hold garbage is being kept alive")
+
+
+def _one_reliable_message(tb, src, dst):
+    """Connect ``src`` to ``dst`` and send one 2 KiB reliable message."""
+    def client():
+        h = tb.open(src, "c")
+        vi = yield from h.create_vi(
+            reliability=Reliability.RELIABLE_DELIVERY)
+        r = h.alloc(2048)
+        mh = yield from h.register_mem(r)
+        yield from h.connect(vi, dst, 3)
+        yield from h.post_send(vi, Descriptor.send([h.segment(r, mh, 0, 2048)]))
+        yield from h.send_wait(vi)
+
+    def server():
+        h = tb.open(dst, "s")
+        vi = yield from h.create_vi(
+            reliability=Reliability.RELIABLE_DELIVERY)
+        r = h.alloc(2048)
+        mh = yield from h.register_mem(r)
+        yield from h.post_recv(vi, Descriptor.recv([h.segment(r, mh, 0, 2048)]))
+        req = yield from h.connect_wait(3)
+        yield from h.accept(req, vi)
+        yield from h.recv_wait(vi)
+
+    tb.spawn(client(), "client")
+    tb.spawn(server(), "server")
+    tb.run()
+
+
+def test_wire_hops_spawn_no_process(monkeypatch):
+    """Guardrail for the callback-chain hops: NIC transmit and every
+    switch forward (flat star, leaf and spine) run without a process.
+    Of the processes a reliable message spawns, only the engine's
+    ``send``/``rx-*`` ones and the test's own may remain."""
+    spawned = []
+    real = Simulator.process
+
+    def spy(sim, generator, name=None):
+        spawned.append(name)
+        return real(sim, generator, name)
+
+    monkeypatch.setattr(Simulator, "process", spy)
+    star = Testbed("clan", node_names=("node0", "node1", "node2"))
+    _one_reliable_message(star, "node0", "node1")
+    tiered = Testbed("clan", leaf_groups=(("a0", "a1"), ("b0", "b1")))
+    _one_reliable_message(tiered, "a0", "b0")
+
+    # the data and its ack crossed every hop kind
+    assert star.fabric.switch.forwarded >= 2
+    assert tiered.fabric.spine.forwarded >= 2
+    assert spawned.count("rx-data") == spawned.count("rx-ack") == 2
+    hops = [n for n in spawned
+            if n not in ("client", "server", "rx-data", "rx-ack")
+            and not n.startswith("send-vi")]
+    assert hops == [], f"wire hops spawned processes: {sorted(set(hops))}"
 
 
 def test_via_message_rate(benchmark):

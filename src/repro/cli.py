@@ -581,7 +581,7 @@ def _cluster_spec_params(args) -> dict:
     if args.deadline_us is not None:
         params["deadline_us"] = args.deadline_us
     if args.rate:  # the spec prefers explicit rates to --quick
-        params["rates"] = [float(r) for r in args.rate.split(",")]
+        params["rates"] = args.rate.split(",")
     return params
 
 

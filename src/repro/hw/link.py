@@ -101,7 +101,9 @@ class Channel:
         """Process fragment: occupy the line while the packet serialises.
 
         Returns once the last bit is on the wire; delivery to the sink
-        happens ``prop_delay`` later without holding the line.
+        happens ``prop_delay`` later without holding the line.  Used by
+        callers that wait for serialisation (``NIC.transmit``); every
+        other hop runs as the callback chain :meth:`launch`.
         """
         if self.sink is None:
             raise RuntimeError(f"{self.name}: no sink attached")
@@ -114,16 +116,53 @@ class Channel:
             wait = busy - sim._now
             if wait > 0.0:
                 yield sim.timeout(wait)
-        line = self._line
-        hold = line.hold(self.serialization_time(packet))
+        hold = self._line.hold(self.serialization_time(packet), packet)
         try:
             yield hold
         except BaseException:
             hold.abandon()
             raise
-        line.release()
+        self._serialized(hold)
+
+    def launch(self, packet: Packet) -> None:
+        """Serialise ``packet`` as a callback chain: no process, and
+        nothing can wait on it.
+
+        The steps draw sequence numbers in the order :meth:`send` does
+        (the ``_ff_busy_until`` wait, the line hold's grant, the
+        delivery timeout), so a chain started where a ``send`` process
+        would have started orders every event exactly as the process
+        did.
+        """
+        busy = self._ff_busy_until
+        if busy > 0.0:
+            wait = busy - self.sim._now
+            if wait > 0.0:
+                self.sim.timeout(wait, packet).callbacks.append(self._waited)
+                return
+        self._hold_line(packet)
+
+    def launch_event(self, event: Event) -> None:
+        """Timeout callback: :meth:`launch` the packet ``event`` carries."""
+        self.launch(event._value)
+
+    def _waited(self, event: Event) -> None:
+        # the _ff_busy_until wait ended; like send(), do not re-check it
+        self._hold_line(event._value)
+
+    def _hold_line(self, packet: Packet) -> None:
+        self._line.hold(self.serialization_time(packet),
+                        packet).callbacks.append(self._serialized)
+
+    def _serialized(self, hold: Event) -> None:
+        """The line hold ended, for :meth:`send` and :meth:`launch`
+        alike: release the line, count, trace, apply loss and faults,
+        and schedule delivery."""
+        packet = hold._value
+        self._line.release()
         self.sent_packets += 1
         self.sent_bytes += packet.size
+        sim = self.sim
         tracer = sim.tracer
         if tracer is not None:
             sim.trace("wire", "serialized", self.name, pkt=packet.pkt_id,
@@ -243,6 +282,3 @@ class DuplexPort:
     def __init__(self, out_channel: Channel, name: str = "port") -> None:
         self.out_channel = out_channel
         self.name = name
-
-    def send(self, packet: Packet) -> Generator[Event, Any, None]:
-        yield from self.out_channel.send(packet)

@@ -23,12 +23,22 @@ queue behind it (the wormhole-backpressure analog), so multi-sender
 traffic serialises at line rate instead of the old infinite-rate
 downlink.  Uncontended traffic — in particular every two-node run — is
 byte-identical to the pre-contention model.
+
+Forwarding runs as callbacks, not processes.  A switch dispatches each
+arrival into a callback chain (:meth:`repro.sim.Simulator.call_soon`)
+that starts at the key a forwarding process would boot at: the switch
+latency is a timeout whose callback is :meth:`OutputPort.arrive`, which
+does the port's admission accounting and waits out any backlog with
+another timeout before :meth:`Channel.launch` holds the downlink.  Each
+step draws sequence numbers in the order a generator forwarder would,
+so event order is that of a process per hop, while a wire packet costs
+queue records and callbacks instead of a process, a generator stack and
+a completion event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Generator
 
 from ..sim import Event, Simulator
 from .link import Channel, DuplexPort, Packet
@@ -177,8 +187,25 @@ class OutputPort:
         self.drops = 0            # frames tail-dropped (store-and-forward)
         self.max_backlog_us = 0.0
 
-    def forward(self, packet: Packet) -> Generator[Event, Any, None]:
-        """Process fragment: queue the packet through the port."""
+    def arrive(self, event: Event) -> None:
+        """Callback for the switch-latency timeout: admit the frame it
+        carries, then hand it to the downlink after any backlog wait."""
+        packet = event._value
+        wait = self._admit(packet)
+        if wait is None:
+            return
+        if wait > 0.0:
+            self.sim.timeout(wait, packet).callbacks.append(
+                self.channel.launch_event)
+        else:
+            self.channel.launch(packet)
+
+    def _admit(self, packet: Packet) -> float | None:
+        """Admission accounting for one arriving frame.
+
+        Returns the backlog the frame waits out before the downlink
+        (0.0 for none), or None when the port tail-drops it.
+        """
         self.forwarded += 1
         # hot path: the simulator is read once; observer hooks (trace)
         # only dereference again on the rare contended/dropped branches
@@ -199,17 +226,17 @@ class OutputPort:
                     self.backpressured += 1
                     sim.trace("wire", "port_backpressure", self.name,
                               pkt=packet.pkt_id)
-                yield sim.timeout(backlog)
-        elif self.channel.queue_depth >= self.capacity_frames:
+            return backlog
+        if self.channel.queue_depth >= self.capacity_frames:
             self.drops += 1
             sim.trace("wire", "port_drop", self.name,
                       pkt=packet.pkt_id)
-            return
-        yield from self.channel.send(packet)
+            return None
+        return 0.0
 
     # -- burst (flow-level) path ------------------------------------------
     def plan_burst(self, arrive_times, sizes):
-        """Arithmetic replay of :meth:`forward` for a batch of arrivals.
+        """Arithmetic replay of :meth:`arrive` for a batch of arrivals.
 
         Pure computation: walks the cut-through backlog recurrence (or
         the store-and-forward pass-through) over ``arrive_times`` in one
@@ -351,12 +378,12 @@ class Switch:
 
     def _dispatch(self, packet: Packet) -> None:
         self.forwarded += 1
-        port = self._ports[packet.dst]
-        self.sim.process(self._forward(packet, port), name=f"fwd-{packet.pkt_id}")
+        self.sim.call_soon(self._hop, packet)
 
-    def _forward(self, packet: Packet, port: OutputPort):
-        yield self.sim.timeout(self.params.switch_latency)
-        yield from port.forward(packet)
+    def _hop(self, packet: Packet) -> None:
+        # first chain step: the switch latency, then the output port
+        self.sim.timeout(self.params.switch_latency, packet).callbacks.append(
+            self._ports[packet.dst].arrive)
 
 
 class Fabric:

@@ -182,11 +182,27 @@ class NIC:
         self.port = port
 
     def transmit(self, packet: Packet) -> Generator[Event, Any, None]:
-        """Process fragment: put one packet on the wire."""
+        """Process fragment: put one packet on the wire, returning once
+        it has serialised (for callers that wait on that)."""
         if self.port is None:
             raise RuntimeError(f"NIC {self.name} is not attached to a fabric")
         self.tx_packets += 1
-        yield from self.port.send(packet)
+        yield from self.port.out_channel.send(packet)
+
+    def launch(self, packet: Packet) -> None:
+        """Put one packet on the wire as a callback chain: no process,
+        and nothing can wait on it.
+
+        The chain starts at the key a ``transmit`` process would have
+        booted at, so events order exactly as that process's did.
+        """
+        if self.port is None:
+            raise RuntimeError(f"NIC {self.name} is not attached to a fabric")
+        self.sim.call_soon(self._launch, packet)
+
+    def _launch(self, packet: Packet) -> None:
+        self.tx_packets += 1
+        self.port.out_channel.launch(packet)
 
     def note_tx_burst(self, n: int) -> None:
         """Account ``n`` transmitted packets from an arithmetic burst."""

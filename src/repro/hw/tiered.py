@@ -10,7 +10,11 @@ one spine:
 
 Intra-leaf traffic behaves exactly like the flat :class:`Fabric`;
 inter-leaf traffic additionally serialises on the leaf↔spine links —
-the shared resource that makes placement matter.
+the shared resource that makes placement matter.  Leaf and spine
+switches forward as callback chains, as the flat switch does (see
+:mod:`repro.hw.network`): the switch latency is a timeout whose
+callback is the local :class:`OutputPort` or the next channel's
+:meth:`~repro.hw.link.Channel.launch`.
 """
 
 from __future__ import annotations
@@ -56,24 +60,19 @@ class _LeafSwitch:
         self._arbiter.submit(packet)
 
     def _dispatch(self, packet: Packet) -> None:
-        port = self.local_ports.get(packet.dst)
-        if port is not None:
+        if packet.dst in self.local_ports:
             self.forwarded_local += 1
-            self.sim.process(self._forward_port(packet, port),
-                             name=f"{self.name}-fwd")
         else:
             self.forwarded_up += 1
             assert self.uplink is not None
-            self.sim.process(self._forward(packet, self.uplink),
-                             name=f"{self.name}-up")
+        self.sim.call_soon(self._hop, packet)
 
-    def _forward(self, packet: Packet, channel: Channel):
-        yield self.sim.timeout(self.params.switch_latency)
-        yield from channel.send(packet)
-
-    def _forward_port(self, packet: Packet, port: OutputPort):
-        yield self.sim.timeout(self.params.switch_latency)
-        yield from port.forward(packet)
+    def _hop(self, packet: Packet) -> None:
+        # first chain step: the switch latency, then the local output
+        # port or the spine uplink
+        port = self.local_ports.get(packet.dst)
+        self.sim.timeout(self.params.switch_latency, packet).callbacks.append(
+            port.arrive if port is not None else self.uplink.launch_event)
 
 
 class _SpineSwitch:
@@ -92,13 +91,13 @@ class _SpineSwitch:
         self._arbiter.submit(packet)
 
     def _dispatch(self, packet: Packet) -> None:
-        channel = self.down_by_node[packet.dst]
         self.forwarded += 1
-        self.sim.process(self._forward(packet, channel), name="spine-fwd")
+        self.sim.call_soon(self._hop, packet)
 
-    def _forward(self, packet: Packet, channel: Channel):
-        yield self.sim.timeout(self.params.switch_latency)
-        yield from channel.send(packet)
+    def _hop(self, packet: Packet) -> None:
+        # first chain step: the switch latency, then the leaf's downlink
+        self.sim.timeout(self.params.switch_latency, packet).callbacks.append(
+            self.down_by_node[packet.dst].launch_event)
 
 
 class TieredFabric:

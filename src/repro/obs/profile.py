@@ -83,11 +83,18 @@ class TransferProfile:
         lines = [f"profile: {self.provider}, {self.size} B ping-pong "
                  f"(rtt {self.rtt_us:.2f} us)"]
         phases = [s for s in self.spans if s.category == "phase"]
-        total = sum(s.duration for s in phases)
-        for s in phases:
-            share = s.duration / total if total else 0.0
-            lines.append(f"  {s.name:<14s} {s.duration:8.2f} us  {share:6.1%}")
-        lines.append(f"  {'one-way total':<14s} {total:8.2f} us")
+        if phases:
+            total = sum(s.duration for s in phases)
+            for s in phases:
+                share = s.duration / total if total else 0.0
+                lines.append(f"  {s.name:<14s} {s.duration:8.2f} us  "
+                             f"{share:6.1%}")
+            lines.append(f"  {'one-way total':<14s} {total:8.2f} us")
+        else:
+            # fast-forwarded runs attach no tracer, so nothing anchors
+            # the phases: say so rather than print a zero breakdown
+            lines.append("  breakdown      needs --fidelity packet "
+                         "(no trace at this fidelity)")
         lines.append(f"  events traced  {len(self.events):8d}")
         lines.append(f"  metrics        {len(self.registry):8d}")
         ff_us = self._gauge("sim.ff_time_us") or 0.0

@@ -293,10 +293,10 @@ class NicEngine:
         return True
 
     def _tx_packet(self, dst_node: str, kind: str, size: int, payload) -> None:
-        """Fire-and-forget transmission (its own process, FIFO behind others)."""
+        """Fire-and-forget transmission (a callback chain, FIFO behind others)."""
         pkt = Packet(src=self.node.name, dst=dst_node, kind=kind,
                      size=size, payload=payload)
-        self.sim.process(self.nic.transmit(pkt), name=f"tx-{kind}")
+        self.nic.launch(pkt)
 
     # =====================================================================
     # flow-level fast-forward (burst) path

@@ -25,6 +25,8 @@ KINDS = ("run", "cluster", "chaos")
 
 _FIDELITIES = ("packet", "auto", "flow")
 
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
+
 
 class SpecError(ValueError):
     """The submitted spec is malformed; the message says how."""
@@ -111,8 +113,60 @@ def _normalize_run(params: dict, seed: int) -> dict:
         if benchmark not in SIZES_AWARE:
             raise SpecError(f"benchmark {benchmark!r} takes no sizes; "
                             f"those that do: {', '.join(sorted(SIZES_AWARE))}")
-        out["sizes"] = tuple(int(s) for s in params["sizes"])
+        out["sizes"] = _numbers(params["sizes"], int, "sizes")
+        if any(size < 0 for size in out["sizes"]):
+            raise SpecError(f"sizes must be >= 0, got {params['sizes']!r}")
     return out
+
+
+def _numbers(values, kind: type, what: str) -> tuple:
+    """``values`` converted by ``kind``; SpecError if any does not."""
+    try:
+        return tuple(kind(v) for v in values)
+    except (TypeError, ValueError):
+        raise SpecError(f"{what} must be a list of numbers, "
+                        f"got {values!r}") from None
+
+
+def _check_cluster(cfg) -> None:
+    """Reject a config the runner would fail on, with the parsers the
+    runner itself calls."""
+    from ..cluster.policy import RetryPolicy, ServerPolicy
+    from ..cluster.server import make_service
+    from ..cluster.topology import make_topology
+    from ..cluster.workload import ARRIVALS
+
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        kind = type(f.default)
+        if kind is str:
+            ok = isinstance(value, str)
+        else:
+            ok = (isinstance(value, (int, float) if kind is float else int)
+                  and not isinstance(value, bool))
+        if not ok:
+            raise SpecError(f"cluster {f.name} must be {_TYPE_NAMES[kind]}, "
+                            f"got {value!r}")
+    for name, known in (("fidelity", _FIDELITIES),
+                        ("mode", ("open", "closed")),
+                        ("arrival", ARRIVALS)):
+        if getattr(cfg, name) not in known:
+            raise SpecError(f"cluster {name} must be one of {known}, "
+                            f"got {getattr(cfg, name)!r}")
+    for name in ("clients", "requests", "window", "burst", "tenants"):
+        if getattr(cfg, name) < 1:
+            raise SpecError(f"cluster {name} must be >= 1, "
+                            f"got {getattr(cfg, name)!r}")
+    if cfg.deadline_us <= 0:
+        raise SpecError(f"cluster deadline_us must be > 0, "
+                        f"got {cfg.deadline_us!r}")
+    try:
+        make_topology(cfg.topology, cfg.nodes, cfg.servers)
+        make_service(cfg.service)
+        RetryPolicy.parse(cfg.retry)
+        ServerPolicy.parse(cfg.server_policy)
+    except ValueError as exc:
+        raise SpecError(f"bad cluster config: {exc}") from None
 
 
 def _normalize_cluster(params: dict, seed: int) -> dict:
@@ -127,9 +181,12 @@ def _normalize_cluster(params: dict, seed: int) -> dict:
         cfg = ClusterConfig(seed=seed, **cfg_kwargs)
     except TypeError as exc:
         raise SpecError(f"bad cluster config: {exc}") from None
+    _check_cluster(cfg)
     rates = params.get("rates")
     if rates is not None:
-        rates = tuple(float(r) for r in rates)
+        rates = _numbers(rates, float, "rates")
+        if not all(r > 0 for r in rates):
+            raise SpecError(f"rates must be positive, got {list(rates)!r}")
     elif params.get("quick"):
         rates = QUICK_RATE_GRID
     # resolve the grid now so quick/default/closed spellings of the

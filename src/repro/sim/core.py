@@ -37,7 +37,7 @@ implementation:
   non-zero priority (interrupts, priority −1) would violate the
   monotonicity argument, so they go on the heap as lightweight records.
   Every record on the deque has ``time``, ``seq`` and a ``_fire()`` that
-  does its own recycling.
+  does any recycling itself.
 - **Timed-hold records.**  ``Resource.hold(d)`` (see
   :mod:`repro.sim.resources`) replaces ``yield request()`` → resume →
   ``yield timeout(d)`` with one resume.  Its grant takes the same
@@ -50,6 +50,20 @@ implementation:
   resume it replaces.  A grant abandoned before it fires (the holder
   was interrupted) counts as an event and nothing else, as an
   orphaned grant event did.
+- **Call records.**  :meth:`Simulator.call_soon` runs ``fn(arg)`` from
+  a :class:`_Call` record on the immediate deque, keyed
+  ``(now, seq)`` with the next sequence number: the key a new
+  process's boot kick takes.  The hardware models run every wire hop
+  (NIC transmit, switch forward) as a *callback chain* started this
+  way: each later step is a timeout or a timed hold whose callback is
+  the next step, drawing sequence numbers in the order the generator
+  it replaced drew them.  Nothing can wait on a chain, so it has no
+  completion event: a chain costs one ``events_run`` and one ``_seq``
+  less than the process it replaced, and the relative order of every
+  other event is unchanged.  A call record is not a resume, so chain
+  steps add to ``ctx_switches`` only what their holds' grants count.
+  An exception in a chain step propagates out of :meth:`Simulator.run`
+  at that step.
 - **Same-timestamp buckets.**  Priority-0 schedules for the same
   absolute time are appended to one FIFO bucket list that occupies a
   single heap slot, keyed by its *first* entry's sequence number.
@@ -340,6 +354,20 @@ class _Kick:
             process._step_throw(value)
 
 
+class _Call:
+    """A call record: runs ``fn(arg)`` from the immediate queue.
+
+    Made by :meth:`Simulator.call_soon`; see "Call records" in the
+    module docstring.  Unlike kicks these are not pooled: a fresh
+    record is cheaper than a pool round-trip.
+    """
+
+    __slots__ = ("time", "seq", "fn", "arg")
+
+    def _fire(self) -> None:
+        self.fn(self.arg)
+
+
 class Process(Event):
     """A running generator; also an event that fires when it returns."""
 
@@ -589,16 +617,23 @@ class Simulator:
     """The event loop: a heap of ``(time, priority·2⁴⁸ + seq, event)``.
 
     The packed int key orders exactly like the ``(priority, seq)`` pair
-    it replaces.  Priority-0 kick and timed-hold grant records
+    it replaces.  Priority-0 kick, call and timed-hold grant records
     additionally flow through ``_immediate``, a FIFO deque whose keys
     are monotonic (see the module docstring); the loop always processes
     whichever of the two structures holds the smaller key next.
+
+    Two totals are always on.  ``events_run`` counts every processed
+    event, kick, call record and grant record: one per queue entry the
+    loop pops.  ``ctx_switches`` counts process resumes, plus one per
+    fired timed-hold grant, which stands in for its holder's resume
+    even when the holder is a callback chain; call records and other
+    chain steps add nothing.
     """
 
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, Any]] = []
-        #: _Kick and ResourceHold grant records, in (now, seq) order
+        #: _Kick, _Call and ResourceHold grant records, in (now, seq) order
         self._immediate: deque = deque()
         #: open same-timestamp buckets: absolute time -> [(seq, event), ...]
         self._buckets: dict[float, list[tuple[int, Event]]] = {}
@@ -620,11 +655,10 @@ class Simulator:
         #: None-when-disabled discipline — hook sites in the hardware
         #: and engine models read this once and skip on None
         self.faults = None
-        #: kernel-level totals (always on: two plain int increments).
-        #: ``ctx_switches`` counts process resumes; the grant of a timed
-        #: hold counts as the resume it replaces (see the module
-        #: docstring), so the total does not depend on whether a holder
-        #: uses ``Resource.hold`` or ``request()`` + ``timeout()``.
+        #: kernel-level totals (see the class docstring).  The grant of
+        #: a timed hold counts as the resume it replaces, so the total
+        #: does not depend on whether a process holder uses
+        #: ``Resource.hold`` or ``request()`` + ``timeout()``.
         self.events_run = 0
         self.ctx_switches = 0
         #: simulation fidelity: "packet" runs every wire packet as its
@@ -750,6 +784,22 @@ class Simulator:
         else:
             heappush(self._heap,
                      (self._now, priority * _PRIO_SHIFT + seq, kick))
+
+    def call_soon(self, fn: Callable[[Any], None], arg: Any) -> None:
+        """Run ``fn(arg)`` at ``(now, next seq)``, where a new process's
+        first step would run.
+
+        Starts a callback chain (see "Call records" in the module
+        docstring).  Nothing can wait on the call; an exception it
+        raises propagates out of :meth:`run`.
+        """
+        self._seq = seq = self._seq + 1
+        call = _Call()
+        call.time = self._now
+        call.seq = seq
+        call.fn = fn
+        call.arg = arg
+        self._immediate.append(call)
 
     def step(self) -> None:
         """Process the single next event."""

@@ -154,13 +154,15 @@ class Resource:
             self._queue.append(req)
         return req
 
-    def hold(self, duration: float) -> ResourceHold:
-        """Return an event that fires ``duration`` after a slot is granted.
+    def hold(self, duration: float, value: Any = None) -> ResourceHold:
+        """Return an event that fires with ``value`` ``duration`` after a
+        slot is granted.
 
         The caller owns the slot once the event fires and must
         :meth:`release` it, as after :meth:`request`.  A waiter that can
         be interrupted calls :meth:`ResourceHold.abandon` when its
-        ``yield`` raises (see :meth:`acquire`).
+        ``yield`` raises (see :meth:`acquire`).  ``value`` passes state
+        to a callback chain, as ``Simulator.timeout(delay, value)`` does.
         """
         if duration < 0:
             raise ValueError(f"negative hold duration: {duration}")
@@ -171,7 +173,7 @@ class Resource:
         h.sim = sim
         pool = sim._list_pool
         h.callbacks = pool.pop() if pool else []
-        h._value = None
+        h._value = value
         h._ok = True
         h._scheduled = False
         h._defused = False

@@ -42,8 +42,10 @@ MAGIC = b"VIBESNAP"
 #: providers carry an admission-control ``conn_rejects`` counter; v3:
 #: channels no longer carry a delivery-divert hook; v4: VIs carry their
 #: scan-pending sends, the simulator its fast-forward decline counts,
-#: and served ``run`` results name an explicit fidelity in ``meta``)
-FORMAT_VERSION = 4
+#: and served ``run`` results name an explicit fidelity in ``meta``;
+#: v5: wire hops run as callback chains, so no hop leaves a completion
+#: event in the simulator's ``events_run`` or ``_seq``)
+FORMAT_VERSION = 5
 #: stamped into every header; a restore across package versions refuses
 CODE_VERSION = f"repro-{__version__}/snap-{FORMAT_VERSION}"
 

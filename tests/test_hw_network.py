@@ -151,6 +151,10 @@ def test_cut_through_converging_senders_drain_at_line_rate():
     assert port.contended == 3
     assert port.drops == 0 and port.backpressured == 0
     assert port.max_backlog_us == pytest.approx(3 * frame, rel=1e-9)
+    # exact event order: a hop that runs ahead of or behind a
+    # same-instant event moves these timestamps and counters
+    assert arrivals == [101.25, 201.29999999999998, 301.35, 401.4]
+    assert (port.forwarded, port.max_backlog_us) == (4, 300.15)
 
 
 def test_cut_through_single_sender_never_contends():
@@ -170,14 +174,23 @@ def test_store_and_forward_tail_drops_past_port_buffer():
     arrivals2, port2 = _converge(GIGE.with_port_buffer(1), senders=4,
                                  size=1400, per_sender=4)
     assert arrivals2 == arrivals and port2.drops == port.drops
+    # exact event order (see the converging-senders test)
+    assert arrivals == [26.616, 38.623999999999995, 50.63199999999999,
+                        62.639999999999986, 74.64799999999998]
+    assert (port.drops, port.contended) == (11, 0)
 
 
 def test_cut_through_backpressure_counted_past_buffer():
     params = MYRINET.with_port_buffer(1)
-    _, port = _converge(params, senders=6, size=30000)
+    arrivals, port = _converge(params, senders=6, size=30000)
     assert port.contended > 0
     assert port.backpressured > 0   # backlog beyond one frame of buffer
     assert port.drops == 0          # wormhole flow control never drops
+    # exact event order (see the converging-senders test)
+    assert arrivals == [188.83749999999998, 376.3875, 563.9375,
+                        751.4875000000002, 939.0375000000001, 1126.5875]
+    assert (port.contended, port.backpressured,
+            port.max_backlog_us) == (5, 4, 937.75)
 
 
 def test_with_port_buffer_builder_validates():

@@ -133,3 +133,22 @@ def test_nic_counts_traffic():
     assert fab.node("node0").nic.tx_packets == 1
     assert fab.node("node1").nic.rx_packets == 1
     assert len(got) == 1
+
+
+def test_launch_starts_where_a_transmit_process_would():
+    """``NIC.launch`` is a callback chain keyed like a new process's
+    boot: a transmit process spawned first takes the line first."""
+    from repro.hw import Fabric, MYRINET, Packet
+
+    sim = Simulator()
+    fab = Fabric(sim, MYRINET)
+    got = []
+    fab.node("node1").nic.rx_handler = lambda p: got.append(p.payload)
+    nic = fab.node("node0").nic
+    sim.process(nic.transmit(Packet("node0", "node1", "d", 64, "process")))
+    nic.launch(Packet("node0", "node1", "d", 64, "chain"))
+    sim.run()
+    assert got == ["process", "chain"]
+    assert nic.tx_packets == 2
+    with pytest.raises(RuntimeError):
+        NIC(sim, "detached").launch(Packet("a", "b", "d", 1))

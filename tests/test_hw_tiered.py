@@ -129,13 +129,18 @@ def test_spine_contention_halves_crossing_flows():
             procs.append(tb.spawn(receiver(b, 20 + idx, idx)))
         for p in procs:
             tb.run(p)
-        return 2 * n * size / max(done.values())
+        return 2 * n * size / max(done.values()), done
 
     # two flows inside different leaves: fully parallel
-    parallel = aggregate([("a0", "a1"), ("b0", "b1")], cross=False)
+    parallel, done_parallel = aggregate([("a0", "a1"), ("b0", "b1")],
+                                        cross=False)
     # two flows both crossing the spine in the same direction: shared
-    shared = aggregate([("a0", "b0"), ("a1", "b1")], cross=True)
+    shared, done_shared = aggregate([("a0", "b0"), ("a1", "b1")], cross=True)
     assert shared < parallel * 0.7
+    # exact event order: a hop that runs ahead of or behind a
+    # same-instant event moves these finish times
+    assert done_parallel == {0: 10557.339025974014, 1: 10557.339025974014}
+    assert done_shared == {0: 16483.267597402588, 1: 16629.77474025973}
 
 
 def test_via_stack_works_across_leaves_all_providers(provider_name):

@@ -279,3 +279,19 @@ def test_harvest_testbed_publishes_layered_metrics():
     assert snap["cpu.node0.client.poll_us"]["value"] > 0
     # live histogram sites fire only when sim.metrics is attached
     assert snap["via.node0.msg_sent_bytes"]["count"] == 1
+
+
+@pytest.mark.parametrize("fidelity", ["auto", "flow"])
+def test_profile_without_a_trace_prints_no_zero_breakdown(fidelity):
+    """A fast-forwarded profile attaches no tracer, so it has no phases:
+    the summary says the breakdown needs packet fidelity instead of
+    printing a zero one-way total beside a real rtt."""
+    from repro.obs.profile import profile_transfer
+
+    prof = profile_transfer("bvia", fidelity=fidelity)
+    summary = prof.summary()
+    assert prof.rtt_us > 0
+    assert "one-way total" not in summary
+    assert "breakdown      needs --fidelity packet" in summary
+    packet = profile_transfer("bvia").summary()
+    assert "one-way total" in packet and "needs --fidelity" not in packet

@@ -104,6 +104,25 @@ def test_seed_and_params_change_the_key():
     {"kind": "cluster", "params": {"providers": ["enoexist"]}},
     {"kind": "chaos", "params": {"scenarios": ["no_such_scenario"]}},
     {"kind": "run", "params": {"benchmark": "base_latency"}, "seed": "x"},
+    {"kind": "run", "params": {"benchmark": "base_latency",
+                               "sizes": ["abc"]}},
+    {"kind": "run", "params": {"benchmark": "base_latency",
+                               "sizes": [-5]}},
+    # cluster params the runner would only reject at execution
+    _cluster_spec(0, rates=["x"]),
+    _cluster_spec(0, rates=[0]),
+    _cluster_spec(0, fidelity="bogus"),
+    _cluster_spec(0, topology="ring"),
+    _cluster_spec(0, nodes=0),
+    _cluster_spec(0, nodes="4"),
+    _cluster_spec(0, service="bogus:1"),
+    _cluster_spec(0, retry="bogus"),
+    _cluster_spec(0, server_policy="bogus"),
+    _cluster_spec(0, arrival="bogus"),
+    _cluster_spec(0, mode="bogus"),
+    _cluster_spec(0, clients=-1),
+    _cluster_spec(0, requests=0),
+    _cluster_spec(0, deadline_us=-1.0),
 ])
 def test_malformed_specs_raise_spec_error(bad):
     with pytest.raises(SpecError):
@@ -423,6 +442,11 @@ def test_http_errors_are_structured(client):
     with pytest.raises(ServiceError) as err:
         client.result("job-999999")
     assert err.value.status == 404
+    # a failed number conversion is a 400 too, and the service lives on
+    with pytest.raises(ServiceError) as err:
+        client.submit(_cluster_spec(0, rates=["x"]))
+    assert err.value.status == 400
+    assert client.health()["ok"] is True
 
 
 def test_malformed_inline_design_is_an_http_400(client):

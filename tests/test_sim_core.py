@@ -318,3 +318,38 @@ def test_determinism_two_identical_runs():
         return log
 
     assert build() == build()
+
+
+def test_call_soon_takes_the_key_a_process_boot_takes():
+    """A call record runs at ``(now, next seq)`` among same-instant
+    process boots, counts one event and one seq, resumes no process and
+    leaves no completion event."""
+    sim = Simulator()
+    log = []
+
+    def proc(tag):
+        log.append(tag)
+        yield sim.timeout(0.0)
+
+    sim.process(proc("p1"))
+    sim.call_soon(log.append, "call")
+    sim.process(proc("p2"))
+    assert sim._seq == 3
+    sim.run(until=0.0)
+    assert log == ["p1", "call", "p2"]
+    # two boots, one call, two timeouts, two process completions
+    assert sim.events_run == 7
+    assert sim.ctx_switches == 4
+
+
+def test_call_soon_error_propagates_out_of_run_at_that_step():
+    sim = Simulator()
+
+    def boom(arg):
+        raise KeyError(arg)
+
+    sim.call_soon(boom, "x")
+    sim.timeout(1.0)
+    with pytest.raises(KeyError):
+        sim.run()
+    assert sim.events_run == 1 and sim.now == 0.0
