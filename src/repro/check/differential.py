@@ -301,6 +301,7 @@ def run_workload(provider: str, workload: str, seed: int = 0,
                 completed[wq.kind] += wq.total_completed
         sig[f"{name}.posted"] = (posted["send"], posted["recv"])
         sig[f"{name}.completed"] = (completed["send"], completed["recv"])
+    tb.close()
     return sig
 
 

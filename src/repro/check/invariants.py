@@ -120,7 +120,7 @@ class ConformanceChecker:
                 f"descriptor {desc.desc_id} posted twice (already on the "
                 f"{kind} queue of VI {vi_id})"
             )
-        key = (wq.vi.vi_id, wq.kind)
+        key = (wq.vi_id, wq.kind)
         self._posted[desc.desc_id] = (key[0], key[1], desc)
         self._fifo.setdefault(key, deque()).append(desc.desc_id)
         self.posts += 1
@@ -133,7 +133,7 @@ class ConformanceChecker:
                 f"descriptor {desc.desc_id} completed but not posted "
                 "(double completion, or completion of a foreign descriptor)"
             )
-        key = (wq.vi.vi_id, wq.kind)
+        key = (wq.vi_id, wq.kind)
         if (rec[0], rec[1]) != key:
             self._fail(
                 f"descriptor {desc.desc_id} posted on the {rec[1]} queue of "
@@ -354,9 +354,9 @@ class ConformanceChecker:
 def _iter_channels(tb: "Testbed"):
     """Every (label, channel) in the fabric, uplinks and downlinks."""
     for name in tb.node_names:
-        port = tb.fabric.node(name).nic.port
-        if port is not None:
-            yield f"wire.{name}.up", port.out_channel
+        up = tb.fabric.node(name).nic.port
+        if up is not None:
+            yield f"wire.{name}.up", up
     switch = getattr(tb.fabric, "switch", None)
     if switch is not None:
         for name, down in sorted(switch._downlinks.items()):

@@ -195,6 +195,7 @@ def cmd_trace(args) -> None:
         with open(args.trace_out, "w") as fh:
             fh.write(dumps_trace(tb.sim.tracer))
         print(f"chrome trace written to {args.trace_out}")
+    tb.close()
 
 
 def cmd_profile(args) -> None:

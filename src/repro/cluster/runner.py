@@ -288,7 +288,7 @@ def run_cluster_once(provider: str, cfg: ClusterConfig,
 
         harvest_into(harvest, tb)
     providers = list(tb.providers.values())
-    return _assemble_point(
+    point = _assemble_point(
         provider, cfg, rate_rps,
         tenants=_tenant_rollup(cfg, clients, hists),
         server_stats=_server_rollup(servers),
@@ -297,6 +297,8 @@ def run_cluster_once(provider: str, cfg: ClusterConfig,
         recoveries=sum(p.recoveries for p in providers),
         violations=violations,
     )
+    tb.close()
+    return point
 
 
 def _port_stats(tb) -> dict:

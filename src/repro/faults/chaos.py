@@ -337,6 +337,7 @@ def _finish_scenario(session: "Session", provider: str,
     injector = tb.injector
     faults_injected = (sum(injector.counters.values())
                        if injector is not None else 0)
+    tb.close()
     delivered = stats["delivered"]
     elapsed = stats["elapsed"]
     goodput = delivered * size / elapsed if elapsed > 0 else 0.0
@@ -449,6 +450,7 @@ def rewind_scenario(provider: str, sc: ChaosScenario, seed: int = 0,
         if session.run_events(1) == 0:
             break
     blob = checkpoint_replay(session)
+    session.testbed.close()
 
     # restore (replays genesis to the cursor, verifies the fingerprint)
     # and watch the fault window under a tracer

@@ -115,7 +115,7 @@ def run_cluster_scenario(provider: str, sc: ChaosScenario, seed: int = 0,
     injector = tb.injector
     ok = (not violations and not error
           and (delivered == expected or not sc.expect_delivery))
-    return ScenarioResult(
+    result = ScenarioResult(
         scenario=sc.name,
         provider=provider,
         ok=ok,
@@ -133,3 +133,5 @@ def run_cluster_scenario(provider: str, sc: ChaosScenario, seed: int = 0,
         violations=violations,
         note=error or f"{served_during} responses served during the outage",
     )
+    tb.close()
+    return result

@@ -243,7 +243,7 @@ def run_overload_scenario(provider: str, sc: ChaosScenario, seed: int = 0,
     providers = list(tb.providers.values())
     injector = tb.injector
     ok = not violations and not error
-    return ScenarioResult(
+    result = ScenarioResult(
         scenario=sc.name,
         provider=provider,
         ok=ok,
@@ -261,3 +261,5 @@ def run_overload_scenario(provider: str, sc: ChaosScenario, seed: int = 0,
         violations=violations,
         note=error or note,
     )
+    tb.close()
+    return result

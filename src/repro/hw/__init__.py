@@ -1,7 +1,7 @@
 """Simulated hardware substrate: memory, CPU, NIC, links, fabrics."""
 
 from .cpu import CpuActor, HostCPU, Rusage
-from .link import Channel, DuplexPort, Link, Packet
+from .link import Channel, Link, Packet
 from .memory import (
     PAGE_SIZE,
     MemoryError_,
@@ -28,7 +28,6 @@ __all__ = [
     "Channel",
     "CpuActor",
     "DMAEngine",
-    "DuplexPort",
     "Fabric",
     "GIGANET",
     "GIGE",

@@ -19,7 +19,7 @@ from typing import Any, Callable, Generator
 from ..sim import Event, Resource, Simulator
 from ..sim.ids import id_space
 
-__all__ = ["Packet", "Channel", "Link", "DuplexPort"]
+__all__ = ["Packet", "Channel", "Link"]
 
 _packet_ids = id_space("packet")
 
@@ -250,6 +250,13 @@ class Channel:
         if busy_until > self._ff_busy_until:
             self._ff_busy_until = busy_until
 
+    def close(self) -> None:
+        """Drop the sink and the callback-chain steps queued on the
+        line: both are bound methods that close reference cycles (see
+        :meth:`repro.providers.Testbed.close`)."""
+        self.sink = None
+        self._line._queue.clear()
+
 
 class Link:
     """A full-duplex link: an independent channel per direction."""
@@ -274,11 +281,3 @@ class Link:
             sim, bandwidth, prop_delay, header_bytes, per_packet_cost,
             loss_rate, random.Random(seed * 2 + 2), f"{name}.bwd",
         )
-
-
-class DuplexPort:
-    """A NIC's attachment point: one outgoing and one incoming channel."""
-
-    def __init__(self, out_channel: Channel, name: str = "port") -> None:
-        self.out_channel = out_channel
-        self.name = name

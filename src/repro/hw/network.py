@@ -25,15 +25,17 @@ downlink.  Uncontended traffic — in particular every two-node run — is
 byte-identical to the pre-contention model.
 
 Forwarding runs as callbacks, not processes.  A switch dispatches each
-arrival into a callback chain (:meth:`repro.sim.Simulator.call_soon`)
-that starts at the key a forwarding process would boot at: the switch
-latency is a timeout whose callback is :meth:`OutputPort.arrive`, which
-does the port's admission accounting and waits out any backlog with
-another timeout before :meth:`Channel.launch` holds the downlink.  Each
-step draws sequence numbers in the order a generator forwarder would,
-so event order is that of a process per hop, while a wire packet costs
-queue records and callbacks instead of a process, a generator stack and
-a completion event.
+arrival from its :class:`_SourceArbiter` flush straight into a callback
+chain: the switch latency is a timeout whose callback is
+:meth:`OutputPort.arrive`, which does the port's admission accounting
+and waits out any backlog with another timeout before
+:meth:`Channel.launch` holds the downlink.  The flush runs at priority
+1, after every priority-0 event at its instant, and nothing it
+schedules runs before its hops have drawn their sequence numbers, so
+scheduling the latency timeout from the flush orders every event as a
+forwarding process per hop would have.  A wire packet costs queue
+records and callbacks instead of a process, a generator stack and a
+completion event.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..sim import Event, Simulator
-from .link import Channel, DuplexPort, Packet
+from .link import Channel, Packet
 from .node import Node
 
 __all__ = ["NetworkParams", "HostParams", "OutputPort", "Switch", "Fabric",
@@ -377,11 +379,8 @@ class Switch:
         self._arbiter.submit(packet)
 
     def _dispatch(self, packet: Packet) -> None:
-        self.forwarded += 1
-        self.sim.call_soon(self._hop, packet)
-
-    def _hop(self, packet: Packet) -> None:
         # first chain step: the switch latency, then the output port
+        self.forwarded += 1
         self.sim.timeout(self.params.switch_latency, packet).callbacks.append(
             self._ports[packet.dst].arrive)
 
@@ -437,7 +436,7 @@ class Fabric:
             )
             uplink.sink = self.switch.receive
             downlink.sink = node.nic.deliver
-            node.nic.attach_port(DuplexPort(uplink, name=f"{name}.port"))
+            node.nic.port = uplink
             self.switch.attach(name, downlink)
             self.nodes[name] = node
 
@@ -447,3 +446,13 @@ class Fabric:
     @property
     def node_names(self) -> tuple[str, ...]:
         return tuple(self.nodes)
+
+    def close(self) -> None:
+        """Cut the back-links that close the fabric's reference cycles:
+        every channel's (:meth:`Channel.close`) and the switch arbiter's
+        dispatch (see :meth:`repro.providers.Testbed.close`)."""
+        self.switch._arbiter.dispatch = None
+        for node in self.nodes.values():
+            node.nic.port.close()
+        for downlink in self.switch._downlinks.values():
+            downlink.close()

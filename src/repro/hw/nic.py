@@ -22,7 +22,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Generator, Hashable
 
 from ..sim import Event, Resource, Simulator
-from .link import DuplexPort, Packet
+from .link import Channel, Packet
 
 __all__ = ["TranslationCache", "DMAEngine", "NIC"]
 
@@ -148,7 +148,8 @@ class NIC:
         self.recv_engine = Resource(sim, capacity=1)
         self.dma = DMAEngine(sim, dma_bandwidth, dma_per_transfer_cost)
         self.tlb = TranslationCache(tlb_entries)
-        self.port: DuplexPort | None = None
+        #: the uplink channel to the fabric (set when the fabric is built)
+        self.port: Channel | None = None
         self.rx_handler: Callable[[Packet], None] | None = None
         self.tx_packets = 0
         self.rx_packets = 0
@@ -178,16 +179,13 @@ class NIC:
         self.doorbells += 1
         return None
 
-    def attach_port(self, port: DuplexPort) -> None:
-        self.port = port
-
     def transmit(self, packet: Packet) -> Generator[Event, Any, None]:
         """Process fragment: put one packet on the wire, returning once
         it has serialised (for callers that wait on that)."""
         if self.port is None:
             raise RuntimeError(f"NIC {self.name} is not attached to a fabric")
         self.tx_packets += 1
-        yield from self.port.out_channel.send(packet)
+        yield from self.port.send(packet)
 
     def launch(self, packet: Packet) -> None:
         """Put one packet on the wire as a callback chain: no process,
@@ -202,7 +200,7 @@ class NIC:
 
     def _launch(self, packet: Packet) -> None:
         self.tx_packets += 1
-        self.port.out_channel.launch(packet)
+        self.port.launch(packet)
 
     def note_tx_burst(self, n: int) -> None:
         """Account ``n`` transmitted packets from an arithmetic burst."""

@@ -12,8 +12,9 @@ Intra-leaf traffic behaves exactly like the flat :class:`Fabric`;
 inter-leaf traffic additionally serialises on the leaf↔spine links —
 the shared resource that makes placement matter.  Leaf and spine
 switches forward as callback chains, as the flat switch does (see
-:mod:`repro.hw.network`): the switch latency is a timeout whose
-callback is the local :class:`OutputPort` or the next channel's
+:mod:`repro.hw.network`): each dispatch from the arbiter's flush
+schedules the switch latency as a timeout whose callback is the local
+:class:`OutputPort` or the next channel's
 :meth:`~repro.hw.link.Channel.launch`.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 import random
 
 from ..sim import Simulator
-from .link import Channel, DuplexPort, Packet
+from .link import Channel, Packet
 from .network import (_CUT_THROUGH_SKEW, _SourceArbiter, HostParams,
                       NetworkParams, OutputPort)
 from .node import Node
@@ -60,19 +61,17 @@ class _LeafSwitch:
         self._arbiter.submit(packet)
 
     def _dispatch(self, packet: Packet) -> None:
-        if packet.dst in self.local_ports:
-            self.forwarded_local += 1
-        else:
-            self.forwarded_up += 1
-            assert self.uplink is not None
-        self.sim.call_soon(self._hop, packet)
-
-    def _hop(self, packet: Packet) -> None:
         # first chain step: the switch latency, then the local output
         # port or the spine uplink
         port = self.local_ports.get(packet.dst)
+        if port is not None:
+            self.forwarded_local += 1
+            step = port.arrive
+        else:
+            self.forwarded_up += 1
+            step = self.uplink.launch_event
         self.sim.timeout(self.params.switch_latency, packet).callbacks.append(
-            port.arrive if port is not None else self.uplink.launch_event)
+            step)
 
 
 class _SpineSwitch:
@@ -91,11 +90,8 @@ class _SpineSwitch:
         self._arbiter.submit(packet)
 
     def _dispatch(self, packet: Packet) -> None:
-        self.forwarded += 1
-        self.sim.call_soon(self._hop, packet)
-
-    def _hop(self, packet: Packet) -> None:
         # first chain step: the switch latency, then the leaf's downlink
+        self.forwarded += 1
         self.sim.timeout(self.params.switch_latency, packet).callbacks.append(
             self.down_by_node[packet.dst].launch_event)
 
@@ -177,7 +173,7 @@ class TieredFabric:
                                    down_hdr, down_ppc, name=f"{name}.down")
                 uplink.sink = leaf.receive
                 downlink.sink = node.nic.deliver
-                node.nic.attach_port(DuplexPort(uplink, name=f"{name}.port"))
+                node.nic.port = uplink
                 leaf.attach_local(name, downlink)
                 self.spine.down_by_node[name] = spine_down
                 self.nodes[name] = node
@@ -197,3 +193,18 @@ class TieredFabric:
 
     def same_leaf(self, a: str, b: str) -> bool:
         return self.leaf_of[a] == self.leaf_of[b]
+
+    def close(self) -> None:
+        """Cut the back-links that close the fabric's reference cycles:
+        every channel's (:meth:`~repro.hw.link.Channel.close`) and each
+        arbiter's dispatch (see :meth:`repro.providers.Testbed.close`)."""
+        self.spine._arbiter.dispatch = None
+        for spine_down in self.spine.down_by_node.values():
+            spine_down.close()
+        for leaf in self.leaves:
+            leaf._arbiter.dispatch = None
+            leaf.uplink.close()
+            for downlink in leaf.local_down.values():
+                downlink.close()
+        for node in self.nodes.values():
+            node.nic.port.close()

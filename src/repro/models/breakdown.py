@@ -129,6 +129,7 @@ def latency_breakdown(provider: "str | ProviderSpec", size: int = 1024,
     sproc = tb.spawn(server(), "server")
     tb.run(cproc)
     tb.run(sproc)
+    tb.close()
 
     name = provider if isinstance(provider, str) else provider.name
     return _parse(tracer, name, size)

@@ -68,10 +68,9 @@ def harvest_into(registry: MetricsRegistry, tb) -> MetricsRegistry:
         registry.inc("wire.switch.forwarded", switch.forwarded)
         for name in tb.node_names:
             node = tb.fabric.node(name)
-            port = node.nic.port
-            if port is not None:
-                _harvest_channel(registry, f"wire.{name}.up",
-                                 port.out_channel)
+            up = node.nic.port
+            if up is not None:
+                _harvest_channel(registry, f"wire.{name}.up", up)
             down = switch._downlinks.get(name)
             if down is not None:
                 _harvest_channel(registry, f"wire.{name}.down", down)

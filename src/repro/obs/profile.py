@@ -206,6 +206,7 @@ def profile_transfer(provider, size: int = 256, seed: int = 0,
     tb.run(sproc)
 
     harvest_into(registry, tb)
+    tb.close()
     # first-match anchors: the canonical run is cold, so the first
     # occurrence of each marker is the client -> server leg.  Fast-
     # forwarded runs traced nothing, so there are no phases to anchor.

@@ -331,10 +331,9 @@ class NicEngine:
         its decline counted) when the topology is anything the
         arithmetic model does not cover (tiered fabrics, detached
         ports, unexpected sinks)."""
-        port = self.nic.port
-        if port is None or vi.peer is None:
+        up = self.nic.port
+        if up is None or vi.peer is None:
             return self._ff_decline("route_detached")
-        up = port.out_channel
         switch = getattr(up.sink, "__self__", None)
         if not isinstance(switch, Switch):
             return self._ff_decline("route_not_flat")
@@ -349,7 +348,7 @@ class NicEngine:
         peer_eng = getattr(peer_nic.rx_handler, "__self__", None)
         if not isinstance(peer_eng, NicEngine):
             return self._ff_decline("route_peer_not_engine")
-        peer_up = peer_nic.port.out_channel
+        peer_up = peer_nic.port
         if getattr(peer_up.sink, "__self__", None) is not switch:
             return self._ff_decline("route_peer_uplink")
         sdown = switch._downlinks.get(self.node.name)

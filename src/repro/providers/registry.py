@@ -75,6 +75,30 @@ class Testbed:
 
     Applications are simulation processes started with
     ``tb.spawn(generator)`` and driven by ``tb.run()``.
+
+    Lifecycle: build, spawn, run, read the results, then :meth:`close`.
+    A testbed is a web of reference cycles, which ``close`` cuts so
+    that dropping the last reference frees it by reference counting
+    instead of leaving it for the cyclic collector.  It first runs
+    :meth:`Simulator.close <repro.sim.Simulator.close>` (live
+    processes' generators are closed, so their ``finally`` blocks run
+    now, and the queues and pools are emptied), then cuts, directly:
+
+    - every channel's sink and the chain steps queued on its line, and
+      each switch arbiter's dispatch (the fabric's ``close``);
+    - each NIC's ``rx_handler`` (a bound method of its engine);
+    - each NIC engine's link to its provider;
+    - each CPU actor's link to its CPU;
+    - each completion queue's unreaped entries, which name their work
+      queues;
+    - the fault injector's link to the testbed.
+
+    A VI's work queues hold its id, not the VI, so VIs need no cut,
+    destroyed ones included.  A closed testbed still answers everything
+    :func:`repro.obs.harvest_testbed` reads (the simulator's totals and
+    every model counter; a ``finally`` block that ran at close may have
+    added to them, as it would have when the collector reached it), but
+    it cannot run again.
     """
 
     def __init__(
@@ -184,6 +208,22 @@ class Testbed:
 
     def run(self, until=None):
         return self.sim.run(until)
+
+    def close(self) -> None:
+        """Free this testbed once its results are read (see the class
+        docstring).  Idempotent."""
+        self.sim.close()
+        self.fabric.close()
+        for node in self.fabric.nodes.values():
+            node.nic.rx_handler = None
+            for actor in node.cpu._actors.values():
+                actor.cpu = None
+        for provider in self.providers.values():
+            provider.engine.p = None
+            for cq in provider.cqs:
+                cq.entries.clear()
+        if self.injector is not None:
+            self.injector.tb = None
 
     @property
     def now(self) -> float:

@@ -54,16 +54,19 @@ implementation:
   a :class:`_Call` record on the immediate deque, keyed
   ``(now, seq)`` with the next sequence number: the key a new
   process's boot kick takes.  The hardware models run every wire hop
-  (NIC transmit, switch forward) as a *callback chain* started this
-  way: each later step is a timeout or a timed hold whose callback is
-  the next step, drawing sequence numbers in the order the generator
-  it replaced drew them.  Nothing can wait on a chain, so it has no
-  completion event: a chain costs one ``events_run`` and one ``_seq``
-  less than the process it replaced, and the relative order of every
-  other event is unchanged.  A call record is not a resume, so chain
-  steps add to ``ctx_switches`` only what their holds' grants count.
-  An exception in a chain step propagates out of :meth:`Simulator.run`
-  at that step.
+  as a *callback chain*: each step is a timeout or a timed hold whose
+  callback is the next step, drawing sequence numbers in the order the
+  generator it replaced drew them.  NIC transmit starts its chain with
+  a call record.  A switch hop needs none: it starts inside the
+  priority-1 arbiter flush, after which nothing at that instant runs
+  before the flush's hops have scheduled their first timeouts, so the
+  relative order is the same.  Nothing can wait on a chain, so it has
+  no completion event: a chain costs one ``events_run`` and one
+  ``_seq`` less than the process it replaced (a switch hop two), and
+  the relative order of every other event is unchanged.  A call
+  record is not a resume, so chain steps add to ``ctx_switches`` only
+  what their holds' grants count.  An exception in a chain step
+  propagates out of :meth:`Simulator.run` at that step.
 - **Same-timestamp buckets.**  Priority-0 schedules for the same
   absolute time are appended to one FIFO bucket list that occupies a
   single heap slot, keyed by its *first* entry's sequence number.
@@ -82,6 +85,20 @@ implementation:
   :class:`Timeout` objects are recycled only when a CPython refcount
   check proves the event loop holds the sole remaining reference, so
   user code that keeps a timeout around never sees it reused.
+- **Finished work holds no cycles.**  A process whose generator ends
+  leaves the simulator's live-process registry and clears its cached
+  resume callback (a bound method of itself), so reference counting
+  frees it.  A triggered :class:`AnyOf`/:class:`AllOf` removes its
+  callback from every sub-event that has not fired; one that triggers
+  inside its constructor registers on none of the later ones.  The
+  callback would only have returned at once, and the stale sub-event
+  (typically a deadline timeout) still fires with its own sequence
+  number, so ``events_run`` and ``_seq`` are unchanged.
+- **Teardown.**  :meth:`Simulator.close` closes the generator of every
+  live process once, in start order (a ``finally`` block runs then
+  instead of whenever the collector would reach it), empties the
+  queues and pools and drops the observers.  It runs after the results
+  are read, so it cannot change them.
 
 None of these change what user code observes: event ordering, sequence
 numbering, failure/defuse semantics, and ``active_process`` bookkeeping
@@ -384,6 +401,7 @@ class Process(Event):
         # object each time.
         self._resume_cb = self._resume
         self.name = name or getattr(generator, "__name__", "process")
+        sim._processes[self] = None
         # Bootstrap: resume the generator at time now.
         sim._kick(self, None, _KICK_SEND, 0)
 
@@ -422,24 +440,20 @@ class Process(Event):
             try:
                 target = self._generator.send(None if value is PENDING else value)
             except StopIteration as stop:
-                sim.active_process = None
-                self.succeed(stop.value)
+                self._end(True, stop.value)
                 return
             except BaseException as exc:
-                sim.active_process = None
-                self.fail(exc)
+                self._end(False, exc)
                 return
         else:
             event._defused = True
             try:
                 target = self._generator.throw(event._value)
             except StopIteration as stop:
-                sim.active_process = None
-                self.succeed(stop.value)
+                self._end(True, stop.value)
                 return
             except BaseException as exc:
-                sim.active_process = None
-                self.fail(exc)
+                self._end(False, exc)
                 return
         sim.active_process = None
         # inlined _wait_on(target)
@@ -471,12 +485,10 @@ class Process(Event):
         try:
             target = self._generator.send(value)
         except StopIteration as stop:
-            sim.active_process = None
-            self.succeed(stop.value)
+            self._end(True, stop.value)
             return
         except BaseException as exc:
-            sim.active_process = None
-            self.fail(exc)
+            self._end(False, exc)
             return
         sim.active_process = None
         self._wait_on(target)
@@ -488,15 +500,39 @@ class Process(Event):
         try:
             target = self._generator.throw(exc)
         except StopIteration as stop:
-            sim.active_process = None
-            self.succeed(stop.value)
+            self._end(True, stop.value)
             return
         except BaseException as err:
-            sim.active_process = None
-            self.fail(err)
+            self._end(False, err)
             return
         sim.active_process = None
         self._wait_on(target)
+
+    def _end(self, ok: bool, value: Any) -> None:
+        """The generator returned ``value`` (``ok``) or raised it; see
+        "Finished work holds no cycles" in the module docstring."""
+        sim = self.sim
+        sim.active_process = None
+        del sim._processes[self]
+        self._resume_cb = None
+        if ok:
+            self.succeed(value)
+        else:
+            self.fail(value)
+
+    def _close(self) -> None:
+        """Close the generator of a live process (see
+        :meth:`Simulator.close`); the process event never fires."""
+        del self.sim._processes[self]
+        target = self._target
+        if target is not None:
+            if target.callbacks is not None:
+                target.callbacks.remove(self._resume_cb)
+            if isinstance(target, _Condition):
+                target._detach()
+            self._target = None
+        self._resume_cb = None
+        self._generator.close()
 
     def _wait_on(self, target: Any) -> None:
         try:
@@ -567,6 +603,10 @@ class _Condition(Event):
             self.succeed({})
             return
         for ev in self.events:
+            if self._scheduled:
+                # triggered by an already-processed event: later ones
+                # need no callback (it would return at once)
+                break
             if ev.callbacks is None:
                 self._check(ev)
             else:
@@ -574,6 +614,15 @@ class _Condition(Event):
 
     def _check(self, event: Event) -> None:
         raise NotImplementedError
+
+    def _detach(self) -> None:
+        """Remove ``_check`` from every sub-event that has not fired
+        (see "Finished work holds no cycles" in the module docstring)."""
+        check = self._check
+        for ev in self.events:
+            callbacks = ev.callbacks
+            if callbacks is not None and check in callbacks:
+                callbacks.remove(check)
 
     def _results(self) -> dict[Event, Any]:
         # only events whose callbacks have run count as "fired" — a
@@ -592,8 +641,9 @@ class AnyOf(_Condition):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-            return
-        self.succeed(self._results())
+        else:
+            self.succeed(self._results())
+        self._detach()
 
 
 class AllOf(_Condition):
@@ -607,6 +657,7 @@ class AllOf(_Condition):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
+            self._detach()
             return
         self._count += 1
         if self._count == len(self.events):
@@ -641,6 +692,9 @@ class Simulator:
         self._list_pool: list[list] = []
         self._kick_pool: list[_Kick] = []
         self._timeout_pool: list[Timeout] = []
+        #: live processes in start order (a dict used as an ordered set):
+        #: added at spawn, removed when the generator ends
+        self._processes: dict[Process, None] = {}
         self.active_process: Process | None = None
         #: optional structured event log (see repro.sim.trace.Tracer)
         self.tracer = None
@@ -1022,6 +1076,31 @@ class Simulator:
         if deadline != float("inf"):
             self._now = deadline
         return None
+
+    def close(self) -> None:
+        """Tear down the run so reference counting can free it.
+
+        Closes the generator of every live process once, in start
+        order, so its ``finally`` blocks run now rather than when the
+        cyclic collector would have finalized it, and repeats while
+        those blocks start new processes.  Then empties the event
+        queues and the object pools and drops the tracer, metrics
+        registry, checker and fault injector.  The totals (``now``,
+        ``events_run``, ``ctx_switches``, the fast-forward accounting)
+        stay readable; running the simulator again is not supported.
+        Idempotent.
+        """
+        processes = self._processes
+        while processes:
+            for process in list(processes):
+                process._close()
+        self._heap.clear()
+        self._immediate.clear()
+        self._buckets.clear()
+        self._list_pool.clear()
+        self._kick_pool.clear()
+        self._timeout_pool.clear()
+        self.tracer = self.metrics = self.checker = self.faults = None
 
     def peek(self) -> float:
         """Time of the next event, or +inf if the queue is empty."""

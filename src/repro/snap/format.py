@@ -44,8 +44,11 @@ MAGIC = b"VIBESNAP"
 #: scan-pending sends, the simulator its fast-forward decline counts,
 #: and served ``run`` results name an explicit fidelity in ``meta``;
 #: v5: wire hops run as callback chains, so no hop leaves a completion
-#: event in the simulator's ``events_run`` or ``_seq``)
-FORMAT_VERSION = 5
+#: event in the simulator's ``events_run`` or ``_seq``; v6: the
+#: simulator keeps its live processes, a work queue holds its VI's id
+#: instead of the VI, a NIC's port is its uplink channel, and switch
+#: hops take no start record)
+FORMAT_VERSION = 6
 #: stamped into every header; a restore across package versions refuses
 CODE_VERSION = f"repro-{__version__}/snap-{FORMAT_VERSION}"
 

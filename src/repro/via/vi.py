@@ -28,10 +28,11 @@ _vi_ids = id_space("vi")
 class WorkQueue:
     """One of a VI's two queues: posted (in-flight) and completed."""
 
-    def __init__(self, sim: Simulator, vi: "VI", kind: str) -> None:
+    def __init__(self, sim: Simulator, vi_id: int, kind: str) -> None:
         assert kind in ("send", "recv")
         self.sim = sim
-        self.vi = vi
+        #: the owning VI's id (an id, not the VI: no reference cycle)
+        self.vi_id = vi_id
         self.kind = kind
         self.posted: deque[Descriptor] = deque()
         #: descriptors not yet claimed by an in-flight operation; the
@@ -76,7 +77,7 @@ class WorkQueue:
         """Complete the FIFO head; it must be ``desc`` (spec invariant)."""
         if not self.posted or self.posted[0] is not desc:
             raise VipStateError(
-                f"{self.kind} queue of VI {self.vi.vi_id}: completion out of "
+                f"{self.kind} queue of VI {self.vi_id}: completion out of "
                 f"FIFO order (descriptor {desc.desc_id})"
             )
         self.posted.popleft()
@@ -130,7 +131,7 @@ class WorkQueue:
     def try_reap(self) -> Descriptor | None:
         if self.cq is not None:
             raise VipStateError(
-                f"{self.kind} queue of VI {self.vi.vi_id} is bound to a CQ; "
+                f"{self.kind} queue of VI {self.vi_id} is bound to a CQ; "
                 "reap through the CQ"
             )
         if self.completed:
@@ -160,8 +161,8 @@ class VI:
         self.max_transfer_size = max_transfer_size
         self.ptag = ptag
         self.state = ViState.IDLE
-        self.send_q = WorkQueue(sim, self, "send")
-        self.recv_q = WorkQueue(sim, self, "recv")
+        self.send_q = WorkQueue(sim, self.vi_id, "send")
+        self.recv_q = WorkQueue(sim, self.vi_id, "recv")
         #: peer coordinates once connected: (node_name, vi_id)
         self.peer: tuple[str, int] | None = None
         #: engine bookkeeping: next outgoing message sequence number

@@ -78,6 +78,7 @@ def _one_trial(provider, size: int, delay: float, seed: int) -> Measurement:
     tb.run(sproc)
     delivered = "t_done" in out
     engine = tb.provider(tb.node_names[0]).engine
+    tb.close()
     return Measurement(
         param=delay,
         latency_us=(out["t_done"] - out["t_send"]) if delivered else None,

@@ -93,5 +93,6 @@ def _transaction_test(provider, request_size: int, reply_size: int,
     sproc = tb.spawn(server_body(), "server")
     tb.run(cproc)
     tb.run(sproc)
+    tb.close()
     elapsed = out["t1"] - out["t0"]
     return transactions / (elapsed / US_PER_S)

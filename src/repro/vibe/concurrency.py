@@ -105,6 +105,7 @@ def _run(provider, k: int, size: int, messages: int, seed: int):
     sproc = tb.spawn(server(), "server")
     tb.run(cproc)
     tb.run(sproc)
+    tb.close()
 
     t0 = start["t0"]
     for idx, t_end in finish.items():

@@ -84,6 +84,7 @@ def connection_churn(provider: "str | ProviderSpec", cycles: int = 10,
     sproc = tb.spawn(server(), "server")
     tb.run(cproc)
     tb.run(sproc)
+    tb.close()
     per_cycle = out["elapsed"] / cycles
     return Measurement(
         param=_name(provider),
@@ -206,4 +207,5 @@ def _open_loop(provider, requests, request_size, reply_size,
     sproc = tb.spawn(server(), "server")
     tb.run(cproc)
     tb.run(sproc)
+    tb.close()
     return latencies

@@ -248,6 +248,7 @@ def run_latency(provider: "str | ProviderSpec", cfg: TransferConfig,
     sproc = tb.spawn(server_body(), "server")
     tb.run(cproc)
     tb.run(sproc)
+    tb.close()
     return Measurement(
         param=cfg.size,
         latency_us=out["latency"],
@@ -324,6 +325,7 @@ def run_bandwidth(provider: "str | ProviderSpec", cfg: TransferConfig,
     sproc = tb.spawn(server_body(), "server")
     tb.run(cproc)
     tb.run(sproc)
+    tb.close()
     return Measurement(
         param=cfg.size,
         bandwidth_mbs=out["bandwidth"],

@@ -77,7 +77,7 @@ def _run(provider, nclients: int, request_size: int, reply_size: int,
             wq, _desc = yield from h.cq_wait(cq, WaitMode.POLL)
             if t0 is None:
                 t0 = tb.now
-            vi, req_segs, rep_segs = sessions[wq.vi.vi_id]
+            vi, req_segs, rep_segs = sessions[wq.vi_id]
             yield from h.post_recv(vi, Descriptor.recv(req_segs))
             yield from h.post_send(vi, Descriptor.send(rep_segs))
             yield from h.send_wait(vi)
@@ -104,5 +104,6 @@ def _run(provider, nclients: int, request_size: int, reply_size: int,
     for i in range(nclients):
         tb.spawn(client_body(i), f"client{i}")
     tb.run(sproc)
+    tb.close()
     tps = total / (out["elapsed"] / US_PER_S)
     return tps, tps / nclients

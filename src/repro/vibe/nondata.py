@@ -75,6 +75,7 @@ def nondata_costs(provider: "str | ProviderSpec", repeats: int = 5,
     sproc = tb.spawn(server_body(), "server")
     tb.run(cproc)
     tb.run(sproc)
+    tb.close()
     points = [
         Measurement(param=op, extra={"cost_us": sum(v) / len(v)})
         for op, v in acc.items()
@@ -120,4 +121,5 @@ def memreg_sweep(provider: "str | ProviderSpec",
 
     proc = tb.spawn(body(), "memreg")
     tb.run(proc)
+    tb.close()
     return BenchResult("memreg", name, points)

@@ -71,6 +71,7 @@ def _trial(provider, n: int, payload: int, rounds: int, seed: int):
     procs = [tb.spawn(app(i), f"rank{i}") for i in range(n)]
     for p in procs:
         tb.run(p)
+    tb.close()
     # a collective is done when its LAST rank is done: use the max of
     # each boundary across ranks (the root of a bcast finishes first)
     edges = [max(out[i][k] for i in range(n)) for k in range(4)]

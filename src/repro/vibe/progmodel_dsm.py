@@ -77,6 +77,7 @@ def _fault_trial(provider, page_size: int, faults: int, seed: int):
     p1 = tb.spawn(app1(), "app1")
     tb.run(p1)
     tb.run(p0)
+    tb.close()
     return out["read"], out["write"]
 
 
@@ -107,6 +108,7 @@ def dsm_pingpong_sharing(provider: "str | ProviderSpec",
     p1 = tb.spawn(app(1), "app1")
     tb.run(p1)
     tb.run(p0)
+    tb.close()
     per_migration = (out["t1"] - out["t0"]) / (2 * rounds - 1)
     transfers = out["stats0"].ownership_transfers \
         + out["stats1"].ownership_transfers + out["stats0"].recalls \

@@ -72,6 +72,7 @@ def _run(provider, size: int, iters: int, op: str, seed: int):
     pproc = tb.spawn(peer(), "peer")
     tb.spawn(owner(), "owner")
     tb.run(pproc)
+    tb.close()
     return out["lat"]
 
 

@@ -77,6 +77,7 @@ def _msg_pingpong(provider, size: int, iters: int, warmup: int,
     cproc = tb.spawn(client(), "client")
     tb.spawn(server(), "server")
     tb.run(cproc)
+    tb.close()
     return (out["t1"] - out["t0"]) / (2 * iters)
 
 
@@ -111,6 +112,7 @@ def _msg_stream(provider, size: int, count: int, eager_size: int,
     cproc = tb.spawn(client(), "client")
     tb.spawn(server(), "server")
     tb.run(cproc)
+    tb.close()
     return out["bw"]
 
 

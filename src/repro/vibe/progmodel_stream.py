@@ -73,4 +73,5 @@ def _stream_once(provider, chunk, total_bytes, eager_size, seed) -> float:
     sproc = tb.spawn(sender(), "sender")
     tb.spawn(receiver(), "receiver")
     tb.run(sproc)
+    tb.close()
     return out["bw"]

@@ -90,6 +90,7 @@ def _rdma_pingpong(provider, size: int, iters: int, seed: int) -> float:
     sproc = tb.spawn(body(tb.node_names[1], tb.node_names[0], 41, False))
     tb.run(cproc)
     tb.run(sproc)
+    tb.close()
     return (out["t1"] - out["t0"]) / (2 * iters)
 
 
@@ -148,4 +149,5 @@ def _rdma_read_once(spec: ProviderSpec, size: int, iters: int,
     cproc = tb.spawn(client_body(), "client")
     tb.spawn(server_body(), "server")
     tb.run(cproc)
+    tb.close()
     return (out["t1"] - out["t0"]) / iters

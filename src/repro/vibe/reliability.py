@@ -136,4 +136,5 @@ def _lossy_stream(provider, size, count, loss_rate, level, seed):
     # handshake retransmissions are deliberately excluded — they exist
     # even for unreliable VIs, whose *data* path must never retransmit
     retx = sum(p.engine.retransmissions for p in tb.providers.values())
+    tb.close()
     return out["delivered"], retx, out.get("elapsed", 0.0)

@@ -114,7 +114,7 @@ def test_retransmit_timer_stops_after_ack():
 def test_unreliable_vi_with_loss_simply_loses():
     tb = Testbed("bvia", loss_rate=0.999999, seed=1)
     # the handshake needs the wire: disable loss, connect, re-enable
-    channels = [tb.fabric.node(n).nic.port.out_channel
+    channels = [tb.fabric.node(n).nic.port
                 for n in tb.node_names]
     for ch in channels:
         ch.loss_rate = 0.0
@@ -186,7 +186,7 @@ def test_transport_failure_breaks_the_connection():
 
     spec = get_spec("clan").with_costs(rto=100.0, max_retries=2)
     tb = Testbed(spec, loss_rate=0.999999, seed=1)
-    channels = [tb.fabric.node(n).nic.port.out_channel
+    channels = [tb.fabric.node(n).nic.port
                 for n in tb.node_names]
     rates = [ch.loss_rate for ch in channels]
     for ch in channels:

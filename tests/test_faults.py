@@ -116,7 +116,7 @@ def test_skip_and_count_are_surgical():
     tb = Testbed("mvia")
     spec = FaultSpec(kind="wire_loss", skip=2, count=1)
     injector = attach_faults(tb, FaultPlan(faults=(spec,)))
-    channel = tb.fabric.node("node0").nic.port.out_channel
+    channel = tb.fabric.node("node0").nic.port
     fates = [injector.wire_fate(channel, None)[0] for _ in range(6)]
     assert fates == ["pass", "pass", "drop", "pass", "pass", "pass"]
     assert injector.injected[0] == 1
@@ -129,7 +129,7 @@ def test_rate_stream_is_deterministic_per_seed():
         plan = FaultPlan(seed=seed,
                          faults=(FaultSpec(kind="wire_loss", rate=0.5),))
         injector = attach_faults(tb, plan)
-        ch = tb.fabric.node("node0").nic.port.out_channel
+        ch = tb.fabric.node("node0").nic.port
         return [injector.wire_fate(ch, None)[0] for _ in range(64)]
 
     assert fates(1) == fates(1)
@@ -142,8 +142,8 @@ def test_target_prefix_matching():
     plan = FaultPlan(faults=(
         FaultSpec(kind="wire_loss", target="node0"),))
     injector = attach_faults(tb, plan)
-    ch0 = tb.fabric.node("node0").nic.port.out_channel
-    ch1 = tb.fabric.node("node1").nic.port.out_channel
+    ch0 = tb.fabric.node("node0").nic.port
+    ch1 = tb.fabric.node("node1").nic.port
     assert injector.wire_fate(ch0, None)[0] == "drop"
     assert injector.wire_fate(ch1, None)[0] == "pass"
 

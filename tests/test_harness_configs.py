@@ -98,7 +98,7 @@ def test_reliable_delivery_survives_any_loss_rate(loss, seed):
 
     tb = Testbed("clan", loss_rate=loss, seed=seed)
     # keep the handshake off the lossy wire
-    channels = [tb.fabric.node(n).nic.port.out_channel
+    channels = [tb.fabric.node(n).nic.port
                 for n in tb.node_names]
     for ch in channels:
         ch.loss_rate = 0.0

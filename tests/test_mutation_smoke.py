@@ -166,7 +166,7 @@ def test_packet_conservation_audit_fires():
     run_pair(tb, c(), s())
     tb.run()                                 # drain to quiesce
     tb.checker.check_quiesced(tb)            # clean audit passes
-    channel = tb.fabric.node(tb.node_names[0]).nic.port.out_channel
+    channel = tb.fabric.node(tb.node_names[0]).nic.port
     channel.sent_packets += 1                # seeded accounting bug
     with pytest.raises(ConformanceError, match="conservation"):
         tb.checker.check_quiesced(tb)

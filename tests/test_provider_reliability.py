@@ -132,7 +132,7 @@ def test_transport_error_after_retries_exhausted():
 
     # The connection handshake rides the same lossy uplinks, so hold the
     # loss off until both sides are connected, then let it eat the data.
-    channels = [tb.fabric.node(n).nic.port.out_channel
+    channels = [tb.fabric.node(n).nic.port
                 for n in tb.node_names]
     rates = [ch.loss_rate for ch in channels]
     for ch in channels:

@@ -353,3 +353,102 @@ def test_call_soon_error_propagates_out_of_run_at_that_step():
     with pytest.raises(KeyError):
         sim.run()
     assert sim.events_run == 1 and sim.now == 0.0
+
+
+# -- teardown: finished work drops its own cycles ---------------------------
+
+def test_finished_process_holds_no_resume_callback():
+    sim = Simulator()
+
+    def ok():
+        yield sim.timeout(1.0)
+
+    def bad():
+        yield sim.timeout(1.0)
+        raise KeyError("x")
+
+    good, failed = sim.process(ok()), sim.process(bad())
+    assert list(sim._processes) == [good, failed]
+    failed.defuse()
+    sim.run()
+    for proc in (good, failed):
+        assert proc._resume_cb is None
+    assert sim._processes == {}
+
+
+def test_stale_timeout_loses_its_callback_once_anyof_fired():
+    sim = Simulator()
+    ev = sim.event()
+    stale = sim.timeout(100.0)
+    cond = sim.any_of([ev, stale])
+    ev.succeed("first")
+    assert sim.run(cond) == {ev: "first"}
+    assert stale.callbacks == []
+    sim.run()   # the stale timeout still fires, with its own seq
+    assert stale.processed and sim.now == 100.0
+    assert (sim.events_run, sim._seq) == (3, 3)
+
+
+@pytest.mark.parametrize("cls", [AnyOf, AllOf])
+def test_condition_triggered_in_its_constructor_registers_nowhere(cls):
+    sim = Simulator()
+    done = sim.event()
+    if cls is AnyOf:
+        done.succeed("done")
+    else:                       # an AllOf triggers early only by failing
+        done.fail(RuntimeError("early"))
+        done.defuse()
+    sim.run()
+    pending = sim.timeout(50.0)
+    cond = cls(sim, [done, pending])
+    assert cond.triggered and pending.callbacks == []
+    cond.defuse()
+    sim.run()
+    assert sim.now == 50.0
+
+
+def test_allof_that_fails_early_detaches_from_the_rest():
+    sim = Simulator()
+    a, b = sim.event(), sim.timeout(50.0)
+    cond = sim.all_of([a, b])
+
+    def waiter():
+        with pytest.raises(RuntimeError):
+            yield cond
+        return sim.now
+
+    proc = sim.process(waiter())
+    a.fail(RuntimeError("early"))
+    assert sim.run(proc) == 0.0
+    assert b.callbacks == []
+
+
+def test_close_runs_each_live_finally_once_in_start_order():
+    sim = Simulator()
+    log = []
+
+    def body(tag, spawn=False):
+        try:
+            yield sim.timeout(10.0)
+        finally:
+            log.append(tag)
+            if spawn:           # a finally block may start a process
+                sim.process(body("late"))
+
+    sim.process(body("a", spawn=True))
+    sim.process(body("b"))
+    waiter = sim.process(body("c"))
+    cond = sim.any_of([sim.event(), sim.timeout(20.0)])
+
+    def on_cond():
+        yield cond
+
+    sim.process(on_cond())
+    sim.run(until=5.0)
+    sim.close()
+    assert log == ["a", "b", "c"]   # "late" never started: no finally
+    assert sim._processes == {} and not waiter.triggered
+    assert not sim._heap and not sim._immediate and not sim._buckets
+    assert all(ev.callbacks == [] for ev in cond.events)
+    sim.close()
+    assert log == ["a", "b", "c"]

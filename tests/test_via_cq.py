@@ -81,5 +81,5 @@ def test_merges_multiple_work_queues():
     for i, vi in enumerate(vis):
         d = Descriptor.recv([])
         cq.notify(vi.recv_q, d)
-    sources = [cq.try_pop()[0].vi for _ in range(3)]
-    assert sources == vis
+    sources = [cq.try_pop()[0].vi_id for _ in range(3)]
+    assert sources == [vi.vi_id for vi in vis]
