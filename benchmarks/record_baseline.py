@@ -1,8 +1,7 @@
 """Record (or check) the simulation-kernel throughput baseline.
 
-Measures the two kernel-bound workloads from ``bench_simulator_perf.py``
-and writes their keys into ``BENCH_simkernel.json``, keeping the keys
-``--warm`` records there::
+Measures the kernel-bound workloads from ``bench_simulator_perf.py``
+and writes their keys into ``BENCH_simkernel.json``::
 
     python benchmarks/record_baseline.py                 # record
     python benchmarks/record_baseline.py --check PATH    # CI smoke
@@ -63,15 +62,6 @@ STREAM_MTU = 1_024
 #: ``--check`` requires the fast-forward streaming speedup to hold this
 #: floor (a same-process wall-clock ratio, so machine speed cancels out)
 MIN_STREAM_SPEEDUP = 10.0
-
-#: warm-state reuse: restoring a deep-warmed testbed from a state blob
-#: must beat re-simulating its warm-up by at least this ratio (also a
-#: same-process wall-clock ratio — machine speed cancels)
-MIN_WARM_SPEEDUP = 1.5
-
-#: ping-pong iterations baked into the warm state blob; deep enough
-#: that the restore win is about skipped *simulation*, not construction
-WARM_ITERS = 8
 
 #: one cluster throughput cell: 8 clients x 16 requests at a mid rate
 CLUSTER_REQUESTS_N = 128
@@ -173,42 +163,6 @@ def _stream_workload(fidelity: str = "packet") -> None:
     tb.run(sp)
 
 
-def _warm_comparison(repeats: int = 10) -> dict:
-    """Cold warm-up vs state-blob restore, summed across providers.
-
-    The cold side rebuilds each provider's deep-warmed testbed by
-    re-simulating its :data:`WARM_ITERS`-iteration ping-pong; the warm
-    side restores the identical endpoint from a state-tier checkpoint.
-    Both are timed best-of in the same process, so the ratio is
-    machine-independent — ``--check`` holds it to
-    :data:`MIN_WARM_SPEEDUP` as an absolute floor.
-    """
-    from repro import snap
-    from repro.check import ALL_PROVIDERS
-
-    def best(fn):
-        t_best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            t_best = min(t_best, time.perf_counter() - t0)
-        return t_best
-
-    cold_s = warm_s = 0.0
-    for provider in ALL_PROVIDERS:
-        blob = snap.snapshot_state(
-            snap.warmed_testbed(provider, iters=WARM_ITERS))
-        cold_s += best(lambda: snap.warmed_testbed(provider,
-                                                   iters=WARM_ITERS))
-        warm_s += best(lambda: snap.restore_state(blob))
-    return {
-        "warm_cold_ms": cold_s * 1e3,
-        "warm_restore_ms": warm_s * 1e3,
-        "warm_speedup": cold_s / warm_s,
-        "warm_iters": WARM_ITERS,
-    }
-
-
 def _rate(fn, n: int, repeats: int) -> float:
     """Best-of-``repeats`` operations/sec for ``fn`` (n ops per call)."""
     fn()  # warm-up: imports, pools, code caches
@@ -229,10 +183,8 @@ def measure(repeats: int = 5) -> dict:
     messages = _rate(_messages_workload, MESSAGES_N, repeats)
     stream = _rate(lambda: _stream_workload("packet"), STREAM_N, repeats)
     stream_ff = _rate(lambda: _stream_workload("auto"), STREAM_N, repeats)
-    warm = _warm_comparison()
     calib = max(calib, _calibrate())
     return {
-        **warm,
         "calibration_ops_per_sec": calib,
         "events_per_sec": events,
         "messages_per_sec": messages,
@@ -348,12 +300,6 @@ def check(baseline_path: pathlib.Path, tolerance: float,
     failed |= not ok
     print(f"{'ok' if ok else 'FAIL':>4}  stream_ff_speedup: "
           f"{speedup:.1f}x (floor {MIN_STREAM_SPEEDUP:.0f}x)")
-    # warm-state reuse is the same kind of in-process ratio: hold the floor
-    warm = fresh["warm_speedup"]
-    ok = warm >= MIN_WARM_SPEEDUP
-    failed |= not ok
-    print(f"{'ok' if ok else 'FAIL':>4}  warm_speedup: "
-          f"{warm:.1f}x (floor {MIN_WARM_SPEEDUP:.1f}x)")
     if failed:
         print(f"kernel throughput dropped >"
               f"{tolerance:.0%} below {baseline_path}", file=sys.stderr)
@@ -362,8 +308,8 @@ def check(baseline_path: pathlib.Path, tolerance: float,
 
 
 def _record(path: pathlib.Path, fresh: dict) -> None:
-    """Write ``fresh`` over ``path``'s existing keys, keeping the keys
-    other modes record there, and print what was recorded."""
+    """Write ``fresh`` over ``path``'s existing keys, keeping any key it
+    does not measure, and print what was recorded."""
     out = json.loads(path.read_text()) if path.exists() else {}
     out.update(fresh)
     path.write_text(json.dumps(out, indent=2) + "\n")
@@ -385,10 +331,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--cluster", action="store_true",
                     help="record/check the cluster-serving baseline "
                          "(BENCH_cluster.json) instead of the kernel one")
-    ap.add_argument("--warm", action="store_true",
-                    help="measure only the warm-state reuse comparison "
-                         "(cold warm-up vs checkpoint restore) and merge "
-                         "its keys into the existing kernel baseline")
     args = ap.parse_args(argv)
 
     if args.cluster and args.out == DEFAULT_OUT:
@@ -397,14 +339,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.cluster:
             return check_cluster(args.check, args.tolerance, args.repeats)
         return check(args.check, args.tolerance, args.repeats)
-
-    if args.warm:
-        warm = _warm_comparison()
-        _record(args.out, warm)
-        floor_ok = warm["warm_speedup"] >= MIN_WARM_SPEEDUP
-        print(f"  floor {MIN_WARM_SPEEDUP:.1f}x: "
-              f"{'ok' if floor_ok else 'FAIL'}")
-        return 0 if floor_ok else 1
 
     result = measure_cluster(args.repeats) if args.cluster \
         else measure(args.repeats)

@@ -450,6 +450,7 @@ def rewind_scenario(provider: str, sc: ChaosScenario, seed: int = 0,
         if session.run_events(1) == 0:
             break
     blob = checkpoint_replay(session)
+    cursor = session.events_run
     session.testbed.close()
 
     # restore (replays genesis to the cursor, verifies the fingerprint)
@@ -463,20 +464,13 @@ def rewind_scenario(provider: str, sc: ChaosScenario, seed: int = 0,
         scenario=sc.name,
         provider=provider,
         t_arm_us=t_arm,
-        checkpoint_event=_meta_events(blob),
+        checkpoint_event=cursor,
         checkpoint_bytes=len(blob),
         blob_sha256=blob_hash(blob),
         events_traced=len(tracer.events),
         matches_cold=matches,
         result=result,
     )
-
-
-def _meta_events(blob: bytes) -> int:
-    from ..snap.format import decode
-
-    _tier, _payload, meta = decode(blob)
-    return int(meta.get("events_run", -1))
 
 
 def run_chaos(providers: tuple | None = None,

@@ -174,20 +174,6 @@ class Testbed:
 
             attach_faults(self, faults)
 
-    # -- checkpoint/restore (repro.snap) ----------------------------------
-    def checkpoint(self) -> bytes:
-        """Serialize this testbed at a quiescent point (state tier)."""
-        from ..snap import snapshot_state
-
-        return snapshot_state(self)
-
-    @classmethod
-    def from_checkpoint(cls, blob: bytes) -> "Testbed":
-        """Rebuild a testbed captured by :meth:`checkpoint`."""
-        from ..snap import restore_state
-
-        return restore_state(blob)
-
     @property
     def name(self) -> str:
         return self.spec.name

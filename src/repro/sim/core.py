@@ -561,31 +561,6 @@ class Process(Event):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name!r} {'done' if self._scheduled else 'alive'}>"
 
-    # -- pickling (snapshot support) ------------------------------------
-    def __getstate__(self):
-        """A *finished* process pickles as its result event.
-
-        A live process cannot: its generator frame is not serializable.
-        The snapshot layer (:mod:`repro.snap`) turns this TypeError into
-        a :class:`~repro.snap.format.SnapshotStateError` naming the
-        process, and offers the replay tier for mid-run points.
-        """
-        if not self._scheduled:
-            raise TypeError(
-                f"cannot pickle live process {self.name!r}: generator "
-                "frames are not serializable (snapshot at a quiescent "
-                "point, or use a replay-tier checkpoint)"
-            )
-        return (self.sim, self._value, self._ok, self._defused, self.name)
-
-    def __setstate__(self, state):
-        self.sim, self._value, self._ok, self._defused, self.name = state
-        self.callbacks = None        # finished => already processed
-        self._scheduled = True
-        self._generator = None
-        self._target = None
-        self._resume_cb = None
-
 
 class _Condition(Event):
     """Base for AnyOf/AllOf composite events."""

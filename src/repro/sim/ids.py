@@ -11,17 +11,17 @@ hand, which was fragile and invisible to new id kinds.
 
 :class:`IdSpace` replaces the raw counters with named, registered
 allocators that keep the ``next(...)`` call-site idiom but can be
-*captured*, *reset* and *restored* as a group.  That is the property
-the snapshot layer (:mod:`repro.snap`) builds on: a checkpoint records
-the allocator positions, and a restore replays or resumes them exactly,
-so a rebuilt simulation allocates the same ids in the same order as the
-original — making runs byte-identical across fresh processes regardless
-of ``PYTHONHASHSEED`` or whatever earlier simulations left behind.
+*reset* as a group.  That is the property the replay tier of
+:mod:`repro.snap` builds on: every checkpointable session is built
+after :func:`reset_ids`, so a replay allocates the same ids in the same
+order as the original — making runs byte-identical across fresh
+processes regardless of ``PYTHONHASHSEED`` or whatever earlier
+simulations left behind.
 """
 
 from __future__ import annotations
 
-__all__ = ["IdSpace", "id_space", "reset_ids", "capture_ids", "restore_ids"]
+__all__ = ["IdSpace", "id_space", "reset_ids"]
 
 #: every allocator ever created, by name (insertion order is stable
 #: because registration happens at module import time)
@@ -65,18 +65,3 @@ def reset_ids() -> None:
     """Restart every registered allocator at 1 (canonical-run helper)."""
     for space in _SPACES.values():
         space.reset()
-
-
-def capture_ids() -> dict[str, int]:
-    """Snapshot every allocator position, sorted by name."""
-    return {name: _SPACES[name].next_value for name in sorted(_SPACES)}
-
-
-def restore_ids(snapshot: dict[str, int]) -> None:
-    """Set allocators to exactly the captured positions.
-
-    Allocators not present in ``snapshot`` (kinds added after the
-    capture) are left untouched.
-    """
-    for name, value in snapshot.items():
-        id_space(name).reset(value)

@@ -16,7 +16,8 @@ hidden wall-clock read) and restore refuses with
 :class:`~repro.snap.format.SnapshotDivergenceError` rather than handing
 back a silently different simulation.
 
-Canonicalization rules (must stay in lockstep with ``state.py``):
+Canonicalization rules (a capture and its replay must walk the same
+graph the same way):
 
 - floats hash via their IEEE-754 big-endian bytes (``-0.0 != 0.0``,
   NaN is stable);

@@ -1,23 +1,24 @@
 """Canonical snapshot blob format: framing, versioning, content hash.
 
-Every snapshot — state tier or replay tier — is one byte string::
+Every checkpoint is one byte string::
 
     b"VIBESNAP" | u16 format version | u8 tier | u8 reserved |
     u32 header length | header JSON (sorted keys, compact) | payload
 
-The header carries the code version the blob was written by, the
-SHA-256 of the payload, and tier-specific metadata (provider, seed,
-simulated time, event cursor).  :func:`decode` refuses blobs whose
-magic, format version, or code version do not match — a clear
-:class:`SnapshotVersionError` instead of silently unpickling foreign
-state — and verifies the payload hash (:class:`SnapshotIntegrityError`
-on corruption) before any payload byte is interpreted.
+The tier byte is always :data:`TIER_REPLAY`, the one tier this build
+writes.  The header carries the code version the blob was written by,
+the SHA-256 of the payload, and the checkpoint's metadata (provider,
+simulated time, event cursor, fingerprint).  :func:`decode` refuses
+blobs whose magic, format version, tier or code version do not match,
+or whose header is not a JSON object — a clear
+:class:`SnapshotVersionError` instead of unpickling foreign bytes — and
+verifies the payload hash (:class:`SnapshotIntegrityError` on
+corruption) before any payload byte is interpreted.
 
 The blob's identity is :func:`blob_hash`, a SHA-256 over the entire
-byte string; because the payload encodings are canonical (sorted-key
-JSON, insertion-ordered pickles with canonicalized sets, id allocators
-reset per capture), the hash is a pure function of (config, seed, code
-version) — the content-address the golden tests key on.
+byte string; because the payload is a canonical pickle of the genesis
+recipe and the header is sorted-key JSON, the hash is a pure function
+of (recipe, event cursor, code version).
 """
 
 from __future__ import annotations
@@ -29,30 +30,21 @@ import struct
 from .. import __version__
 
 __all__ = [
-    "MAGIC", "FORMAT_VERSION", "CODE_VERSION",
-    "TIER_STATE", "TIER_REPLAY",
+    "MAGIC", "FORMAT_VERSION", "CODE_VERSION", "TIER_REPLAY",
     "SnapshotError", "SnapshotVersionError", "SnapshotIntegrityError",
     "SnapshotStateError", "SnapshotDivergenceError",
     "encode", "decode", "blob_hash", "snapshot_key",
 ]
 
 MAGIC = b"VIBESNAP"
-#: bump on any change to the framing or the payload encodings —
-#: including new or removed fields in the pickled state tier (v2:
-#: providers carry an admission-control ``conn_rejects`` counter; v3:
-#: channels no longer carry a delivery-divert hook; v4: VIs carry their
-#: scan-pending sends, the simulator its fast-forward decline counts,
-#: and served ``run`` results name an explicit fidelity in ``meta``;
-#: v5: wire hops run as callback chains, so no hop leaves a completion
-#: event in the simulator's ``events_run`` or ``_seq``; v6: the
-#: simulator keeps its live processes, a work queue holds its VI's id
-#: instead of the VI, a NIC's port is its uplink channel, and switch
-#: hops take no start record)
+#: bump on any change to the blob framing or to the pickled genesis
+#: recipe's encoding; a change to simulated behaviour or to the object
+#: graph a checkpoint replays does not move it (v2-v6 tracked the
+#: pickled testbed graph of a since-deleted state tier)
 FORMAT_VERSION = 6
 #: stamped into every header; a restore across package versions refuses
 CODE_VERSION = f"repro-{__version__}/snap-{FORMAT_VERSION}"
 
-TIER_STATE = 1    # full serialized state (quiescent points)
 TIER_REPLAY = 2   # genesis recipe + event cursor (any point)
 
 _HEAD = struct.Struct(">HBBI")  # format version, tier, reserved, header len
@@ -67,21 +59,19 @@ class SnapshotVersionError(SnapshotError):
 
 
 class SnapshotIntegrityError(SnapshotError):
-    """The blob's payload does not match its recorded content hash."""
+    """The blob's payload or metadata does not match what was written."""
 
 
 class SnapshotStateError(SnapshotError):
-    """The simulation is not in a serializable state (live processes)."""
+    """The session cannot be checkpointed (no recipe, or mid-step)."""
 
 
 class SnapshotDivergenceError(SnapshotError):
     """A replayed simulation did not reproduce the captured state."""
 
 
-def encode(tier: int, payload: bytes, meta: dict) -> bytes:
+def encode(payload: bytes, meta: dict) -> bytes:
     """Frame ``payload`` into a versioned, content-hashed blob."""
-    if tier not in (TIER_STATE, TIER_REPLAY):
-        raise ValueError(f"unknown snapshot tier {tier}")
     header = {
         "code_version": CODE_VERSION,
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
@@ -91,18 +81,19 @@ def encode(tier: int, payload: bytes, meta: dict) -> bytes:
                             separators=(",", ":")).encode()
     return b"".join([
         MAGIC,
-        _HEAD.pack(FORMAT_VERSION, tier, 0, len(head_bytes)),
+        _HEAD.pack(FORMAT_VERSION, TIER_REPLAY, 0, len(head_bytes)),
         head_bytes,
         payload,
     ])
 
 
-def decode(blob: bytes) -> tuple[int, bytes, dict]:
-    """Split a blob into ``(tier, payload, meta)``, verifying everything.
+def decode(blob: bytes) -> tuple[bytes, dict]:
+    """Split a blob into ``(payload, meta)``, verifying everything.
 
     Raises :class:`SnapshotVersionError` on a foreign or tampered
-    magic/version field and :class:`SnapshotIntegrityError` when the
-    payload bytes do not hash to the recorded digest.
+    magic/version/tier field or a header that is not a JSON object, and
+    :class:`SnapshotIntegrityError` when the payload bytes do not hash
+    to the recorded digest.
     """
     if not isinstance(blob, (bytes, bytearray)):
         raise SnapshotVersionError(
@@ -116,7 +107,7 @@ def decode(blob: bytes) -> tuple[int, bytes, dict]:
         raise SnapshotVersionError(
             f"snapshot format version {fmt} is not supported "
             f"(this build reads version {FORMAT_VERSION})")
-    if tier not in (TIER_STATE, TIER_REPLAY):
+    if tier != TIER_REPLAY:
         raise SnapshotVersionError(f"unknown snapshot tier {tier}")
     start = len(MAGIC) + _HEAD.size
     try:
@@ -124,6 +115,10 @@ def decode(blob: bytes) -> tuple[int, bytes, dict]:
     except ValueError as exc:
         raise SnapshotVersionError(f"unreadable snapshot header: {exc}") \
             from None
+    if not isinstance(header, dict):
+        raise SnapshotVersionError(
+            f"snapshot header is a JSON {type(header).__name__}, "
+            "not an object")
     code_version = header.get("code_version")
     if code_version != CODE_VERSION:
         raise SnapshotVersionError(
@@ -135,7 +130,7 @@ def decode(blob: bytes) -> tuple[int, bytes, dict]:
         raise SnapshotIntegrityError(
             "snapshot payload does not match its content hash "
             f"({digest[:12]}... != {str(header.get('payload_sha256'))[:12]}...)")
-    return tier, payload, header.get("meta", {})
+    return payload, header.get("meta", {})
 
 
 def blob_hash(blob: bytes) -> str:

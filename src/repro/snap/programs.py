@@ -7,22 +7,15 @@ optional armed :class:`~repro.faults.plan.FaultPlan`.  Every workload
 writes its observable results (per-iteration completion times, final
 simulated time) into the session board, so a cold run and a
 restored-and-finished run can be compared field by field.
-
-:func:`warmed_testbed` is the state-tier companion: it builds a
-two-node testbed, runs one full ping-pong (handshake, data, teardown)
-to quiescence, and returns the testbed ready for
-:func:`~repro.snap.state.snapshot_state` — the blob the golden tests
-pin.
 """
 
 from __future__ import annotations
 
-from ..sim.ids import reset_ids
 from ..via.constants import Reliability
 from ..via.descriptor import Descriptor
 from .recipe import Session, register_builder
 
-__all__ = ["warmed_testbed", "transfer_session"]
+__all__ = ["transfer_session"]
 
 _DISCRIMINATOR = 11
 _WORKLOADS = ("pingpong", "stream", "rdma_write", "segmented")
@@ -220,54 +213,3 @@ def _rdma_write_pair(tb, board, size, count, reliability):
 
     return client_body, server_body
 
-
-def warmed_testbed(provider: str, seed: int = 0, iters: int = 1):
-    """Build a two-node testbed and warm it to a quiescent, snapshottable
-    point: ``iters`` complete ping-pongs including handshake and teardown.
-
-    Resets the global id allocators first, so the resulting state blob
-    is a pure function of ``(provider, seed, iters, code version)``.
-    """
-    from ..providers.registry import Testbed
-
-    reset_ids()
-    tb = Testbed(provider, seed=seed)
-
-    def client():
-        h = tb.open(tb.node_names[0], "warm-client")
-        vi = yield from h.create_vi()
-        region = h.alloc(256)
-        mh = yield from h.register_mem(region)
-        segs = [h.segment(region, mh, 0, 256)]
-        yield from h.post_recv(vi, Descriptor.recv(segs))
-        yield from h.connect(vi, tb.node_names[1], _DISCRIMINATOR)
-        for i in range(iters):
-            yield from h.post_send(vi, Descriptor.send(segs))
-            yield from h.send_wait(vi)
-            yield from h.recv_wait(vi)
-            if i + 1 < iters:
-                yield from h.post_recv(vi, Descriptor.recv(segs))
-        yield from h.disconnect(vi)
-
-    def server():
-        h = tb.open(tb.node_names[1], "warm-server")
-        vi = yield from h.create_vi()
-        region = h.alloc(256)
-        mh = yield from h.register_mem(region)
-        segs = [h.segment(region, mh, 0, 256)]
-        yield from h.post_recv(vi, Descriptor.recv(segs))
-        req = yield from h.connect_wait(_DISCRIMINATOR)
-        yield from h.accept(req, vi)
-        for i in range(iters):
-            yield from h.recv_wait(vi)
-            if i + 1 < iters:
-                yield from h.post_recv(vi, Descriptor.recv(segs))
-            yield from h.post_send(vi, Descriptor.send(segs))
-            yield from h.send_wait(vi)
-
-    cproc = tb.spawn(client(), "warm-client")
-    sproc = tb.spawn(server(), "warm-server")
-    tb.run(cproc)
-    tb.run(sproc)
-    tb.run()
-    return tb

@@ -30,18 +30,21 @@ process.
 
 from __future__ import annotations
 
+import io
 import pickle
+import pickletools
 import zlib
 from typing import Callable
 
 from ..sim.ids import reset_ids
 from .fingerprint import fingerprint
-from .format import (TIER_REPLAY, SnapshotDivergenceError, SnapshotStateError,
-                     SnapshotVersionError, decode, encode)
-from .state import canonical_dumps
+from .format import (SnapshotDivergenceError, SnapshotIntegrityError,
+                     SnapshotStateError, SnapshotVersionError, decode, encode)
 
 __all__ = ["BUILDERS", "Session", "register_builder", "build_session",
-           "checkpoint_replay", "restore_replay"]
+           "checkpoint_replay", "restore_replay", "canonical_dumps"]
+
+_PROTOCOL = 4  # fixed: the blob format pins the pickle protocol too
 
 #: registered genesis builders: name -> (params dict -> Session)
 BUILDERS: dict[str, Callable[[dict], "Session"]] = {}
@@ -121,10 +124,39 @@ def build_session(builder: str, params: dict) -> Session:
     return session
 
 
+class _CanonicalPickler(pickle.Pickler):
+    """Pickler whose bytes do not depend on the hash seed: sets and
+    frozensets pickle as sorted element lists."""
+
+    def reducer_override(self, obj):
+        t = type(obj)
+        if t is set or t is frozenset:
+            return t, (_sorted_elements(obj),)
+        return NotImplemented
+
+
+def _sorted_elements(s) -> list:
+    try:
+        return sorted(s)
+    except TypeError:
+        # heterogeneous / unorderable elements: order by structural digest
+        return sorted(s, key=fingerprint)
+
+
+def canonical_dumps(obj) -> bytes:
+    """Canonically pickle ``obj`` (fixed protocol, canonicalized sets)."""
+    buf = io.BytesIO()
+    _CanonicalPickler(buf, protocol=_PROTOCOL).dump(obj)
+    # memo indices inside the stream still depend on traversal, which is
+    # deterministic; optimize() strips unused PUTs so equal graphs that
+    # differ only in dead memo entries collapse to equal bytes
+    return pickletools.optimize(buf.getvalue())
+
+
 def _session_fingerprint(session: Session) -> str:
     sim = session.testbed.sim
-    # pools are allocation-history caches, not state; exclude them the
-    # same way the state tier does so capture/verify always agree
+    # pools are allocation-history caches, not state; empty them so a
+    # capture and a replay of the same cursor always agree
     sim._list_pool.clear()
     sim._kick_pool.clear()
     sim._timeout_pool.clear()
@@ -149,7 +181,7 @@ def checkpoint_replay(session: Session) -> bytes:
         "events_run": sim.events_run,
         "fingerprint": _session_fingerprint(session),
     }
-    return encode(TIER_REPLAY, payload, meta)
+    return encode(payload, meta)
 
 
 def restore_replay(blob: bytes) -> Session:
@@ -158,14 +190,17 @@ def restore_replay(blob: bytes) -> Session:
     The restored session's structural fingerprint must match the one
     captured, or :class:`SnapshotDivergenceError` is raised.
     """
-    tier, payload, meta = decode(blob)
-    if tier != TIER_REPLAY:
-        raise SnapshotVersionError(
-            "blob is a state-tier snapshot; restore it with "
-            "repro.snap.restore_state()")
+    payload, meta = decode(blob)
+    # no hash covers the header: check the fields replay relies on
+    fields = meta if isinstance(meta, dict) else {}
+    cursor = fields.get("events_run")
+    want = fields.get("fingerprint")
+    if type(cursor) is not int or cursor < 0 or type(want) is not str:
+        raise SnapshotIntegrityError(
+            "checkpoint header lacks a valid event cursor and fingerprint "
+            f"(events_run={cursor!r}, fingerprint={want!r})")
     genesis = pickle.loads(zlib.decompress(payload))
     session = build_session(genesis["builder"], genesis["params"])
-    cursor = meta["events_run"]
     ran = session.run_events(cursor)
     if ran != cursor:
         raise SnapshotDivergenceError(
@@ -173,10 +208,9 @@ def restore_replay(blob: bytes) -> Session:
             f"taken at event {cursor} — the recipe no longer reproduces "
             "the original run")
     got = _session_fingerprint(session)
-    want = meta.get("fingerprint")
     if got != want:
         raise SnapshotDivergenceError(
             f"replayed state diverges from the checkpoint at event "
-            f"{cursor} (fingerprint {got[:12]}... != {str(want)[:12]}...); "
+            f"{cursor} (fingerprint {got[:12]}... != {want[:12]}...); "
             "the code or builder no longer reproduces the captured run")
     return session

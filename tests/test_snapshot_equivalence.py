@@ -12,7 +12,7 @@ produce bit-identical observables:
 
 Hypothesis drives the snapshot point across workload x provider x cut
 fraction; dedicated tests pin the tricky cases (fidelity="auto" bursts,
-armed FaultPlans, quiescence refusal, state-tier round trips).
+armed FaultPlans).
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ def test_snapshot_anywhere_is_equivalent(workload, provider, frac, seed):
 
     session = snap.build_session("transfer", params)
     session.run_events(cut)
-    blob = snap.snapshot(session)
-    restored = snap.restore(blob)
+    blob = snap.checkpoint_replay(session)
+    restored = snap.restore_replay(blob)
     restored.drive()
     assert _observe(restored) == want
 
@@ -119,7 +119,7 @@ def test_snapshot_during_fast_forward(provider, fidelity):
     for cut in range(0, total + 1, max(1, total // 9)):
         session = snap.build_session("transfer", params)
         session.run_events(cut)
-        restored = snap.restore(snap.snapshot(session))
+        restored = snap.restore_replay(snap.checkpoint_replay(session))
         restored.drive()
         assert _observe(restored) == want, f"diverged at cut {cut}"
 
@@ -155,87 +155,9 @@ def test_snapshot_with_armed_fault_plan(provider):
     for cut in (0, total // 4, total // 2, (3 * total) // 4, total):
         session = snap.build_session("transfer", params)
         session.run_events(cut)
-        restored = snap.restore(snap.snapshot(session))
+        restored = snap.restore_replay(snap.checkpoint_replay(session))
         restored.drive()
         got = _observe(restored)
         assert got == want, f"diverged at cut {cut}"
         got_inj = restored.testbed.injector
         assert got_inj.counters == injector.counters
-
-
-# ---------------------------------------------------------------------------
-# state tier: quiescent testbeds round-trip and keep simulating
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("provider", ALL_PROVIDERS)
-def test_state_tier_round_trip_continues_identically(provider):
-    """A warmed testbed restored from a state blob runs further work on
-    the exact timeline the original would have."""
-    def more_work(tb):
-        session = snap.Session(tb, [], {})
-        from repro.via.descriptor import Descriptor
-
-        out = {}
-
-        def client():
-            h = tb.open(tb.node_names[0], "again")
-            vi = yield from h.create_vi()
-            region = h.alloc(64)
-            mh = yield from h.register_mem(region)
-            segs = [h.segment(region, mh, 0, 64)]
-            yield from h.post_recv(vi, Descriptor.recv(segs))
-            yield from h.connect(vi, tb.node_names[1], 23)
-            yield from h.post_send(vi, Descriptor.send(segs))
-            yield from h.send_wait(vi)
-            done = yield from h.recv_wait(vi)
-            out["completed_at"] = done.completed_at
-
-        def server():
-            h = tb.open(tb.node_names[1], "again-srv")
-            vi = yield from h.create_vi()
-            region = h.alloc(64)
-            mh = yield from h.register_mem(region)
-            segs = [h.segment(region, mh, 0, 64)]
-            yield from h.post_recv(vi, Descriptor.recv(segs))
-            req = yield from h.connect_wait(23)
-            yield from h.accept(req, vi)
-            yield from h.recv_wait(vi)
-            yield from h.post_send(vi, Descriptor.send(segs))
-            yield from h.send_wait(vi)
-
-        session.procs = [tb.spawn(client(), "again"),
-                         tb.spawn(server(), "again-srv")]
-        session.board = out
-        session.drive()
-        return out, tb.sim.events_run, tb.sim.now, \
-            harvest_testbed(tb).snapshot()
-
-    tb = snap.warmed_testbed(provider)
-    blob = tb.checkpoint()
-    restored = type(tb).from_checkpoint(blob)
-    assert more_work(restored) == more_work(snap.warmed_testbed(provider))
-
-
-def test_state_tier_refuses_non_quiescent_points():
-    session = snap.build_session("transfer", _params("pingpong", "mvia"))
-    session.run_events(40)
-    with pytest.raises(snap.SnapshotStateError):
-        snap.snapshot_state(session.testbed)
-
-
-def test_state_tier_refuses_live_waiting_processes():
-    """Quiescent queue but a process parked on a signal forever: the
-    state tier must refuse (generator frames are not serializable), not
-    emit a corrupt blob."""
-    from repro.providers import Testbed
-
-    tb = Testbed("mvia")
-
-    def waiter():
-        h = tb.open(tb.node_names[0], "waiter")
-        yield from h.connect_wait(99)   # nobody ever dials
-
-    tb.spawn(waiter(), "waiter")
-    tb.run()
-    with pytest.raises(snap.SnapshotStateError):
-        tb.checkpoint()

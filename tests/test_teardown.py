@@ -111,31 +111,26 @@ def test_chaos_cell_frees_its_testbed(survivors):
     assert survivors(lambda: run_scenario("mvia", sc, quick=True)) == []
 
 
-def test_restored_testbed_is_freed_once_closed():
-    from repro import snap
-    from repro.providers import Testbed
+def test_rewind_frees_its_testbeds(survivors):
+    """A rewind checkpoints, restores through the replay tier and
+    finishes the run: none of its three testbeds may outlive it."""
+    from repro.faults.chaos import rewind_scenario
+    from repro.faults.scenarios import get_scenario
 
-    blob = snap.snapshot_state(snap.warmed_testbed("clan"))
-    gc.disable()
-    try:
-        tb = Testbed.from_checkpoint(blob)    # unpickled: no __init__ runs
-        refs = [weakref.ref(tb.sim)]
-        refs += [weakref.ref(node) for node in tb.fabric.nodes.values()]
-        tb.close()
-        del tb
-        assert [r for r in refs if r() is not None] == []
-    finally:
-        gc.enable()
+    sc = get_scenario("loss_burst")
+    assert survivors(lambda: rewind_scenario("mvia", sc, quick=True)) == []
 
 
 def test_closed_testbed_still_answers_its_harvest():
     from repro.obs import harvest_testbed
-    from repro.snap import warmed_testbed
+    from repro.snap import build_session
 
-    tb = warmed_testbed("mvia", iters=2)
+    session = build_session("transfer", {"workload": "pingpong",
+                                         "provider": "mvia", "count": 2})
+    session.drive()
+    tb = session.testbed
     before = harvest_testbed(tb).snapshot()
     tb.close()
     assert harvest_testbed(tb).snapshot() == before
     tb.close()  # idempotent
     assert tb.sim._processes == {} and not tb.sim._heap
-
