@@ -54,7 +54,7 @@ SCENARIOS: tuple[ChaosScenario, ...] = (
     ChaosScenario(
         name="loss_burst",
         description="wire drops everything for 1.5 ms mid-stream",
-        faults=(FaultSpec(kind="wire_loss", at=100.0, duration=1500.0),),
+        faults=(FaultSpec(kind="wire_loss", at=40.0, duration=1500.0),),
     ),
     ChaosScenario(
         name="lossy_wire",
@@ -78,13 +78,13 @@ SCENARIOS: tuple[ChaosScenario, ...] = (
         name="link_flap",
         description="client uplink flaps down for 2 ms",
         faults=(FaultSpec(kind="link_down", target="node0.up",
-                          at=150.0, duration=2000.0),),
+                          at=50.0, duration=2000.0),),
     ),
     ChaosScenario(
         name="blackout_reconnect",
         description="12 ms blackout exhausts RTO; VI error recovery",
         faults=(FaultSpec(kind="link_down", target="node0.up",
-                          at=150.0, duration=12_000.0),),
+                          at=50.0, duration=12_000.0),),
     ),
     ChaosScenario(
         name="corruption_storm",
@@ -119,15 +119,15 @@ SCENARIOS: tuple[ChaosScenario, ...] = (
     ),
     ChaosScenario(
         name="tlb_storm",
-        description="40 NIC TLB flushes, one every 100 us",
-        faults=(FaultSpec(kind="tlb_flush", at=100.0, count=40,
-                          period=100.0),),
+        description="40 NIC TLB flushes, one every 25 us",
+        faults=(FaultSpec(kind="tlb_flush", at=20.0, count=40,
+                          period=25.0),),
     ),
     ChaosScenario(
         name="cpu_stall",
         description="server host CPU frozen for 3 ms",
         faults=(FaultSpec(kind="cpu_stall", target="node1",
-                          at=300.0, duration=3000.0),),
+                          at=40.0, duration=3000.0),),
     ),
     ChaosScenario(
         name="many_clients",

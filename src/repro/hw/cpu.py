@@ -117,14 +117,19 @@ class CpuActor:
         queued, the dangling request would later be granted to nobody
         and the CPU slot would leak forever.  On failure this cancels a
         still-queued request, or releases a slot that was granted but
-        whose grant-event had not yet been delivered.
+        whose grant-event had not yet been delivered.  A free CPU whose
+        grant is provably the next event is taken in place
+        (:meth:`Resource.advance_grant`), with nothing to clean up.
         """
-        req = self.cpu.resource.request()
+        resource = self.cpu.resource
+        if resource.advance_grant():
+            return
+        req = resource.request()
         try:
             yield req
         except BaseException:
             if req.triggered:
-                self.cpu.resource.release()
+                resource.release()
             else:
                 req.cancel()
             raise
@@ -141,12 +146,13 @@ class CpuActor:
         # inlined Resource.acquire: a generator per call costs time and
         # peak memory on the hottest resource of every run
         resource = self.cpu.resource
-        hold = resource.hold(duration)
-        try:
-            yield hold
-        except BaseException:
-            hold.abandon()
-            raise
+        if not resource.advance_hold(duration):
+            hold = resource.hold(duration)
+            try:
+                yield hold
+            except BaseException:
+                hold.abandon()
+                raise
         resource.release()
         self.charge(duration, kind)
 
@@ -187,7 +193,9 @@ class CpuActor:
         """
         value = yield event
         if delay:
-            yield self.sim.timeout(delay)
+            sim = self.sim
+            if not sim.advance(delay):
+                yield sim.timeout(delay)
         yield from self.busy(wakeup_cost, "sys")
         return value
 

@@ -105,15 +105,17 @@ class DMAEngine:
         busy = self._ff_busy_until
         if busy > 0.0:
             wait = busy - sim._now
-            if wait > 0.0:
+            if wait > 0.0 and not sim.advance(wait):
                 yield sim.timeout(wait)
         bus = self._bus
-        hold = bus.hold(self.transfer_time(nbytes))
-        try:
-            yield hold
-        except BaseException:
-            hold.abandon()
-            raise
+        duration = self.transfer_time(nbytes)
+        if not bus.advance_hold(duration):
+            hold = bus.hold(duration)
+            try:
+                yield hold
+            except BaseException:
+                hold.abandon()
+                raise
         bus.release()
         self.transfers += 1
         self.bytes_moved += nbytes

@@ -10,6 +10,7 @@ at the end.
 Naming scheme (sorted output, stable across runs)::
 
     sim.events_run                    kernel-level totals
+    sim.inplace_events                ... of them run in place
     sim.ff.decline.single_fragment    fast-forward fallbacks, by reason
     cpu.<node>.<actor>.utime_us       per-actor rusage split
     nic.<node>.dma.bytes              NIC subsystems
@@ -41,6 +42,7 @@ def harvest_into(registry: MetricsRegistry, tb) -> MetricsRegistry:
     registry.set_gauge("sim.now_us", sim.now)
     registry.inc("sim.events_run", sim.events_run)
     registry.inc("sim.ctx_switches", sim.ctx_switches)
+    registry.inc("sim.inplace_events", sim.inplace_events)
     # fast-forward accounting, only-when-nonzero: packet-mode harvests
     # stay byte-identical to the pre-fast-forward goldens
     if sim.ff_bursts:

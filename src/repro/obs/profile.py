@@ -97,6 +97,10 @@ class TransferProfile:
                          "(no trace at this fidelity)")
         lines.append(f"  events traced  {len(self.events):8d}")
         lines.append(f"  metrics        {len(self.registry):8d}")
+        events = int(self._gauge("sim.events_run") or 0)
+        in_place = int(self._gauge("sim.inplace_events") or 0)
+        lines.append(f"  run in place   {in_place:8d}  "
+                     f"({in_place / max(events, 1):.1%} of {events} events)")
         ff_us = self._gauge("sim.ff_time_us") or 0.0
         declines = {name[len(_DECLINE):]: int(self.registry.get(name).value)
                     for name in self.registry.names()

@@ -242,22 +242,26 @@ class NicEngine:
     def _translate_pages(self, pages: list[int]) -> Op:
         """NIC-agent translation: TLB hits/misses with table fetches."""
         c = self.costs
+        sim = self.sim
         if self.choices.table_location is TableLocation.NIC_MEMORY:
             # Full table on the NIC: every lookup is a hit by construction.
             if pages:
-                yield self.sim.timeout(c.tlb_hit * len(pages))
+                d = c.tlb_hit * len(pages)
+                if not sim.advance(d):
+                    yield sim.timeout(d)
             return
         table = self.node.mem.page_table
         for vpage in pages:
             frame = self.nic.tlb.lookup(vpage)
             if frame is None:
                 # fetch the entry from the host-resident table over the bus
-                yield self.sim.timeout(c.tlb_miss)
+                if not sim.advance(c.tlb_miss):
+                    yield sim.timeout(c.tlb_miss)
                 yield from self.nic.dma.transfer(c.tlb_entry_bytes)
                 frame = table.translate(vpage)
                 self.nic.tlb.insert(vpage, frame)
-            else:
-                yield self.sim.timeout(c.tlb_hit)
+            elif not sim.advance(c.tlb_hit):
+                yield sim.timeout(c.tlb_hit)
 
     def _finish(self, wq: WorkQueue, desc: Descriptor,
                 status: CompletionStatus, length: int) -> Op:
@@ -267,13 +271,15 @@ class NicEngine:
         out-of-order result is parked until everything ahead of it has
         finished."""
         c = self.costs
-        yield self.sim.timeout(c.completion_write)
-        if wq.cq is not None and not self.choices.cq_in_hardware:
-            yield self.sim.timeout(c.cq_notify)
+        sim = self.sim
+        if not sim.advance(c.completion_write):
+            yield sim.timeout(c.completion_write)
+        if (wq.cq is not None and not self.choices.cq_in_hardware
+                and not sim.advance(c.cq_notify)):
+            yield sim.timeout(c.cq_notify)
         wq.finish(desc, status, length)
-        self.sim.trace("via", "completed", self.node.name,
-                       desc=desc.desc_id, queue=wq.kind,
-                       status=status.value)
+        sim.trace("via", "completed", self.node.name,
+                  desc=desc.desc_id, queue=wq.kind, status=status.value)
 
     def _dma(self, nbytes: int) -> Op:
         """A data-movement DMA that an injected ``dma_abort`` fault can
@@ -287,7 +293,9 @@ class NicEngine:
         if faults is not None and faults.dma_abort(self.nic.name):
             self.dma_aborts += 1
             self.sim.trace("nic", "dma_abort", self.node.name)
-            yield self.sim.timeout(self.nic.dma.per_transfer_cost)
+            d = self.nic.dma.per_transfer_cost
+            if not self.sim.advance(d):
+                yield self.sim.timeout(d)
             return False
         yield from self.nic.dma.transfer(nbytes)
         return True
@@ -616,7 +624,9 @@ class NicEngine:
             ev = sim.timeout(at - now)
             ev.callbacks.append(fn)
         sim.note_fast_forward(plan.t0, plan.t_end, plan.events_est)
-        yield sim.timeout(plan.hold_until - now)
+        hold = plan.hold_until - now
+        if not sim.advance(hold):
+            yield sim.timeout(hold)
 
     # =====================================================================
     # send path
@@ -628,17 +638,23 @@ class NicEngine:
         ch = self.choices
         self.sim.trace("nic", "send_queued", self.node.name,
                        vi=vi.vi_id, desc=desc.desc_id)
-        yield self.nic.send_engine.request()
+        engine = self.nic.send_engine
+        if not engine.advance_grant():
+            yield engine.request()
         try:
             self.sim.trace("nic", "engine_acquired", self.node.name,
                            vi=vi.vi_id, desc=desc.desc_id)
             if ch.dispatch is DispatchKind.POLLED:
                 # firmware scans every open VI's queue before finding ours
-                yield self.sim.timeout(c.nic_dispatch_per_vi * self.p.open_vi_count)
+                d = c.nic_dispatch_per_vi * self.p.open_vi_count
+                if not self.sim.advance(d):
+                    yield self.sim.timeout(d)
             if ch.data_path is DataPath.ZERO_COPY:
                 yield from self.nic.dma.transfer(c.desc_fetch_bytes)
             extra_segs = max(0, len(desc.segments) - 1)
-            yield self.sim.timeout(c.nic_desc_fetch + c.nic_per_segment * extra_segs)
+            d = c.nic_desc_fetch + c.nic_per_segment * extra_segs
+            if not self.sim.advance(d):
+                yield self.sim.timeout(d)
 
             if desc.op is DescriptorOp.RDMA_READ:
                 yield from self._issue_rdma_read(vi, desc)
@@ -677,7 +693,8 @@ class NicEngine:
                     ok = yield from self._dma(len(frag.data))
                     if not ok:
                         continue  # fragment lost at the I/O bus
-                    yield self.sim.timeout(c.nic_tx_per_frag)
+                    if not self.sim.advance(c.nic_tx_per_frag):
+                        yield self.sim.timeout(c.nic_tx_per_frag)
                     self.sim.trace("nic", "frag_out", self.node.name,
                                    vi=vi.vi_id, seq=frag.seq, frag=frag.frag)
                     self._tx_packet(self._peer_node(vi), "via-data",
@@ -688,7 +705,7 @@ class NicEngine:
                 metrics.observe(f"via.{self.node.name}.msg_sent_bytes",
                                 desc.total_length, DEFAULT_SIZE_BUCKETS)
         finally:
-            self.nic.send_engine.release()
+            engine.release()
         if vi.reliability is Reliability.UNRELIABLE:
             # local completion: data is out of the user buffer
             yield from self._finish(vi.send_q, desc,
@@ -736,13 +753,15 @@ class NicEngine:
             remote_handle=desc.address_segment.remote_handle_id,
             length=length,
         )
-        yield self.sim.timeout(self.costs.nic_tx_per_frag)
+        if not self.sim.advance(self.costs.nic_tx_per_frag):
+            yield self.sim.timeout(self.costs.nic_tx_per_frag)
         self._tx_packet(vi.peer[0], "via-read", ACK_WIRE_BYTES, req)
 
     def _retransmit_timer(self, state: _SendState) -> Op:
         c = self.costs
         while not state.acked and state.retries < c.max_retries:
-            yield self.sim.timeout(c.rto)
+            if not self.sim.advance(c.rto):
+                yield self.sim.timeout(c.rto)
             if state.acked:
                 return
             state.retries += 1
@@ -785,7 +804,8 @@ class NicEngine:
                 ok = yield from self._dma(len(frag.data))
                 if not ok:
                     continue  # lost again; the next retry covers it
-                yield self.sim.timeout(c.nic_tx_per_frag)
+                if not self.sim.advance(c.nic_tx_per_frag):
+                    yield self.sim.timeout(c.nic_tx_per_frag)
                 self._tx_packet(state.dst_node, "via-data", len(frag.data), frag)
         finally:
             self.nic.send_engine.release()
@@ -811,7 +831,7 @@ class NicEngine:
         """Queue behind a burst's virtual recv-engine occupancy (callers
         skip it while ``_ff_rx_free`` is 0.0, as in pure packet mode)."""
         wait = self._ff_rx_free - self.sim._now
-        if wait > 0.0:
+        if wait > 0.0 and not self.sim.advance(wait):
             yield self.sim.timeout(wait)
 
     def _rx_data(self, pl: DataFrag) -> Op:
@@ -819,12 +839,13 @@ class NicEngine:
         if self._ff_rx_free > 0.0:
             yield from self._ff_rx_gate()
         engine = self.nic.recv_engine
-        hold = engine.hold(c.nic_rx_per_frag)
-        try:
-            yield hold
-        except BaseException:
-            hold.abandon()
-            raise
+        if not engine.advance_hold(c.nic_rx_per_frag):
+            hold = engine.hold(c.nic_rx_per_frag)
+            try:
+                yield hold
+            except BaseException:
+                hold.abandon()
+                raise
         try:
             self.sim.trace("nic", "frag_in", self.node.name,
                            vi=pl.dst_vi, seq=pl.seq, frag=pl.frag)
@@ -982,13 +1003,23 @@ class NicEngine:
                         desc=None, buffer=None)
 
     def _nak_later(self, vi: VI, seq: int) -> Op:
-        yield self.sim.timeout(self.costs.ack_tx)
+        if not self.sim.advance(self.costs.ack_tx):
+            yield self.sim.timeout(self.costs.ack_tx)
         yield from self._send_ack_now(vi, seq, "nak_retry")
 
     def _placement_pages(self, desc: Descriptor, offset: int, length: int) -> list[int]:
         """Pages touched when placing ``length`` bytes at message ``offset``."""
         if length == 0:
             return []
+        segments = desc.segments
+        if len(segments) == 1:
+            # one contiguous span: no page repeats, nothing to dedupe
+            seg = segments[0]
+            if offset >= seg.length:
+                return []
+            return list(page_span(seg.address + offset,
+                                  min(seg.length - offset, length),
+                                  self.node.mem.page_size))
         pages: list[int] = []
         seen: set[int] = set()
         cursor = 0
@@ -1073,12 +1104,13 @@ class NicEngine:
         if self._ff_rx_free > 0.0:
             yield from self._ff_rx_gate()
         engine = self.nic.recv_engine
-        hold = engine.hold(c.nic_rx_per_frag)
-        try:
-            yield hold
-        except BaseException:
-            hold.abandon()
-            raise
+        if not engine.advance_hold(c.nic_rx_per_frag):
+            hold = engine.hold(c.nic_rx_per_frag)
+            try:
+                yield hold
+            except BaseException:
+                hold.abandon()
+                raise
         try:
             vi = self.p.vis.get(pl.dst_vi)
             if vi is None or not vi.is_connected:
@@ -1118,7 +1150,8 @@ class NicEngine:
                     op="read_resp", read_id=pl.read_id,
                 )
                 yield from self.nic.dma.transfer(size)
-                yield self.sim.timeout(c.nic_tx_per_frag)
+                if not self.sim.advance(c.nic_tx_per_frag):
+                    yield self.sim.timeout(c.nic_tx_per_frag)
                 self._tx_packet(self._peer_node(vi), "via-data", size, frag)
                 offset += size
         finally:
@@ -1150,7 +1183,8 @@ class NicEngine:
 
     # -- acknowledgements ----------------------------------------------------
     def _send_ack(self, vi: VI, seq: int, kind: str) -> Op:
-        yield self.sim.timeout(self.costs.ack_tx)
+        if not self.sim.advance(self.costs.ack_tx):
+            yield self.sim.timeout(self.costs.ack_tx)
         yield from self._send_ack_now(vi, seq, kind)
 
     def _send_ack_now(self, vi: VI, seq: int, kind: str) -> Op:
@@ -1165,12 +1199,13 @@ class NicEngine:
         if self._ff_rx_free > 0.0:
             yield from self._ff_rx_gate()
         engine = self.nic.recv_engine
-        hold = engine.hold(c.ack_rx)
-        try:
-            yield hold
-        except BaseException:
-            hold.abandon()
-            raise
+        if not engine.advance_hold(c.ack_rx):
+            hold = engine.hold(c.ack_rx)
+            try:
+                yield hold
+            except BaseException:
+                hold.abandon()
+                raise
         engine.release()
         if pl.kind == "nak_read":
             # protection NAK for an RDMA read request (seq carries read_id)
@@ -1195,7 +1230,8 @@ class NicEngine:
             # cannot accept this message yet (no descriptor posted, or an
             # earlier message still has a hole).  The RTO timer measures
             # sustained non-progress and remains the sole failure trigger.
-            yield self.sim.timeout(c.rto / 4)  # retry backoff
+            if not self.sim.advance(c.rto / 4):  # retry backoff
+                yield self.sim.timeout(c.rto / 4)
             yield from self._resend(state)
         elif pl.kind == "nak_prot":
             state.acked = True

@@ -67,6 +67,35 @@ implementation:
   record is not a resume, so chain steps add to ``ctx_switches`` only
   what their holds' grants count.  An exception in a chain step
   propagates out of :meth:`Simulator.run` at that step.
+- **In-place wake-ups.**  A process about to wait ``d`` (a timeout, a
+  timed hold, a grant) first asks :meth:`Simulator.advance` (or
+  ``Resource.advance_hold``/``advance_grant``) whether its wake-up is
+  provably the next thing the loop would run.  If so the clock moves
+  to ``now + d`` and the process keeps running inside its generator:
+  no grant record, no heap entry, no suspend and resume of its
+  ``yield from`` chain.  All five conditions must hold:
+
+  1. :meth:`run` is draining an entry whose sole callback is running
+     (a kick, or an event with one callback); :meth:`step` and
+     :meth:`run_events` never run in place, so an event count stays a
+     replay cursor;
+  2. the immediate queue is empty, and no entry of the same-time
+     bucket is pending (the loop closes a bucket before running its
+     last entry, so what that entry schedules at ``now`` is a heap
+     entry);
+  3. the heap's earliest entry is strictly later than ``now + d`` (a
+     tie has the lower seq, so it runs first in the queued path);
+  4. ``now + d`` is within the run's deadline;
+  5. for a hold or a grant, the resource has a free slot (so its
+     queue is empty).
+
+  The counters gain exactly what the queued path adds: a timeout one
+  ``_seq``, one ``events_run`` and one ``ctx_switches``; a timed hold
+  two of each (its grant and its firing); a plain grant one of each.
+  ``events_run`` is bumped directly while ``_drain`` folds its local
+  count in at exit, so the totals match at every :meth:`run`
+  boundary (nothing reads them mid-run).  ``inplace_events`` counts
+  the queue entries so stood for.
 - **Same-timestamp buckets.**  Priority-0 schedules for the same
   absolute time are appended to one FIFO bucket list that occupies a
   single heap slot, keyed by its *first* entry's sequence number.
@@ -650,10 +679,11 @@ class Simulator:
 
     Two totals are always on.  ``events_run`` counts every processed
     event, kick, call record and grant record: one per queue entry the
-    loop pops.  ``ctx_switches`` counts process resumes, plus one per
-    fired timed-hold grant, which stands in for its holder's resume
-    even when the holder is a callback chain; call records and other
-    chain steps add nothing.
+    loop pops, or that a wait run in place (:meth:`advance`) stood for.
+    ``ctx_switches`` counts process resumes, plus one per fired
+    timed-hold grant, which stands in for its holder's resume even when
+    the holder is a callback chain; call records and other chain steps
+    add nothing.
     """
 
     def __init__(self) -> None:
@@ -690,6 +720,12 @@ class Simulator:
         #: ``Resource.hold`` or ``request()`` + ``timeout()``.
         self.events_run = 0
         self.ctx_switches = 0
+        #: queue entries run in place (see "In-place wake-ups" in the
+        #: module docstring); each is also counted in ``events_run``
+        self.inplace_events = 0
+        #: True while run() drains an entry that is a sole callback:
+        #: the first condition of advance()
+        self._solo = False
         #: simulation fidelity: "packet" runs every wire packet as its
         #: own event chain (the bit-exact default); "auto" lets model
         #: layers collapse provably-uncontended steady-state stretches
@@ -830,6 +866,33 @@ class Simulator:
         call.arg = arg
         self._immediate.append(call)
 
+    def advance(self, delay: float, entries: int = 1) -> bool:
+        """Wait ``delay`` in place when the caller's wake-up is provably
+        the next event; return False to make the caller queue it.
+
+        The caller is the running process.  Use it as ``if not
+        sim.advance(d): yield sim.timeout(d)``: on True the clock has
+        moved ``delay`` on and the counters hold what the queued wait
+        would have added (``entries`` queue entries; see "In-place
+        wake-ups" in the module docstring), so the process just keeps
+        running.  :meth:`Resource.advance_hold` and
+        :meth:`Resource.advance_grant` build on it.
+        """
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        if not self._solo or self._immediate:
+            return False
+        when = self._now + delay
+        heap = self._heap
+        if (heap and heap[0][0] <= when) or when > self._run_until:
+            return False
+        self._now = when
+        self._seq += entries
+        self.events_run += entries
+        self.ctx_switches += entries
+        self.inplace_events += entries
+        return True
+
     def step(self) -> None:
         """Process the single next event."""
         if not self._immediate and not self._heap:
@@ -888,6 +951,11 @@ class Simulator:
         cur_t = 0.0
         cur_i = 0
         runs = 0                  # folded into self.events_run on exit
+        # In-place wake-ups (see advance()) only inside run(): step() and
+        # run_events() keep one queue entry per call.  The mark stays set
+        # and is cleared around every entry that is not a sole callback.
+        solo = not sentinel
+        self._solo = solo
         try:
             while True:
                 if cur is not None:
@@ -915,8 +983,20 @@ class Simulator:
                         callbacks = event.callbacks
                         event.callbacks = None
                         if callbacks:
-                            for cb in callbacks:
-                                cb(event)
+                            if cur_i == len(cur) and len(callbacks) == 1:
+                                # The bucket's last entry: close the bucket
+                                # first, so whatever the callback schedules
+                                # at this instant is a heap entry advance()
+                                # can see.
+                                if buckets.get(cur_t) is cur:
+                                    del buckets[cur_t]
+                                cur = None
+                                callbacks[0](event)
+                            else:
+                                self._solo = False
+                                for cb in callbacks:
+                                    cb(event)
+                                self._solo = solo
                             callbacks.clear()
                         if len(lpool) < _LIST_POOL_MAX:
                             lpool.append(callbacks)
@@ -987,8 +1067,13 @@ class Simulator:
                     continue
                 event.callbacks = None
                 if callbacks:
-                    for cb in callbacks:
-                        cb(event)
+                    if len(callbacks) == 1:
+                        callbacks[0](event)
+                    else:
+                        self._solo = False
+                        for cb in callbacks:
+                            cb(event)
+                        self._solo = solo
                     callbacks.clear()
                 if len(lpool) < _LIST_POOL_MAX:
                     lpool.append(callbacks)
@@ -1004,6 +1089,7 @@ class Simulator:
                 if sentinel:
                     return
         finally:
+            self._solo = False
             self.events_run += runs
             # On any early exit (single-step, run-until sentinel, deadline,
             # or a propagating exception) a partially drained bucket goes

@@ -187,6 +187,26 @@ class Resource:
             self._queue.append(h)
         return h
 
+    def advance_hold(self, duration: float) -> bool:
+        """:meth:`hold` in place: take a free slot and hold it for
+        ``duration`` without yielding, when the holder's wake-up is
+        provably the next event (:meth:`Simulator.advance`, counting the
+        grant and the firing).  On True the caller owns the slot and
+        must :meth:`release` it; on False it yields :meth:`hold`."""
+        if self._in_use < self.capacity and self.sim.advance(duration, 2):
+            self._in_use += 1
+            return True
+        return False
+
+    def advance_grant(self) -> bool:
+        """:meth:`request` in place: take a free slot without yielding
+        when its grant is provably the next event.  On True the caller
+        owns the slot; on False it yields :meth:`request`."""
+        if self._in_use < self.capacity and self.sim.advance(0.0):
+            self._in_use += 1
+            return True
+        return False
+
     def release(self) -> None:
         """Free a slot; grants the oldest queued request, if any."""
         if self._in_use <= 0:

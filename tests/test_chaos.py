@@ -56,6 +56,31 @@ def test_registry_covers_both_contracts():
     assert all(sc.reliability is Reliability.UNRELIABLE for sc in unreliable)
 
 
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_data_phase_faults_land_while_the_stream_is_in_flight(quick):
+    """A ``phase="data"`` fault starts ``at`` after connect; on every
+    provider it must start before the same cell, run without faults,
+    completes its last send.  A fault armed after that injects into an
+    idle host or link and exercises no recovery at all."""
+    import dataclasses
+
+    timed = [sc for sc in SCENARIOS
+             if sc.workload == "stream" and sc.phase == "data" and sc.faults]
+    assert timed
+    last_completion = {}
+    for sc in timed:
+        quiet = dataclasses.replace(sc, name="quiet", faults=())
+        key = (sc.reliability, sc.size, sc.count, sc.window)
+        for provider in ("mvia", "bvia", "clan", "iba"):
+            if (key, provider) not in last_completion:
+                result = run_scenario(provider, quiet, quick=quick)
+                assert result.ok and result.elapsed_us > 0
+                last_completion[key, provider] = result.elapsed_us
+            for fault in sc.faults:
+                assert fault.at < last_completion[key, provider], \
+                    (sc.name, provider, fault.at)
+
+
 # ---------------------------------------------------------------------------
 # Single cells
 # ---------------------------------------------------------------------------

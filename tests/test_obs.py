@@ -281,6 +281,40 @@ def test_harvest_testbed_publishes_layered_metrics():
     assert snap["via.node0.msg_sent_bytes"]["count"] == 1
 
 
+def test_profile_runs_waits_in_place_at_every_layer(monkeypatch):
+    """The canonical clan ping-pong takes every spin-wait CPU grant in
+    place, and some of its CPU holds, DMA holds, receive-engine holds
+    and engine steps; ``sim.inplace_events`` holds exactly the queue
+    entries those stood for, and the summary prints it.  (Most CPU holds
+    queue here: both nodes' setup charges fall at the same instants and
+    the data phase overlaps NIC work.)  Pinned so no site stops running
+    in place silently."""
+    import sys
+
+    from repro.obs.profile import profile_transfer
+
+    calls = []
+    real = Simulator.advance
+
+    def spy(sim, delay, entries=1):
+        ok = real(sim, delay, entries)
+        frame = sys._getframe(1)
+        if frame.f_code.co_name in ("advance_hold", "advance_grant"):
+            frame = frame.f_back
+        calls.append((frame.f_code.co_name, ok, entries))
+        return ok
+
+    monkeypatch.setattr(Simulator, "advance", spy)
+    prof = profile_transfer("clan", size=64)
+    in_place = {site for site, ok, _ in calls if ok}
+    assert {"busy", "_acquire_cpu", "transfer", "_rx_data", "_finish",
+            "send_message"} <= in_place
+    assert all(ok for site, ok, _ in calls if site == "_acquire_cpu")
+    entries = sum(n for _, ok, n in calls if ok)
+    assert prof.registry.get("sim.inplace_events").value == entries > 0
+    assert f"run in place   {entries:8d}" in prof.summary()
+
+
 @pytest.mark.parametrize("fidelity", ["auto", "flow"])
 def test_profile_without_a_trace_prints_no_zero_breakdown(fidelity):
     """A fast-forwarded profile attaches no tracer, so it has no phases:

@@ -111,24 +111,28 @@ def test_store_bounded_capacity_never_overflows(capacity, items):
 
 # -- Resource.hold against its request() + timeout() reference -----------
 
-def reference_hold(res, duration):
+def reference_hold(res, duration, in_place=False):
     """The reference for ``hold``: ``yield request()`` then ``yield
     timeout(duration)``, interrupt-safe the way ``CpuActor._acquire_cpu``
-    is (cancel while queued, release once granted).  Returns holding."""
-    req = res.request()
-    try:
-        yield req
-    except BaseException:
-        if req.triggered:
+    is (cancel while queued, release once granted).  Returns holding.
+    ``in_place`` takes the grant and the timeout in place wherever the
+    kernel allows (``advance_grant``, ``advance``)."""
+    if not (in_place and res.advance_grant()):
+        req = res.request()
+        try:
+            yield req
+        except BaseException:
+            if req.triggered:
+                res.release()
+            else:
+                req.cancel()
+            raise
+    if not (in_place and res.sim.advance(duration)):
+        try:
+            yield res.sim.timeout(duration)
+        except BaseException:
             res.release()
-        else:
-            req.cancel()
-        raise
-    try:
-        yield res.sim.timeout(duration)
-    except BaseException:
-        res.release()
-        raise
+            raise
 
 
 def timed_hold(res, duration):
@@ -142,6 +146,12 @@ def timed_hold(res, duration):
 
 def reference_acquire(res, duration):
     yield from reference_hold(res, duration)
+    res.release()
+
+
+def in_place_acquire(res, duration):
+    if not res.advance_hold(duration):
+        yield from timed_hold(res, duration)
     res.release()
 
 
@@ -178,15 +188,28 @@ _PROGRAM = st.fixed_dictionaries({
 })
 
 
-def run_program(program, use_hold):
-    """Run a random resource program; return everything observable."""
+def run_program(program, variant, stepwise=False):
+    """Run a random resource program; return everything observable.
+
+    ``variant`` picks the waits: ``"reference"`` (request() + timeout()),
+    ``"hold"`` (``Resource.hold``/``acquire``) or ``"in_place"`` (the
+    ``advance`` helpers, falling back to queued waits).  ``stepwise``
+    drives the run by ``run_events(1)``, which never runs a wait in
+    place, instead of ``run()``."""
     sim = Simulator()
     resources = [Resource(sim, 1), Resource(sim, 1),
                  Resource(sim, program["k"])]
     log = []
-    held = timed_hold if use_hold else reference_hold
-    acquire = ((lambda res, d: res.acquire(d)) if use_hold
-               else reference_acquire)
+    in_place = variant == "in_place"
+    held = {"reference": reference_hold, "hold": timed_hold,
+            "in_place": lambda res, d: reference_hold(res, d, True)}[variant]
+    acquire = {"reference": reference_acquire,
+               "hold": lambda res, d: res.acquire(d),
+               "in_place": in_place_acquire}[variant]
+
+    def wait(d):
+        if not (in_place and sim.advance(d)):
+            yield sim.timeout(d)
 
     def body(pid, start, steps):
         try:
@@ -206,10 +229,10 @@ def run_program(program, use_hold):
                         log.append((sim.now, pid, i, res.in_use, res.queued))
                         res.release()
                 elif step[0] == "timeout":
-                    yield sim.timeout(step[1])
+                    yield from wait(step[1])
                     log.append((sim.now, pid, i))
                 elif step[0] == "zero":
-                    yield sim.timeout(0.0)
+                    yield from wait(0.0)
                     log.append((sim.now, pid, i))
                 else:
                     done = sim.timeout(0.0)
@@ -237,7 +260,11 @@ def run_program(program, use_hold):
 
     for at, victim in program["interrupts"]:
         sim.process(interrupter(at, victim))
-    sim.run()
+    if stepwise:
+        while sim.run_events(1):
+            pass
+    else:
+        sim.run()
     return (log, sim.now, sim.events_run, sim._seq, sim.ctx_switches,
             [(r.in_use, r.queued) for r in resources])
 
@@ -248,22 +275,38 @@ def test_hold_matches_request_timeout_reference(program):
     """``hold(d)`` resumes the holder once where the reference resumes it
     twice, yet the completion log (times and same-instant order), the
     clock and every kernel counter must come out identical."""
-    got = run_program(program, use_hold=True)
-    want = run_program(program, use_hold=False)
+    got = run_program(program, "hold")
+    want = run_program(program, "reference")
     assert got == want
     assert all(slot == (0, 0) for slot in got[-1])
+
+
+@given(_PROGRAM)
+@settings(max_examples=120, deadline=None)
+def test_in_place_waits_match_the_queued_run(program):
+    """The ``advance`` helpers under ``run()``, which takes a wait in
+    place wherever the kernel proves its wake-up next, against the same
+    program under a ``run_events(1)`` loop, which never does: the log,
+    the clock, every kernel counter and every slot come out identical,
+    and both match the request() + timeout() reference."""
+    got = run_program(program, "in_place")
+    assert got == run_program(program, "in_place", stepwise=True)
+    assert got == run_program(program, "reference")
 
 
 @pytest.mark.parametrize("when", ["queued", "granted", "holding"])
 def test_busy_interrupt_matches_reference(when):
     """``CpuActor.busy`` interrupted while queued, after its grant but
     before the grant record fires, and mid-hold: the slot is freed and
-    the run is counter-for-counter the request() + timeout() one."""
+    the run is counter-for-counter the request() + timeout() one.  A
+    last busy on an idle host runs in place under ``run()`` (the
+    reference's grant too, through ``_acquire_cpu``); a
+    ``run_events(1)`` loop runs the same scenario queued, identically."""
 
-    def scenario(use_hold):
+    def scenario(use_hold, stepwise=False):
         sim = Simulator()
         cpu = HostCPU(sim)
-        actors = {n: cpu.actor(n) for n in ("hold", "work", "late")}
+        actors = {n: cpu.actor(n) for n in ("hold", "work", "late", "tail")}
         busy = ((lambda a, d: a.busy(d)) if use_hold else reference_busy)
         log = []
         pending_grant = []
@@ -280,6 +323,7 @@ def test_busy_interrupt_matches_reference(when):
         sim.process(worker("hold", 0.0, 5.0))
         victim = sim.process(worker("work", 0.0, 3.0))
         sim.process(worker("late", 1.0, 2.0))
+        sim.process(worker("tail", 20.0, 1.0))
 
         def interrupter():
             if when == "queued":
@@ -296,7 +340,12 @@ def test_busy_interrupt_matches_reference(when):
             victim.interrupt()
 
         sim.process(interrupter())
-        sim.run()
+        if stepwise:
+            while sim.run_events(1):
+                pass
+        else:
+            sim.run()
+        assert (sim.inplace_events > 0) == (not stepwise)
         usage = {n: (a.rusage.utime, a.rusage.stime)
                  for n, a in actors.items()}
         return (log, usage, sim.now, sim.events_run, sim._seq,
@@ -304,8 +353,10 @@ def test_busy_interrupt_matches_reference(when):
                 pending_grant)
 
     got = scenario(use_hold=True)
+    assert scenario(use_hold=True, stepwise=True) == got
     want = scenario(use_hold=False)
     assert got[:-1] == want[:-1]
+    assert scenario(use_hold=False, stepwise=True) == want
     log, usage, *_rest, in_use, queued, pending_grant = got
     assert (in_use, queued) == (0, 0)
     assert ("work" in [e[1] for e in log]) and usage["work"] == (0.0, 0.0)

@@ -452,3 +452,202 @@ def test_close_runs_each_live_finally_once_in_start_order():
     assert all(ev.callbacks == [] for ev in cond.events)
     sim.close()
     assert log == ["a", "b", "c"]
+
+
+# -- in-place wake-ups: advance() runs a wait in place or refuses it -------
+
+def _counters(sim):
+    return (sim.now, sim.events_run, sim._seq, sim.ctx_switches)
+
+
+def test_advance_runs_a_sole_wakeup_in_place():
+    """With nothing else due, the wait runs in place and adds exactly
+    what the queued timeout would have: one seq, one event, one resume."""
+    def build(in_place):
+        sim = Simulator()
+        log = []
+
+        def proc():
+            yield sim.timeout(1.0)
+            if not (in_place and sim.advance(2.0)):
+                yield sim.timeout(2.0)
+            log.append(sim.now)
+
+        sim.process(proc())
+        sim.run()
+        return sim, log
+
+    sim, log = build(True)
+    ref, ref_log = build(False)
+    assert log == ref_log == [3.0]
+    assert _counters(sim) == _counters(ref)
+    assert (sim.inplace_events, ref.inplace_events) == (1, 0)
+
+
+def _refused(setup, drive=None):
+    """Run a process that tries ``advance(2.0)`` at t=1 after ``setup``
+    (called at that instant); return (advanced?, log)."""
+    sim = Simulator()
+    log = []
+
+    def proc():
+        yield sim.timeout(1.0)
+        setup(sim, log)
+        ok = sim.advance(2.0)
+        log.append(("advance", ok, sim.now))
+        if not ok:
+            yield sim.timeout(2.0)
+        log.append(("woke", sim.now))
+
+    sim.process(proc())
+    (drive or Simulator.run)(sim)
+    assert sim.inplace_events == 0
+    return log
+
+
+def test_advance_refused_with_an_immediate_record_pending():
+    log = _refused(lambda sim, log: sim.call_soon(log.append, "call"))
+    assert log == [("advance", False, 1.0), "call", ("woke", 3.0)]
+
+
+def test_advance_refused_when_an_entry_is_due_at_the_wakeup_instant():
+    """A tie at now + d has the lower seq, so it must run first."""
+    sim = Simulator()
+    log = []
+    sim.timeout(3.0).callbacks.append(lambda e: log.append("tie"))
+
+    def proc():
+        yield sim.timeout(1.0)
+        ok = sim.advance(2.0)
+        if not ok:
+            yield sim.timeout(2.0)
+        log.append(("woke", ok, sim.now))
+
+    sim.process(proc())
+    sim.run()
+    assert log == ["tie", ("woke", False, 3.0)]
+
+
+def test_advance_refused_for_a_waker_with_a_second_callback():
+    """The second callback of the event that woke the process must still
+    see the old clock."""
+    sim = Simulator()
+    log = []
+    ev = sim.timeout(1.0)
+
+    def proc():
+        yield ev
+        ok = sim.advance(2.0)
+        log.append(("advance", ok))
+        if not ok:
+            yield sim.timeout(2.0)
+
+    sim.process(proc())
+    sim.run(until=0.5)
+    ev.callbacks.append(lambda e: log.append(("second", sim.now)))
+    sim.run()
+    assert log == [("advance", False), ("second", 1.0)]
+    assert sim.now == 3.0
+
+
+def test_advance_refused_in_a_partly_drained_same_time_bucket():
+    sim = Simulator()
+    log = []
+    for i in range(16):             # enough heap entries to use buckets
+        sim.timeout(100.0 + i)
+
+    def proc():
+        yield sim.timeout(1.0)
+        ok = sim.advance(0.5)
+        log.append(("advance", ok))
+        if not ok:
+            yield sim.timeout(0.5)
+        log.append(("woke", sim.now))
+
+    def other():
+        sim.timeout(1.0).callbacks.append(lambda e: log.append("bucket"))
+        yield sim.timeout(0.0)
+
+    sim.process(proc())
+    sim.process(other())
+    sim.run(until=0.0)
+    assert len(sim._buckets[1.0]) == 2
+    sim.run()
+    assert log == [("advance", False), "bucket", ("woke", 1.5)]
+
+
+def test_advance_refused_after_the_waker_schedules_at_its_instant():
+    """The last entry of a same-time bucket wakes the process, which
+    schedules an entry at that instant: the bucket was closed before the
+    wake-up ran, so the new entry is on the heap and runs first."""
+    sim = Simulator()
+    log = []
+    for i in range(16):             # enough heap entries to use buckets
+        sim.timeout(100.0 + i)
+
+    def proc():
+        yield sim.timeout(1.0)
+        sim.timeout(0.0).callbacks.append(
+            lambda e: log.append(("zero", sim.now)))
+        ok = sim.advance(0.5)
+        log.append(("advance", ok))
+        if not ok:
+            yield sim.timeout(0.5)
+        log.append(("woke", sim.now))
+
+    sim.process(proc())
+    sim.run()
+    assert log == [("advance", False), ("zero", 1.0), ("woke", 1.5)]
+
+
+def test_advance_refused_past_the_run_deadline():
+    sim = Simulator()
+    log = []
+
+    def proc():
+        yield sim.timeout(1.0)
+        ok = sim.advance(5.0)
+        log.append(("advance", ok))
+        if not ok:
+            yield sim.timeout(5.0)
+        log.append(("woke", sim.now))
+
+    sim.process(proc())
+    sim.run(until=4.0)
+    assert log == [("advance", False)] and sim.now == 4.0
+    sim.run()
+    assert log[-1] == ("woke", 6.0)
+
+
+def test_advance_never_runs_in_place_under_step():
+    """step() (and run_events()) run one queue entry per call."""
+    def drive(sim):
+        while sim.peek() != float("inf"):
+            sim.step()
+
+    log = _refused(lambda sim, log: None, drive)
+    assert log == [("advance", False, 1.0), ("woke", 3.0)]
+
+
+def test_resource_in_place_hold_and_grant_need_a_free_slot():
+    from repro.sim import Resource
+
+    sim = Simulator()
+    res = Resource(sim, 1)
+    log = []
+
+    def proc():
+        yield sim.timeout(1.0)
+        assert res.advance_grant()          # free slot, nothing due
+        assert not res.advance_hold(1.0)    # the slot is taken
+        assert not res.advance_grant()
+        res.release()
+        assert res.advance_hold(1.0)
+        log.append(sim.now)
+        res.release()
+
+    sim.process(proc())
+    sim.run()
+    assert log == [2.0] and res.in_use == 0
+    # timeout 1 + grant 1 + hold 2, plus the boot and the process end
+    assert (sim.events_run, sim.inplace_events) == (6, 3)

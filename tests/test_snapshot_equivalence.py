@@ -43,17 +43,25 @@ def _cold(params: dict) -> snap.Session:
 
 
 def _observe(session: snap.Session) -> dict:
-    """Everything a finished run exposes, in comparable form."""
+    """Everything a finished run exposes, in comparable form.
+
+    ``sim.inplace_events`` says how the host ran the events, not what
+    they were: ``run_events`` (the replay cursor) never runs a wait in
+    place and ``run()`` does wherever it can, so a run cut and replayed
+    counts fewer.  ``events_run`` and ``ctx_switches`` must still match.
+    """
     tb = session.testbed
     trace = ()
     if tb.sim.tracer is not None:
         trace = tuple((e.t, e.category, e.label, e.node)
                       for e in tb.sim.tracer.events)
+    harvest = harvest_testbed(tb).snapshot()
+    del harvest["sim.inplace_events"]
     return {
         "board": session.board,
         "now": tb.sim.now,
         "events_run": tb.sim.events_run,
-        "harvest": harvest_testbed(tb).snapshot(),
+        "harvest": harvest,
         "trace": trace,
     }
 
