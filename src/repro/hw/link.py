@@ -210,38 +210,6 @@ class Channel:
         self.sink(event.value)
 
     # -- burst (flow-level) path ------------------------------------------
-    def plan_burst(self, emit_times, sizes,
-                   line_free: float = 0.0) -> tuple:
-        """Arithmetic serialisation schedule for a back-to-back burst.
-
-        Pure computation (no state touched): given the instants each
-        packet becomes available (``emit_times``) and its payload size,
-        returns ``(starts, ends, delivers)`` lists — when each packet's
-        serialisation begins and ends and when it reaches the sink —
-        reproducing exactly what per-packet :meth:`send` calls would
-        compute on an initially-free line (or one busy until
-        ``line_free``).  The FIFO-drain recurrence
-        ``start_k = max(emit_k, end_{k-1})`` runs as one scalar loop with
-        :meth:`serialization_time`'s float operations in the same
-        association, so every timestamp reproduces the event path's bit
-        for bit.
-        """
-        ppc = self.per_packet_cost
-        hdr = self.header_bytes
-        bw = self.bandwidth
-        prop = self.prop_delay
-        starts: list[float] = []
-        ends: list[float] = []
-        delivers: list[float] = []
-        prev_end = line_free
-        for e, size in zip(emit_times, sizes):
-            st = e if e > prev_end else prev_end
-            prev_end = st + (ppc + (size + hdr) / bw)
-            starts.append(st)
-            ends.append(prev_end)
-            delivers.append(prev_end + prop)
-        return starts, ends, delivers
-
     def note_burst(self, n: int, nbytes: int, busy_until: float) -> None:
         """Commit an arithmetic burst: bulk counters + virtual occupancy."""
         self.sent_packets += n

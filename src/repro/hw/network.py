@@ -237,65 +237,18 @@ class OutputPort:
         return 0.0
 
     # -- burst (flow-level) path ------------------------------------------
-    def plan_burst(self, arrive_times, sizes):
-        """Arithmetic replay of :meth:`arrive` for a batch of arrivals.
-
-        Pure computation: walks the cut-through backlog recurrence (or
-        the store-and-forward pass-through) over ``arrive_times`` in one
-        scalar loop without touching port state and returns
-        ``(departs, commit)`` where ``departs`` is a list whose ``k``-th
-        entry is when frame ``k`` reaches the downlink channel and
-        ``commit()`` applies the counter and backlog-state deltas —
-        call it only once the whole burst is accepted.  Returns ``None``
-        when the arrivals interleave with frames the port has already
-        accounted ahead of them (``_last_at`` past the first arrival):
-        an out-of-order merge must fall back to packet granularity.
-        """
-        n = len(sizes)
-        if not self.cut_through:
-            # store-and-forward: the port itself adds no delay — queueing
-            # emerges from the downlink line; finite-buffer tail-drop
-            # cannot trigger on an uncontended burst (the caller bounds
-            # in-flight frames below capacity_frames before planning)
-            def commit() -> None:
-                self.forwarded += n
-
-            return list(arrive_times), commit
-        if self._last_at > arrive_times[0]:
-            return None
-        backlog = self._backlog
-        last = self._last_at
-        contended = 0
-        backpressured = 0
-        max_backlog = self.max_backlog_us
-        departs: list[float] = []
-        rate = self._line_rate
-        hdr = self._header_bytes
-        buffer_us = self._buffer_us
-        for t, size in zip(arrive_times, sizes):
-            b = backlog - (t - last)
-            if b < 0.0:
-                b = 0.0
-            last = t
-            backlog = b + (size + hdr) / rate
-            if b > 0.0:
-                contended += 1
-                if b > max_backlog:
-                    max_backlog = b
-                if b > buffer_us:
-                    backpressured += 1
-                t += b
-            departs.append(t)
-
-        def commit() -> None:
-            self.forwarded += n
-            self._backlog = backlog
-            self._last_at = last
-            self.contended += contended
-            self.backpressured += backpressured
-            self.max_backlog_us = max_backlog
-
-        return departs, commit
+    def note_burst(self, n: int, backlog: float, last_at: float,
+                   contended: int, backpressured: int,
+                   max_backlog: float) -> None:
+        """Commit an arithmetic burst of ``n`` frames: the counters and
+        the cut-through backlog state it leaves behind (a
+        store-and-forward port's are passed back unchanged)."""
+        self.forwarded += n
+        self._backlog = backlog
+        self._last_at = last_at
+        self.contended += contended
+        self.backpressured += backpressured
+        self.max_backlog_us = max_backlog
 
 
 def _by_src(packet: Packet) -> str:

@@ -15,7 +15,7 @@ knobs plus the provider's :class:`~repro.providers.costs.CostModel`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable
+from typing import TYPE_CHECKING, Any, Generator, Iterable
 
 from ..hw import link as _hwlink
 from ..hw.link import Packet
@@ -134,22 +134,13 @@ class _BufferedMsg:
     total_len: int
 
 
-@dataclass
-class _BurstPlan:
-    """A fully-solved fast-forward of one message's wire journey.
-
-    ``commits`` mutate counters/occupancy synchronously at commit time;
-    ``completions`` are (timestamp, callback) pairs scheduled as single
-    events — the only real events a burst leaves behind besides the
-    send-engine hold until ``hold_until``.
-    """
-
-    hold_until: float
-    t0: float
-    t_end: float
-    events_est: int
-    commits: list
-    completions: list
+def _finish_at(t: float, wq: WorkQueue, costs, choices) -> tuple[float, int]:
+    """When :meth:`NicEngine._finish` begun at ``t`` ends, and how many
+    timeouts it waits (one addition per timeout, as it issues them)."""
+    t += costs.completion_write
+    if wq.cq is not None and not choices.cq_in_hardware:
+        return t + costs.cq_notify, 2
+    return t, 1
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +307,17 @@ class NicEngine:
     # posted receive descriptor and no reassembly in flight — the
     # per-fragment event cascade (DMA, tx, serialise, switch, port, rx
     # engine, translate, placement, ack) collapses into closed-form
-    # recurrences.  :meth:`_plan_burst` solves every timestamp
-    # arithmetically without mutating state (the receiver TLB walk is
-    # snapshot/restored); :meth:`_run_burst` then commits counters in
-    # bulk, leaves virtual-occupancy watermarks on every resource
+    # recurrences.  :meth:`_plan_burst` solves every timestamp in one
+    # scalar pass over the fragments, every stage's recurrence advancing
+    # with the others, without mutating state (the receiver TLB walk is
+    # snapshot/restored).  Once nothing can decline it commits counters
+    # in bulk, leaves virtual-occupancy watermarks on every resource
     # touched so concurrent event-path traffic still queues behind the
     # burst, and schedules only the completion writebacks as real
-    # events.  Anything the plan cannot prove falls back to the packet
-    # path, which stays bit-identical to the pre-burst model; each
-    # fallback counts its reason as ``sim.ff.decline.<reason>``.
+    # events; the send engine is then held for the burst's tx window.
+    # Anything the plan cannot prove falls back to the packet path,
+    # which stays bit-identical to the pre-burst model; each fallback
+    # counts its reason as ``sim.ff.decline.<reason>``.
 
     def _ff_decline(self, reason: str) -> None:
         """Count one declined plan as ``sim.ff.decline.<reason>``; the
@@ -369,8 +362,10 @@ class NicEngine:
                 peer_up, sport, sdown)
 
     def _plan_burst(self, vi: VI, desc: Descriptor, data: bytes, seq: int,
-                    sizes: list[int]) -> _BurstPlan | None:
-        """Try to solve the whole message arithmetically.  None = fall back.
+                    sizes: list[int]) -> float | None:
+        """Solve the whole message arithmetically and commit it; returns
+        when the send engine's tx window ends.  None = fall back: the
+        decline is counted and no model state has changed.
 
         Works from the message geometry alone (``seq``, the fragment
         ``sizes`` and the gathered ``data``): no :class:`DataFrag` is
@@ -425,41 +420,44 @@ class NicEngine:
         if not oport.cut_through and n > oport.capacity_frames:
             return self._ff_decline("port_capacity")
 
+        # One scalar pass over the fragments: each stage's recurrence
+        # advances with the others.  Every one replays the event path's
+        # float operations in the same order and association (a wait
+        # ends at ``start + d``, ``d`` computed as its timeout or hold
+        # computes it), so each timestamp is bit-identical to the packet
+        # path's.  ``steps`` counts the queue entries the packet path
+        # runs beyond the burst's own: per fragment 3 at the sender (DMA
+        # grant and firing, tx cost), 9 on the wire (launch record,
+        # uplink grant and firing, delivery, arbiter flush, switch
+        # latency, downlink grant and firing, delivery) and 6 at the
+        # receiver (process boot, engine grant and firing, placement DMA
+        # grant and firing, process end), plus each port wait and
+        # translation step.
         c = self.costs
-        t0 = sim._now
-        # -- sender engine: per-frag DMA fetch + tx cost ------------------
-        # every recurrence below replays the event path's float additions
-        # in the same order and association (x + transfer_time(n), with
-        # transfer_time = per_transfer_cost + n / bandwidth inlined; one
-        # cost per timeout) so the computed timestamps are bit-identical
-        dma_free = dma._ff_busy_until
-        dma_ppc = dma.per_transfer_cost
-        dma_bw = dma.bandwidth
-        tx_cost = c.nic_tx_per_frag
-        emit: list[float] = []
-        prev = t0
-        for size in sizes:
-            ds = prev if prev > dma_free else dma_free
-            dma_free = ds + (dma_ppc + size / dma_bw)
-            prev = dma_free + tx_cost
-            emit.append(prev)
-        # -- forward wire path: uplink -> switch -> port -> downlink ------
-        _, up_ends, up_delivers = up.plan_burst(
-            emit, sizes, line_free=up._ff_busy_until)
-        sw_lat = switch.params.switch_latency
-        arrive_port = [d + sw_lat for d in up_delivers]
-        port_plan = oport.plan_burst(arrive_port, sizes)
-        if port_plan is None:
-            return self._ff_decline("port_backlog")
-        departs, port_commit = port_plan
-        _, down_ends, rx_arrive = down.plan_burst(
-            departs, sizes, line_free=down._ff_busy_until)
-        # -- receiver engine: per-frag rx + translate + placement ---------
         rc = peer_eng.costs
         rch = peer_eng.choices
+        t0 = sim._now
+        dma_free = dma._ff_busy_until
+        tx_cost = c.nic_tx_per_frag
+        up_free = up._ff_busy_until
+        up_prop = up.prop_delay
+        sw_lat = switch.params.switch_latency
+        cut_through = oport.cut_through
+        backlog = oport._backlog
+        last = oport._last_at
+        max_backlog = oport.max_backlog_us
+        buffer_us = oport._buffer_us
+        contended = backpressured = 0
+        down_free = down._ff_busy_until
+        down_prop = down.prop_delay
+        r_free = peer_eng._ff_rx_free
+        rx_cost = rc.nic_rx_per_frag
+        pdma_free = pdma._ff_busy_until
         translate_on = (rch.translation_agent is TranslationAgent.NIC
                         and rch.data_path is DataPath.ZERO_COPY)
         host_table = rch.table_location is not TableLocation.NIC_MEMORY
+        tlb_hit = rc.tlb_hit
+        tlb_miss = rc.tlb_miss
         ptlb = peer_nic.tlb
         snap = None
         if translate_on and host_table:
@@ -467,56 +465,115 @@ class NicEngine:
             # sequencing is exact; restored verbatim on late fallback
             snap = (ptlb._cache.copy(), ptlb.hits, ptlb.misses,
                     ptlb.evictions)
+            ptable = peer_eng.node.mem.page_table
+            fetch = pdma.transfer_time(rc.tlb_entry_bytes)
+        # a single receive segment places each fragment contiguously at
+        # its address plus the fragment's offset
+        segs = rdesc.segments
+        base = segs[0].address if len(segs) == 1 else None
+        page_size = peer_eng.node.mem.page_size
+        steps = 18 * n
+        misses = 0
+        offset = 0
+        e = t0
+        frag_size = -1
+        for size in sizes:
+            if size != frag_size:
+                # every fragment but the last has one size: its durations
+                frag_size = size
+                dma_d = dma.transfer_time(size)
+                up_d = (up.per_packet_cost
+                        + (size + up.header_bytes) / up.bandwidth)
+                port_d = (size + oport._header_bytes) / oport._line_rate
+                down_d = (down.per_packet_cost
+                          + (size + down.header_bytes) / down.bandwidth)
+                pdma_d = pdma.transfer_time(size)
+            # sender engine: DMA fetch, then the tx cost
+            if dma_free > e:
+                e = dma_free
+            dma_free = e + dma_d
+            e = dma_free + tx_cost
+            # uplink serialisation, propagation, switch latency
+            t = e if e > up_free else up_free
+            up_free = t + up_d
+            t = up_free + up_prop + sw_lat
+            # a store-and-forward port adds no delay (queueing is the
+            # downlink's, and port_capacity above rules out a tail-drop)
+            if cut_through:
+                # the output port's backlog recurrence; the uplink spaces
+                # the burst's own arrivals, so only the first can precede
+                # a frame the port accounted earlier (an interleave)
+                if last > t:
+                    return self._ff_decline("port_backlog")
+                b = backlog - (t - last)
+                if b < 0.0:
+                    b = 0.0
+                last = t
+                backlog = b + port_d
+                if b > 0.0:
+                    contended += 1
+                    if b > max_backlog:
+                        max_backlog = b
+                    if b > buffer_us:
+                        backpressured += 1
+                    t += b
+            # downlink serialisation and propagation
+            if down_free > t:
+                t = down_free
+            down_free = t + down_d
+            t = down_free + down_prop
+            # receiver engine: rx cost, translation, placement DMA
+            if r_free > t:
+                t = r_free
+            t += rx_cost
+            if not translate_on:
+                pass
+            elif host_table:
+                if base is None:
+                    pages = peer_eng._placement_pages(rdesc, offset, size)
+                elif size:
+                    a = base + offset
+                    pages = range(a // page_size,
+                                  (a + size - 1) // page_size + 1)
+                else:
+                    pages = ()
+                for vpage in pages:
+                    steps += 1
+                    if ptlb.lookup(vpage) is None:
+                        # fetch the entry over the bus (2 more steps)
+                        misses += 1
+                        t += tlb_miss
+                        if pdma_free > t:
+                            t = pdma_free
+                        t += fetch
+                        pdma_free = t
+                        ptlb.insert(vpage, ptable.translate(vpage))
+                    else:
+                        t += tlb_hit
+            else:
+                # the table is on the NIC, so every lookup hits and only
+                # the page count matters
+                if base is None:
+                    npages = len(peer_eng._placement_pages(rdesc, offset,
+                                                           size))
+                elif size:
+                    a = base + offset
+                    npages = (a + size - 1) // page_size - a // page_size + 1
+                else:
+                    npages = 0
+                if npages:
+                    t += tlb_hit * npages
+                    steps += 1
+            if pdma_free > t:
+                t = pdma_free
+            t += pdma_d
+            pdma_free = r_free = t
+            offset += size
+        steps += contended + 2 * misses
 
         def _restore_tlb() -> None:
             if snap is not None:
                 ptlb._cache, ptlb.hits, ptlb.misses, ptlb.evictions = snap
-
-        ptable = peer_eng.node.mem.page_table
-        pdma_free = pdma._ff_busy_until
-        pdma_ppc = pdma.per_transfer_cost
-        pdma_bw = pdma.bandwidth
-        rx_cost = rc.nic_rx_per_frag
-        r_free = peer_eng._ff_rx_free
-        pages_total = 0
-        misses = 0
-        miss_bytes = 0
-        offset = 0
-        for t, size in zip(rx_arrive, sizes):
-            if r_free > t:
-                t = r_free
-            t += rx_cost
-            if translate_on:
-                pages = peer_eng._placement_pages(rdesc, offset, size)
-                pages_total += len(pages)
-                if not host_table:
-                    if pages:
-                        t += rc.tlb_hit * len(pages)
-                else:
-                    for vpage in pages:
-                        frame = ptlb.lookup(vpage)
-                        if frame is None:
-                            misses += 1
-                            miss_bytes += rc.tlb_entry_bytes
-                            t += rc.tlb_miss
-                            ds = t if t > pdma_free else pdma_free
-                            t = ds + pdma.transfer_time(rc.tlb_entry_bytes)
-                            pdma_free = t
-                            ptlb.insert(vpage, ptable.translate(vpage))
-                        else:
-                            t += rc.tlb_hit
-            ds = t if t > pdma_free else pdma_free
-            t = ds + (pdma_ppc + size / pdma_bw)
-            pdma_free = t
-            r_free = t
-            offset += size
-
-        def _complete_seq(t_: float, wq: WorkQueue, costs_, choices_) -> float:
-            # one addition per timeout, as _finish issues them
-            t_ += costs_.completion_write
-            if wq.cq is not None and not choices_.cq_in_hardware:
-                t_ += costs_.cq_notify
-            return t_
 
         # -- last fragment: ack emission + receiver completion ------------
         t = r_free
@@ -524,78 +581,99 @@ class NicEngine:
         if vi.reliability is Reliability.RELIABLE_DELIVERY:
             t += rc.ack_tx
             ack_emit = t
-        t = _complete_seq(t, peer_vi.recv_q, rc, rch)
+        t, n_finish = _finish_at(t, peer_vi.recv_q, rc, rch)
         recv_complete_at = t
+        steps += n_finish - 2  # less the burst's hold and completion
         if vi.reliability is Reliability.RELIABLE_RECEPTION:
             t += rc.ack_tx
             ack_emit = t
         r_free = t
-        # -- reverse path: the ack packet back to the sender --------------
-        send_complete_at = None
-        snd_rx_free = 0.0
-        a_ends = sd_ends = None
-        sport_commit: Callable[[], None] | None = None
+        # -- reverse path: the ack frame back to the sender ---------------
+        t_end = recv_complete_at
         if reliable:
-            _, a_ends, a_del = peer_up.plan_burst(
-                [ack_emit], [ACK_WIRE_BYTES],
-                line_free=peer_up._ff_busy_until)
-            s_arrive = a_del[0] + sw_lat
-            splan = sport.plan_burst([s_arrive], [ACK_WIRE_BYTES])
-            if splan is None:
-                _restore_tlb()
-                return self._ff_decline("ack_port_backlog")
-            s_departs, sport_commit = splan
-            _, sd_ends, sd_del = sdown.plan_burst(
-                s_departs, [ACK_WIRE_BYTES],
-                line_free=sdown._ff_busy_until)
-            ta = sd_del[0]
+            a_free = peer_up._ff_busy_until
+            ta = ack_emit if ack_emit > a_free else a_free
+            a_free = ta + (peer_up.per_packet_cost
+                           + (ACK_WIRE_BYTES + peer_up.header_bytes)
+                           / peer_up.bandwidth)
+            ta = a_free + peer_up.prop_delay + sw_lat
+            s_backlog = sport._backlog
+            s_last = sport._last_at
+            s_max = sport.max_backlog_us
+            s_contended = s_backpressured = 0
+            if sport.cut_through:
+                if s_last > ta:
+                    _restore_tlb()
+                    return self._ff_decline("ack_port_backlog")
+                b = s_backlog - (ta - s_last)
+                if b < 0.0:
+                    b = 0.0
+                s_last = ta
+                s_backlog = b + ((ACK_WIRE_BYTES + sport._header_bytes)
+                                 / sport._line_rate)
+                if b > 0.0:
+                    s_contended = 1
+                    if b > s_max:
+                        s_max = b
+                    if b > sport._buffer_us:
+                        s_backpressured = 1
+                    ta += b
+            sd_free = sdown._ff_busy_until
+            if sd_free > ta:
+                ta = sd_free
+            sd_free = ta + (sdown.per_packet_cost
+                            + (ACK_WIRE_BYTES + sdown.header_bytes)
+                            / sdown.bandwidth)
+            ta = sd_free + sdown.prop_delay
             if self._ff_rx_free > ta:
                 ta = self._ff_rx_free
             ta += c.ack_rx
             snd_rx_free = ta
-            send_complete_at = _complete_seq(
-                ta, vi.send_q, c, self.choices)
-        t_end = recv_complete_at
-        if send_complete_at is not None and send_complete_at > t_end:
-            t_end = send_complete_at
+            send_complete_at, n_finish = _finish_at(ta, vi.send_q, c,
+                                                    self.choices)
+            # ack tx cost, the frame's 9 wire entries and any port wait,
+            # the rx-ack process (boot, engine grant and firing, end) and
+            # its completion, less the burst's send completion
+            steps += 1 + 9 + s_contended + 4 + n_finish - 1
+            if send_complete_at > t_end:
+                t_end = send_complete_at
         if t_end > sim.ff_horizon():
             # a bounded run would have cut the cascade mid-flight; the
             # packet path reproduces the truncated state exactly
             _restore_tlb()
             return self._ff_decline("run_horizon")
 
-        metrics = sim.metrics
+        # -- commit: counters, watermarks, the completions as events ------
+        # packet-id parity with the event path (no Packet objects)
+        _hwlink._packet_ids.next_value += n + (1 if reliable else 0)
+        self.nic.note_tx_burst(n)
+        dma.note_burst(n, total_len, dma_free)
+        up.note_burst(n, total_len, up_free)
+        switch.forwarded += n
+        oport.note_burst(n, backlog, last, contended, backpressured,
+                         max_backlog)
+        down.note_burst(n, total_len, down_free)
+        peer_nic.note_rx_burst(n)
+        peer_eng.messages_received += 1
+        if sim.metrics is not None:
+            sim.metrics.observe(f"via.{peer_eng.node.name}.msg_recv_bytes",
+                                total_len, DEFAULT_SIZE_BUCKETS)
+        pdma.note_burst(n + misses, total_len + misses * rc.tlb_entry_bytes,
+                        pdma_free)
+        peer_vi.expected_rx_seq = seq + 1
+        claimed = peer_vi.recv_q.claim()
+        assert claimed is rdesc
+        peer_eng._ff_rx_free = r_free
+        if reliable:
+            peer_nic.note_tx_burst(1)
+            peer_up.note_burst(1, ACK_WIRE_BYTES, a_free)
+            switch.forwarded += 1
+            sport.note_burst(1, s_backlog, s_last, s_contended,
+                             s_backpressured, s_max)
+            sdown.note_burst(1, ACK_WIRE_BYTES, sd_free)
+            self.nic.note_rx_burst(1)
+            self._ff_rx_free = snd_rx_free
         immediate = desc.control.immediate
-        est = n * 17 + pages_total + 2 * misses + (15 if reliable else 0)
-
-        def commit() -> None:
-            # packet-id parity with the event path (no Packet objects)
-            _hwlink._packet_ids.next_value += n + (1 if reliable else 0)
-            self.nic.note_tx_burst(n)
-            dma.note_burst(n, total_len, dma_free)
-            up.note_burst(n, total_len, up_ends[-1])
-            switch.forwarded += n
-            port_commit()
-            down.note_burst(n, total_len, down_ends[-1])
-            peer_nic.note_rx_burst(n)
-            peer_eng.messages_received += 1
-            if metrics is not None:
-                metrics.observe(
-                    f"via.{peer_eng.node.name}.msg_recv_bytes",
-                    total_len, DEFAULT_SIZE_BUCKETS)
-            pdma.note_burst(n + misses, total_len + miss_bytes, pdma_free)
-            peer_vi.expected_rx_seq = seq + 1
-            claimed = peer_vi.recv_q.claim()
-            assert claimed is rdesc
-            peer_eng._ff_rx_free = r_free
-            if reliable:
-                peer_nic.note_tx_burst(1)
-                peer_up.note_burst(1, ACK_WIRE_BYTES, a_ends[-1])
-                switch.forwarded += 1
-                sport_commit()
-                sdown.note_burst(1, ACK_WIRE_BYTES, sd_ends[-1])
-                self.nic.note_rx_burst(1)
-                self._ff_rx_free = snd_rx_free
 
         def complete_recv(_ev) -> None:
             scatter(peer_eng.node.mem, rdesc, data)
@@ -603,30 +681,15 @@ class NicEngine:
             peer_vi.recv_q.finish(rdesc, CompletionStatus.SUCCESS,
                                   total_len)
 
-        completions = [(recv_complete_at, complete_recv)]
+        sim.timeout(recv_complete_at - t0).callbacks.append(complete_recv)
         if reliable:
             def complete_send(_ev) -> None:
                 vi.send_q.finish(desc, CompletionStatus.SUCCESS,
                                  desc.total_length)
 
-            completions.append((send_complete_at, complete_send))
-        return _BurstPlan(hold_until=emit[-1], t0=t0, t_end=t_end,
-                          events_est=est, commits=[commit],
-                          completions=completions)
-
-    def _run_burst(self, plan: _BurstPlan) -> Op:
-        """Commit a solved burst and hold the engine for its tx window."""
-        sim = self.sim
-        for fn in plan.commits:
-            fn()
-        now = sim._now
-        for at, fn in plan.completions:
-            ev = sim.timeout(at - now)
-            ev.callbacks.append(fn)
-        sim.note_fast_forward(plan.t0, plan.t_end, plan.events_est)
-        hold = plan.hold_until - now
-        if not sim.advance(hold):
-            yield sim.timeout(hold)
+            sim.timeout(send_complete_at - t0).callbacks.append(complete_send)
+        sim.note_fast_forward(t0, t_end, steps)
+        return e
 
     # =====================================================================
     # send path
@@ -639,8 +702,7 @@ class NicEngine:
         self.sim.trace("nic", "send_queued", self.node.name,
                        vi=vi.vi_id, desc=desc.desc_id)
         engine = self.nic.send_engine
-        if not engine.advance_grant():
-            yield engine.request()
+        yield engine.request()
         try:
             self.sim.trace("nic", "engine_acquired", self.node.name,
                            vi=vi.vi_id, desc=desc.desc_id)
@@ -676,10 +738,13 @@ class NicEngine:
             seq = vi.next_send_seq
             vi.next_send_seq += 1
             sizes = fragment_sizes(len(data), self.mtu)
-            plan = (self._plan_burst(vi, desc, data, seq, sizes)
-                    if self.sim.fidelity != "packet" else None)
-            if plan is not None:
-                yield from self._run_burst(plan)
+            tx_end = (self._plan_burst(vi, desc, data, seq, sizes)
+                      if self.sim.fidelity != "packet" else None)
+            if tx_end is not None:
+                # a committed burst: hold the engine for its tx window
+                hold = tx_end - self.sim._now
+                if not self.sim.advance(hold):
+                    yield self.sim.timeout(hold)
             else:
                 frags = self._build_frags(vi, desc, data, seq, sizes)
                 reliable = vi.reliability is not Reliability.UNRELIABLE
@@ -1022,7 +1087,6 @@ class NicEngine:
                                   self.node.mem.page_size))
         pages: list[int] = []
         seen: set[int] = set()
-        cursor = 0
         remaining_off = offset
         remaining_len = length
         for seg in desc.segments:
@@ -1039,7 +1103,6 @@ class NicEngine:
                     pages.append(p)
             remaining_len -= take
             remaining_off = 0
-            cursor += take
         return pages
 
     # -- RDMA write -----------------------------------------------------------

@@ -95,7 +95,11 @@ implementation:
   ``events_run`` is bumped directly while ``_drain`` folds its local
   count in at exit, so the totals match at every :meth:`run`
   boundary (nothing reads them mid-run).  ``inplace_events`` counts
-  the queue entries so stood for.
+  the queue entries so stood for.  Call sites: host-CPU charges, a
+  spin-wait's CPU grant, DMA transfers, and the NIC engine's step
+  timeouts and receive-engine holds.  A send engine's grant always
+  queues: the process that posted the send nearly always has work due
+  at that instant, so the check would almost never pass.
 - **Same-timestamp buckets.**  Priority-0 schedules for the same
   absolute time are appended to one FIFO bucket list that occupies a
   single heap slot, keyed by its *first* entry's sequence number.

@@ -74,7 +74,8 @@ def _points(result) -> str:
 
 @pytest.fixture
 def plans(monkeypatch) -> list:
-    """Every burst plan ``NicEngine._plan_burst`` hands back."""
+    """The tx-window end of every burst ``NicEngine._plan_burst``
+    commits (it returns None when it declines)."""
     made: list = []
     real = NicEngine._plan_burst
 

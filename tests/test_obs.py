@@ -288,7 +288,8 @@ def test_profile_runs_waits_in_place_at_every_layer(monkeypatch):
     entries those stood for, and the summary prints it.  (Most CPU holds
     queue here: both nodes' setup charges fall at the same instants and
     the data phase overlaps NIC work.)  Pinned so no site stops running
-    in place silently."""
+    in place silently.  A plain grant is asked for only by the spin-wait:
+    a send engine's grant always queues."""
     import sys
 
     from repro.obs.profile import profile_transfer
@@ -299,18 +300,21 @@ def test_profile_runs_waits_in_place_at_every_layer(monkeypatch):
     def spy(sim, delay, entries=1):
         ok = real(sim, delay, entries)
         frame = sys._getframe(1)
-        if frame.f_code.co_name in ("advance_hold", "advance_grant"):
+        via = frame.f_code.co_name
+        if via in ("advance_hold", "advance_grant"):
             frame = frame.f_back
-        calls.append((frame.f_code.co_name, ok, entries))
+        calls.append((frame.f_code.co_name, via, ok, entries))
         return ok
 
     monkeypatch.setattr(Simulator, "advance", spy)
     prof = profile_transfer("clan", size=64)
-    in_place = {site for site, ok, _ in calls if ok}
+    in_place = {site for site, _, ok, _ in calls if ok}
     assert {"busy", "_acquire_cpu", "transfer", "_rx_data", "_finish",
             "send_message"} <= in_place
-    assert all(ok for site, ok, _ in calls if site == "_acquire_cpu")
-    entries = sum(n for _, ok, n in calls if ok)
+    assert all(ok for site, _, ok, _ in calls if site == "_acquire_cpu")
+    assert {site for site, via, _, _ in calls
+            if via == "advance_grant"} == {"_acquire_cpu"}
+    entries = sum(n for _, _, ok, n in calls if ok)
     assert prof.registry.get("sim.inplace_events").value == entries > 0
     assert f"run in place   {entries:8d}" in prof.summary()
 
