@@ -12,6 +12,7 @@ import sys
 from repro.providers import Testbed
 from repro.sim import Resource, Simulator
 from repro.via import Descriptor, Reliability
+from repro.vibe.harness import TransferConfig, run_bandwidth, run_latency
 
 from conftest import PROVIDERS
 
@@ -130,6 +131,42 @@ def test_hold_allocation_footprint():
     assert drained <= 6000, (
         f"{drained} blocks retained after draining {n} holds "
         f"(budget 6000) — per-hold garbage is being kept alive")
+
+
+def test_message_call_budget():
+    """Guardrail for the host-side cost of a message: the Python calls
+    (``sys.setprofile`` "call" events, which include every generator
+    resume) that a 64 B ping-pong and a 64 B stream take per message on
+    every provider's harness engine, set-up included.  Waits that ran
+    in place return ``()`` instead of building a generator, untraced
+    runs build no trace arguments and a descriptor sums its segments
+    once; a change that brings one of these back shows up here as a
+    count, which no host's speed moves.
+    """
+    cfg = TransferConfig(size=64)
+    per_message = {}
+    for provider in ("mvia", "bvia", "clan", "iba"):
+        for engine, messages in ((run_latency, 2 * (cfg.warmup + cfg.iters)),
+                                 (run_bandwidth, cfg.count)):
+            calls = 0
+
+            def profile(frame, event, arg):
+                nonlocal calls
+                if event == "call":
+                    calls += 1
+
+            sys.setprofile(profile)
+            try:
+                engine(provider, cfg)
+            finally:
+                sys.setprofile(None)
+            per_message[f"{provider}/{engine.__name__}"] = calls / messages
+    # measured 212-243 calls per message (304-334 before waits that
+    # run in place stopped building generators)
+    worst = max(per_message, key=per_message.get)
+    assert per_message[worst] <= 250, (
+        f"{per_message[worst]:.1f} Python calls per message on {worst} "
+        f"(budget 250): {per_message}")
 
 
 def _one_reliable_message(tb, src, dst):

@@ -78,8 +78,10 @@ class HostCPU:
 class CpuActor:
     """An execution context (process/thread) on a :class:`HostCPU`.
 
-    All methods returning generators are process fragments: invoke them
-    with ``yield from`` inside a simulation process.
+    The timed methods are process fragments: invoke them with ``yield
+    from`` inside a simulation process.  :meth:`busy` and :meth:`copy`
+    return ``()`` when they ran in place, and a generator to drive when
+    the wait must queue.
     """
 
     def __init__(self, cpu: HostCPU, name: str) -> None:
@@ -108,22 +110,30 @@ class CpuActor:
         else:
             raise ValueError(f"unknown time kind {kind!r}")
 
-    def _acquire_cpu(self) -> Generator[Event, Any, None]:
+    def _acquire_cpu(self) -> tuple[()] | Generator[Event, Any, None]:
         """Acquire the CPU for :meth:`spin_wait`, leaving no stale state
         on interruption.
+
+        A free CPU whose grant is provably the next event is taken in
+        place (:meth:`Resource.advance_grant`): nothing to clean up, and
+        the call returns ``()``.  Otherwise it returns the queued wait.
+        """
+        resource = self.cpu.resource
+        if resource.advance_grant():
+            return ()
+        return self._request_cpu(resource)
+
+    @staticmethod
+    def _request_cpu(resource: Resource) -> Generator[Event, Any, None]:
+        """The queued half of :meth:`_acquire_cpu`.
 
         A plain ``yield resource.request()`` is unsafe: if the waiting
         process is interrupted (or the request fails) while still
         queued, the dangling request would later be granted to nobody
         and the CPU slot would leak forever.  On failure this cancels a
         still-queued request, or releases a slot that was granted but
-        whose grant-event had not yet been delivered.  A free CPU whose
-        grant is provably the next event is taken in place
-        (:meth:`Resource.advance_grant`), with nothing to clean up.
+        whose grant-event had not yet been delivered.
         """
-        resource = self.cpu.resource
-        if resource.advance_grant():
-            return
         req = resource.request()
         try:
             yield req
@@ -134,31 +144,54 @@ class CpuActor:
                 req.cancel()
             raise
 
-    def busy(self, duration: float, kind: str = "user") -> Generator[Event, Any, None]:
-        """Hold the CPU for ``duration`` µs of work."""
+    def busy(self, duration: float,
+             kind: str = "user") -> tuple[()] | Generator[Event, Any, None]:
+        """Hold the CPU for ``duration`` µs of work.
+
+        When the holder's wake-up is provably the next event
+        (:meth:`Simulator.advance`, counting the hold's grant and its
+        firing) the charge runs here and the call returns ``()``;
+        otherwise it returns the queued hold.  Either way, call it as
+        ``yield from actor.busy(d)``.
+        """
         if duration < 0:
             raise ValueError(f"negative busy duration: {duration}")
         if duration == 0.0:
-            return
-        faults = self.sim.faults
+            return ()
+        cpu = self.cpu
+        sim = cpu.sim
+        faults = sim.faults
         if faults is not None:
-            duration = faults.cpu_time(self.cpu.name, duration)
-        # inlined Resource.acquire: a generator per call costs time and
-        # peak memory on the hottest resource of every run
-        resource = self.cpu.resource
-        if not resource.advance_hold(duration):
-            hold = resource.hold(duration)
-            try:
-                yield hold
-            except BaseException:
-                hold.abandon()
-                raise
+            duration = faults.cpu_time(cpu.name, duration)
+        resource = cpu.resource
+        # Resource.advance_hold + release inlined: a free slot taken and
+        # given back within one call leaves the resource as it was
+        if resource._in_use < resource.capacity and sim.advance(duration, 2):
+            if kind == "user":
+                self.rusage.utime += duration
+            elif kind == "sys":
+                self.rusage.stime += duration
+            else:
+                raise ValueError(f"unknown time kind {kind!r}")
+            return ()
+        return self._hold_cpu(resource, duration, kind)
+
+    def _hold_cpu(self, resource: Resource, duration: float,
+                  kind: str) -> Generator[Event, Any, None]:
+        """The queued half of :meth:`busy`."""
+        hold = resource.hold(duration)
+        try:
+            yield hold
+        except BaseException:
+            hold.abandon()
+            raise
         resource.release()
         self.charge(duration, kind)
 
-    def copy(self, nbytes: int, kind: str = "sys") -> Generator[Event, Any, None]:
+    def copy(self, nbytes: int,
+             kind: str = "sys") -> tuple[()] | Generator[Event, Any, None]:
         """memcpy ``nbytes`` on the host (kernel staging copies are 'sys')."""
-        yield from self.busy(self.cpu.copy_cost(nbytes), kind)
+        return self.busy(self.cpu.copy_cost(nbytes), kind)
 
     def spin_wait(self, event: Event) -> Generator[Event, Any, Any]:
         """Poll for ``event`` while hogging the CPU (100 % utilisation).
@@ -168,17 +201,19 @@ class CpuActor:
         spinning up to the failure is still charged as user time.
         """
         yield from self._acquire_cpu()
-        start = self.sim.now
+        cpu = self.cpu
+        sim = cpu.sim
+        start = sim._now
         try:
             value = yield event
         finally:
-            spun = self.sim.now - start
+            spun = sim._now - start
             self.charge(spun, "user")
             self.poll_time += spun
-            metrics = self.sim.metrics
+            metrics = sim.metrics
             if metrics is not None:
                 metrics.observe(f"cpu.{self.name}.spin_us", spun)
-            self.cpu.resource.release()
+            cpu.resource.release()
         return value
 
     def block_wait(

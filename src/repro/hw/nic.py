@@ -97,8 +97,13 @@ class DMAEngine:
     def transfer_time(self, nbytes: int) -> float:
         return self.per_transfer_cost + nbytes / self.bandwidth
 
-    def transfer(self, nbytes: int) -> Generator[Event, Any, None]:
-        """Process fragment: move ``nbytes`` across the I/O bus."""
+    def transfer(self, nbytes: int) -> tuple[()] | Generator[Event, Any, None]:
+        """Process fragment: move ``nbytes`` across the I/O bus.
+
+        Call it as ``yield from dma.transfer(n)``.  When every wait is
+        provably the next event (:meth:`Simulator.advance`) it runs in
+        place and returns ``()``; otherwise it returns the queued rest.
+        """
         if nbytes < 0:
             raise ValueError("negative DMA size")
         sim = self.sim
@@ -106,10 +111,29 @@ class DMAEngine:
         if busy > 0.0:
             wait = busy - sim._now
             if wait > 0.0 and not sim.advance(wait):
-                yield sim.timeout(wait)
+                return self._transfer_queued(nbytes, wait)
+        bus = self._bus
+        # Resource.advance_hold + release and transfer_time inlined, as
+        # in CpuActor.busy
+        if (bus._in_use < bus.capacity and sim.advance(
+                self.per_transfer_cost + nbytes / self.bandwidth, 2)):
+            self.transfers += 1
+            self.bytes_moved += nbytes
+            return ()
+        return self._transfer_queued(nbytes, 0.0)
+
+    def _transfer_queued(self, nbytes: int,
+                         wait: float) -> Generator[Event, Any, None]:
+        """The queued rest of :meth:`transfer`: wait out a burst's bus
+        occupancy (``wait`` > 0), then hold the bus."""
         bus = self._bus
         duration = self.transfer_time(nbytes)
-        if not bus.advance_hold(duration):
+        if wait > 0.0:
+            yield self.sim.timeout(wait)
+            in_place = bus.advance_hold(duration)
+        else:
+            in_place = False    # transfer() just found the hold must queue
+        if not in_place:
             hold = bus.hold(duration)
             try:
                 yield hold

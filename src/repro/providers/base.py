@@ -474,15 +474,18 @@ class SimulatedProvider(ViaProvider):
                 f"({self.costs.max_outstanding})"
             )
         c = self.costs
-        self.sim.trace("host", "post_send", self.node.name,
-                       vi=vi.vi_id, desc=desc.desc_id,
-                       nbytes=desc.total_length)
+        sim = self.sim
+        if sim.tracer is not None:
+            sim.trace("host", "post_send", self.node.name,
+                      vi=vi.vi_id, desc=desc.desc_id,
+                      nbytes=desc.total_length)
         yield from handle.actor.busy(c.post_cost, "user")
         db_kind = "sys" if self.choices.doorbell is DoorbellKind.SYSCALL else "user"
         yield from handle.actor.busy(c.doorbell_cost, db_kind)
         db_delay = self.node.nic.ring_doorbell()
-        self.sim.trace("host", "doorbell", self.node.name,
-                       vi=vi.vi_id, desc=desc.desc_id)
+        if sim.tracer is not None:
+            sim.trace("host", "doorbell", self.node.name,
+                      vi=vi.vi_id, desc=desc.desc_id)
         if self.choices.data_path is DataPath.STAGED:
             # software VIA: the kernel copies to a staging buffer and
             # translates on the host, all inside the doorbell trap
@@ -556,21 +559,31 @@ class SimulatedProvider(ViaProvider):
             self.notify_buffered(vi)
 
     # -- completion discovery ------------------------------------------------
-    def _reap_postprocess(self, handle, wq: WorkQueue, desc: Descriptor) -> Op:
-        """Host-side work deferred to reap time (kernel receive path)."""
-        c = self.costs
+    def _reap_postprocess(self, handle, wq: WorkQueue,
+                          desc: Descriptor) -> tuple[()] | Op:
+        """Host-side work deferred to reap time (kernel receive path).
+
+        Call it as ``yield from``: it returns ``()`` unless a staged
+        receive has host work, and then that work."""
         if (wq.kind == "recv" and desc.op is DescriptorOp.RECEIVE
                 and self.choices.data_path is DataPath.STAGED
                 and desc.control.length > 0):
-            nfrags = max(1, -(-desc.control.length // self.mtu))
-            yield from handle.actor.busy(c.recv_host_per_frag * nfrags, "sys")
-            if self.choices.translation_agent is TranslationAgent.HOST:
-                npages = len(segment_pages_of(desc, self.node.mem.page_size,
-                                              desc.control.length))
-                yield from handle.actor.busy(
-                    c.host_translation_per_page * npages, "sys"
-                )
-            yield from handle.actor.copy(desc.control.length, "sys")
+            return self._staged_recv_work(handle, desc)
+        return ()
+
+    def _staged_recv_work(self, handle, desc: Descriptor) -> Op:
+        """The kernel's per-fragment handling, host translation and
+        copy-out of a received staged message, charged at reap."""
+        c = self.costs
+        nfrags = max(1, -(-desc.control.length // self.mtu))
+        yield from handle.actor.busy(c.recv_host_per_frag * nfrags, "sys")
+        if self.choices.translation_agent is TranslationAgent.HOST:
+            npages = len(segment_pages_of(desc, self.node.mem.page_size,
+                                          desc.control.length))
+            yield from handle.actor.busy(
+                c.host_translation_per_page * npages, "sys"
+            )
+        yield from handle.actor.copy(desc.control.length, "sys")
 
     def send_done(self, handle, vi: VI) -> Op:
         yield from handle.actor.busy(self.costs.reap_cost, "user")
@@ -581,8 +594,9 @@ class SimulatedProvider(ViaProvider):
         desc = vi.recv_q.try_reap()
         if desc is not None:
             yield from self._reap_postprocess(handle, vi.recv_q, desc)
-            self.sim.trace("host", "reap_done", self.node.name,
-                           desc=desc.desc_id)
+            if self.sim.tracer is not None:
+                self.sim.trace("host", "reap_done", self.node.name,
+                               desc=desc.desc_id)
         return desc
 
     def send_wait(self, handle, vi: VI, mode=WaitMode.POLL,
@@ -596,8 +610,9 @@ class SimulatedProvider(ViaProvider):
         desc = yield from self._await(handle, vi.recv_q.try_reap,
                                       vi.recv_q.signal, mode, timeout)
         yield from self._reap_postprocess(handle, vi.recv_q, desc)
-        self.sim.trace("host", "reap_done", self.node.name,
-                       desc=desc.desc_id)
+        if self.sim.tracer is not None:
+            self.sim.trace("host", "reap_done", self.node.name,
+                           desc=desc.desc_id)
         return desc
 
     def cq_done(self, handle, cq: CompletionQueue) -> Op:
@@ -614,8 +629,9 @@ class SimulatedProvider(ViaProvider):
                                        mode, timeout)
         wq, desc = entry
         yield from self._reap_postprocess(handle, wq, desc)
-        self.sim.trace("host", "reap_done", self.node.name,
-                       desc=desc.desc_id)
+        if self.sim.tracer is not None:
+            self.sim.trace("host", "reap_done", self.node.name,
+                           desc=desc.desc_id)
         return entry
 
     # -- wait plumbing -----------------------------------------------------
@@ -629,7 +645,8 @@ class SimulatedProvider(ViaProvider):
             yield from actor.busy(c.reap_cost, "user")
             item = check()
             if item is not None:
-                self.sim.trace("host", "reaped", self.node.name)
+                if self.sim.tracer is not None:
+                    self.sim.trace("host", "reaped", self.node.name)
                 return item
             ev = signal.wait()
             if deadline is not None:

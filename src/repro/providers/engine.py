@@ -143,6 +143,15 @@ def _finish_at(t: float, wq: WorkQueue, costs, choices) -> tuple[float, int]:
     return t, 1
 
 
+_INF = float("inf")
+
+
+def _wire_idle(ch) -> bool:
+    """A loss-free channel with nothing on or queued for its line."""
+    line = ch._line
+    return ch.loss_rate == 0.0 and not line._in_use and not line._queue
+
+
 # ---------------------------------------------------------------------------
 # gather/scatter helpers (pure, time-free; DMA time is charged separately)
 # ---------------------------------------------------------------------------
@@ -208,6 +217,9 @@ class NicEngine:
         #: vi_id -> seq of a duplicate RDMA write whose fragments we skip
         self._rdma_skip: dict[int, int] = {}
         self._next_read_id = 1
+        #: peer node -> _ff_route's answer (see there); cleared by
+        #: Testbed.close(), as it holds the peer's engine
+        self._ff_routes: dict[str, tuple | str] = {}
         #: virtual recv-engine occupancy left behind by an arithmetic
         #: burst: event-path rx processes arriving before this instant
         #: wait it out, as if the engine resource had been held for real.
@@ -255,22 +267,48 @@ class NicEngine:
                 yield sim.timeout(c.tlb_hit)
 
     def _finish(self, wq: WorkQueue, desc: Descriptor,
-                status: CompletionStatus, length: int) -> Op:
+                status: CompletionStatus,
+                length: int) -> tuple[()] | Op:
         """Complete a descriptor: status writeback + CQ deposit + wakeups.
 
         FIFO order is preserved by :meth:`WorkQueue.finish` — an
         out-of-order result is parked until everything ahead of it has
-        finished."""
+        finished.  Call it as ``yield from``: it returns ``()`` when both
+        waits ran in place, else the queued rest."""
         c = self.costs
         sim = self.sim
         if not sim.advance(c.completion_write):
-            yield sim.timeout(c.completion_write)
+            return self._finish_queued(wq, desc, status, length, True)
         if (wq.cq is not None and not self.choices.cq_in_hardware
                 and not sim.advance(c.cq_notify)):
+            return self._finish_queued(wq, desc, status, length, False)
+        self._complete(wq, desc, status, length)
+        return ()
+
+    def _finish_queued(self, wq: WorkQueue, desc: Descriptor,
+                       status: CompletionStatus, length: int,
+                       write: bool) -> Op:
+        """The queued rest of :meth:`_finish`, from the writeback
+        (``write``) or from the CQ notify."""
+        c = self.costs
+        sim = self.sim
+        if write:
+            yield sim.timeout(c.completion_write)
+            notify = (wq.cq is not None and not self.choices.cq_in_hardware
+                      and not sim.advance(c.cq_notify))
+        else:
+            notify = True
+        if notify:
             yield sim.timeout(c.cq_notify)
+        self._complete(wq, desc, status, length)
+
+    def _complete(self, wq: WorkQueue, desc: Descriptor,
+                  status: CompletionStatus, length: int) -> None:
         wq.finish(desc, status, length)
-        sim.trace("via", "completed", self.node.name,
-                  desc=desc.desc_id, queue=wq.kind, status=status.value)
+        sim = self.sim
+        if sim.tracer is not None:
+            sim.trace("via", "completed", self.node.name,
+                      desc=desc.desc_id, queue=wq.kind, status=status.value)
 
     def _dma(self, nbytes: int) -> Op:
         """A data-movement DMA that an injected ``dma_abort`` fault can
@@ -326,38 +364,52 @@ class NicEngine:
         declines[reason] = declines.get(reason, 0) + 1
 
     def _ff_route(self, vi: VI):
-        """Resolve forward and reverse wire paths through a flat Fabric.
+        """The hardware objects a burst plan needs on the wire paths to
+        ``vi``'s peer and back, or None (with its decline counted) when
+        the topology is anything the arithmetic model does not cover.
 
-        Returns the hardware objects a burst plan needs, or None (with
-        its decline counted) when the topology is anything the
-        arithmetic model does not cover (tiered fabrics, detached
-        ports, unexpected sinks)."""
-        up = self.nic.port
-        if up is None or vi.peer is None:
+        The topology is fixed once the testbed is built, so each peer
+        node's answer is resolved once and kept; a kept decline is
+        counted again on every attempt, as a fresh resolution would."""
+        if vi.peer is None:
             return self._ff_decline("route_detached")
+        dst = vi.peer[0]
+        route = self._ff_routes.get(dst)
+        if route is None:
+            route = self._ff_routes[dst] = self._resolve_route(dst)
+        if route.__class__ is str:
+            return self._ff_decline(route)
+        return route
+
+    def _resolve_route(self, dst: str) -> tuple | str:
+        """Resolve forward and reverse wire paths to ``dst`` through a
+        flat Fabric; a string names why the model does not cover them
+        (tiered fabrics, detached ports, unexpected sinks)."""
+        up = self.nic.port
+        if up is None:
+            return "route_detached"
         switch = getattr(up.sink, "__self__", None)
         if not isinstance(switch, Switch):
-            return self._ff_decline("route_not_flat")
-        dst = vi.peer[0]
+            return "route_not_flat"
         down = switch._downlinks.get(dst)
         oport = switch._ports.get(dst)
         if down is None or oport is None:
-            return self._ff_decline("route_no_peer_port")
+            return "route_no_peer_port"
         peer_nic = getattr(down.sink, "__self__", None)
         if not isinstance(peer_nic, NIC) or peer_nic.port is None:
-            return self._ff_decline("route_peer_not_nic")
+            return "route_peer_not_nic"
         peer_eng = getattr(peer_nic.rx_handler, "__self__", None)
         if not isinstance(peer_eng, NicEngine):
-            return self._ff_decline("route_peer_not_engine")
+            return "route_peer_not_engine"
         peer_up = peer_nic.port
         if getattr(peer_up.sink, "__self__", None) is not switch:
-            return self._ff_decline("route_peer_uplink")
+            return "route_peer_uplink"
         sdown = switch._downlinks.get(self.node.name)
         sport = switch._ports.get(self.node.name)
         if sdown is None or sport is None:
-            return self._ff_decline("route_no_return_port")
+            return "route_no_return_port"
         if getattr(sdown.sink, "__self__", None) is not self.nic:
-            return self._ff_decline("route_return_sink")
+            return "route_return_sink"
         return (up, switch, oport, down, peer_nic, peer_eng,
                 peer_up, sport, sdown)
 
@@ -399,23 +451,21 @@ class NicEngine:
         if total_len > rdesc.total_length:
             return self._ff_decline("recv_too_small")
 
-        def _wire_ok(ch) -> bool:
-            return (ch.loss_rate == 0.0 and ch._line.in_use == 0
-                    and ch._line.queued == 0)
-
         dma = self.nic.dma
         pdma = peer_nic.dma
-        if not (_wire_ok(up) and _wire_ok(down)):
+        if not (_wire_idle(up) and _wire_idle(down)):
             return self._ff_decline("wire_busy")
-        if (dma._bus.in_use or dma._bus.queued
-                or pdma._bus.in_use or pdma._bus.queued):
+        if (dma._bus._in_use or dma._bus._queue
+                or pdma._bus._in_use or pdma._bus._queue):
             return self._ff_decline("dma_busy")
-        if peer_nic.recv_engine.in_use or peer_nic.recv_engine.queued:
+        rx = peer_nic.recv_engine
+        if rx._in_use or rx._queue:
             return self._ff_decline("peer_rx_busy")
         if reliable:
-            if not (_wire_ok(peer_up) and _wire_ok(sdown)):
+            if not (_wire_idle(peer_up) and _wire_idle(sdown)):
                 return self._ff_decline("ack_wire_busy")
-            if self.nic.recv_engine.in_use or self.nic.recv_engine.queued:
+            rx = self.nic.recv_engine
+            if rx._in_use or rx._queue:
                 return self._ff_decline("ack_rx_busy")
         if not oport.cut_through and n > oport.capacity_frames:
             return self._ff_decline("port_capacity")
@@ -459,12 +509,16 @@ class NicEngine:
         tlb_hit = rc.tlb_hit
         tlb_miss = rc.tlb_miss
         ptlb = peer_nic.tlb
+        horizon = sim.ff_horizon()
         snap = None
         if translate_on and host_table:
             # the LRU walk below mutates the real cache so hit/miss
-            # sequencing is exact; restored verbatim on late fallback
-            snap = (ptlb._cache.copy(), ptlb.hits, ptlb.misses,
-                    ptlb.evictions)
+            # sequencing is exact; restored verbatim on a late decline,
+            # which only a bounded run or an ack through a cut-through
+            # return port can bring
+            if horizon != _INF or (reliable and sport.cut_through):
+                snap = (ptlb._cache.copy(), ptlb.hits, ptlb.misses,
+                        ptlb.evictions)
             ptable = peer_eng.node.mem.page_table
             fetch = pdma.transfer_time(rc.tlb_entry_bytes)
         # a single receive segment places each fragment contiguously at
@@ -637,7 +691,7 @@ class NicEngine:
             steps += 1 + 9 + s_contended + 4 + n_finish - 1
             if send_complete_at > t_end:
                 t_end = send_complete_at
-        if t_end > sim.ff_horizon():
+        if t_end > horizon:
             # a bounded run would have cut the cascade mid-flight; the
             # packet path reproduces the truncated state exactly
             _restore_tlb()
@@ -699,39 +753,44 @@ class NicEngine:
         """Process one posted send/RDMA descriptor (runs as a process)."""
         c = self.costs
         ch = self.choices
-        self.sim.trace("nic", "send_queued", self.node.name,
-                       vi=vi.vi_id, desc=desc.desc_id)
+        sim = self.sim
+        if sim.tracer is not None:
+            sim.trace("nic", "send_queued", self.node.name,
+                      vi=vi.vi_id, desc=desc.desc_id)
         engine = self.nic.send_engine
         yield engine.request()
         try:
-            self.sim.trace("nic", "engine_acquired", self.node.name,
-                           vi=vi.vi_id, desc=desc.desc_id)
+            if sim.tracer is not None:
+                sim.trace("nic", "engine_acquired", self.node.name,
+                          vi=vi.vi_id, desc=desc.desc_id)
             if ch.dispatch is DispatchKind.POLLED:
                 # firmware scans every open VI's queue before finding ours
                 d = c.nic_dispatch_per_vi * self.p.open_vi_count
-                if not self.sim.advance(d):
-                    yield self.sim.timeout(d)
+                if not sim.advance(d):
+                    yield sim.timeout(d)
             if ch.data_path is DataPath.ZERO_COPY:
                 yield from self.nic.dma.transfer(c.desc_fetch_bytes)
             extra_segs = max(0, len(desc.segments) - 1)
             d = c.nic_desc_fetch + c.nic_per_segment * extra_segs
-            if not self.sim.advance(d):
-                yield self.sim.timeout(d)
+            if not sim.advance(d):
+                yield sim.timeout(d)
 
             if desc.op is DescriptorOp.RDMA_READ:
                 yield from self._issue_rdma_read(vi, desc)
                 return  # completion arrives with the response
 
-            self.sim.trace("nic", "desc_fetched", self.node.name,
-                           vi=vi.vi_id, desc=desc.desc_id)
+            if sim.tracer is not None:
+                sim.trace("nic", "desc_fetched", self.node.name,
+                          vi=vi.vi_id, desc=desc.desc_id)
             if (ch.translation_agent is TranslationAgent.NIC
                     and ch.data_path is DataPath.ZERO_COPY):
                 pages = segment_pages(desc.segments, self.node.mem.page_size)
                 yield from self._translate_pages(pages)
-            self.sim.trace("nic", "tx_translated", self.node.name,
-                           vi=vi.vi_id, desc=desc.desc_id)
+            if sim.tracer is not None:
+                sim.trace("nic", "tx_translated", self.node.name,
+                          vi=vi.vi_id, desc=desc.desc_id)
 
-            chk = self.sim.checker
+            chk = sim.checker
             if chk is not None:
                 chk.on_local_dma(self.p, vi, desc)
             data = gather(self.node.mem, desc)
@@ -739,12 +798,12 @@ class NicEngine:
             vi.next_send_seq += 1
             sizes = fragment_sizes(len(data), self.mtu)
             tx_end = (self._plan_burst(vi, desc, data, seq, sizes)
-                      if self.sim.fidelity != "packet" else None)
+                      if sim.fidelity != "packet" else None)
             if tx_end is not None:
                 # a committed burst: hold the engine for its tx window
-                hold = tx_end - self.sim._now
-                if not self.sim.advance(hold):
-                    yield self.sim.timeout(hold)
+                hold = tx_end - sim._now
+                if not sim.advance(hold):
+                    yield sim.timeout(hold)
             else:
                 frags = self._build_frags(vi, desc, data, seq, sizes)
                 reliable = vi.reliability is not Reliability.UNRELIABLE
@@ -752,20 +811,21 @@ class NicEngine:
                     state = _SendState(vi, desc, frags, self._peer_node(vi))
                     self._unacked[(vi.vi_id, frags[0].seq)] = state
                     if self.p._recovery_armed:
-                        self.sim.process(self._retransmit_timer(state),
+                        sim.process(self._retransmit_timer(state),
                                          name=f"rto-vi{vi.vi_id}")
                 for frag in frags:
                     ok = yield from self._dma(len(frag.data))
                     if not ok:
                         continue  # fragment lost at the I/O bus
-                    if not self.sim.advance(c.nic_tx_per_frag):
-                        yield self.sim.timeout(c.nic_tx_per_frag)
-                    self.sim.trace("nic", "frag_out", self.node.name,
-                                   vi=vi.vi_id, seq=frag.seq, frag=frag.frag)
+                    if not sim.advance(c.nic_tx_per_frag):
+                        yield sim.timeout(c.nic_tx_per_frag)
+                    if sim.tracer is not None:
+                        sim.trace("nic", "frag_out", self.node.name,
+                                  vi=vi.vi_id, seq=frag.seq, frag=frag.frag)
                     self._tx_packet(self._peer_node(vi), "via-data",
                                     len(frag.data), frag)
             self.messages_sent += 1
-            metrics = self.sim.metrics
+            metrics = sim.metrics
             if metrics is not None:
                 metrics.observe(f"via.{self.node.name}.msg_sent_bytes",
                                 desc.total_length, DEFAULT_SIZE_BUCKETS)
@@ -912,8 +972,10 @@ class NicEngine:
                 hold.abandon()
                 raise
         try:
-            self.sim.trace("nic", "frag_in", self.node.name,
-                           vi=pl.dst_vi, seq=pl.seq, frag=pl.frag)
+            sim = self.sim
+            if sim.tracer is not None:
+                sim.trace("nic", "frag_in", self.node.name,
+                          vi=pl.dst_vi, seq=pl.seq, frag=pl.frag)
             vi = self.p.vis.get(pl.dst_vi)
             if vi is None or not vi.is_connected:
                 self.drops += 1

@@ -87,7 +87,8 @@ class Testbed:
     - every channel's sink and the chain steps queued on its line, and
       each switch arbiter's dispatch (the fabric's ``close``);
     - each NIC's ``rx_handler`` (a bound method of its engine);
-    - each NIC engine's link to its provider;
+    - each NIC engine's link to its provider, and its kept burst
+      routes (which name the peer's engine);
     - each CPU actor's link to its CPU;
     - each completion queue's unreaped entries, which name their work
       queues;
@@ -206,6 +207,7 @@ class Testbed:
                 actor.cpu = None
         for provider in self.providers.values():
             provider.engine.p = None
+            provider.engine._ff_routes.clear()
             for cq in provider.cqs:
                 cq.entries.clear()
         if self.injector is not None:

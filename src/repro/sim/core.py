@@ -97,9 +97,21 @@ implementation:
   boundary (nothing reads them mid-run).  ``inplace_events`` counts
   the queue entries so stood for.  Call sites: host-CPU charges, a
   spin-wait's CPU grant, DMA transfers, and the NIC engine's step
-  timeouts and receive-engine holds.  A send engine's grant always
-  queues: the process that posted the send nearly always has work due
-  at that instant, so the check would almost never pass.
+  timeouts, completion writebacks and receive-engine holds.  A send
+  engine's grant always queues: the process that posted the send
+  nearly always has work due at that instant, so the check would
+  almost never pass.
+
+  The helpers that usually finish in place are plain functions, not
+  generators: ``CpuActor.busy``, ``copy`` and ``_acquire_cpu``,
+  ``DMAEngine.transfer``, ``NicEngine._finish`` and
+  ``SimulatedProvider._reap_postprocess``.  Each does its in-place
+  work when called and returns ``()``; only a wait that must queue
+  returns a generator.  Callers still write ``yield from
+  helper(...)``: ``yield from ()`` builds no generator frame, and
+  ``yield from`` starts a returned generator at once, so every side
+  effect, clock move and counter lands at the same instant and in the
+  same order as when the helper was itself a generator.
 - **Same-timestamp buckets.**  Priority-0 schedules for the same
   absolute time are appended to one FIFO bucket list that occupies a
   single heap slot, keyed by its *first* entry's sequence number.

@@ -76,10 +76,22 @@ class Descriptor:
     control: ControlSegment
     segments: tuple[DataSegment, ...] = ()
     address_segment: AddressSegment | None = None
-    desc_id: int = field(default_factory=lambda: next(_desc_ids))
+    desc_id: int = field(default_factory=_desc_ids.__next__)
     posted: bool = False
     #: provider-written: simulated time of completion (for benchmarks)
     completed_at: float | None = None
+    #: the operation (``control.op``) and the bytes the data segments
+    #: span, fixed at construction: the segments are a tuple of frozen
+    #: entries and nothing reassigns them or the op
+    op: DescriptorOp = field(init=False, repr=False, compare=False)
+    total_length: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.op = self.control.op
+        total = 0
+        for seg in self.segments:
+            total += seg.length
+        self.total_length = total
 
     # -- constructors ----------------------------------------------------
     @classmethod
@@ -125,14 +137,6 @@ class Descriptor:
         )
 
     # -- derived properties ----------------------------------------------
-    @property
-    def op(self) -> DescriptorOp:
-        return self.control.op
-
-    @property
-    def total_length(self) -> int:
-        return sum(seg.length for seg in self.segments)
-
     @property
     def status(self) -> CompletionStatus:
         return self.control.status

@@ -128,6 +128,7 @@ class Endpoint:
         self.recv_cq = None
         self.send_cq = None
         self.buffers: list = []    # [(region, mh)]
+        self._data_segs: dict[int, tuple[DataSegment, ...]] = {}
         self.ctl_buf = None
         self.ctl_mh = None
 
@@ -153,10 +154,15 @@ class Endpoint:
         self.ctl_buf = h.alloc(_CTL_SIZE)
         self.ctl_mh = yield from h.register_mem(self.ctl_buf)
 
-    def data_segs(self, index: int) -> list[DataSegment]:
-        region, mh = self.buffers[index % len(self.buffers)]
-        return split_segments(self.handle, region, mh, self.cfg.size,
-                              self.cfg.segments)
+    def data_segs(self, index: int) -> tuple[DataSegment, ...]:
+        """Buffer ``index``'s data segments, built once per buffer."""
+        index %= len(self.buffers)
+        segs = self._data_segs.get(index)
+        if segs is None:
+            region, mh = self.buffers[index]
+            segs = self._data_segs[index] = tuple(split_segments(
+                self.handle, region, mh, self.cfg.size, self.cfg.segments))
+        return segs
 
     def ctl_segs(self) -> list[DataSegment]:
         return [self.handle.segment(self.ctl_buf, self.ctl_mh, 0, _CTL_SIZE)]

@@ -1,5 +1,7 @@
 """Direct tests of engine internals and rare wire conditions."""
 
+import inspect
+
 import pytest
 
 from repro.hw.link import Packet
@@ -8,6 +10,9 @@ from repro.obs.profile import profile_transfer
 from repro.providers import Testbed, get_spec
 from repro.providers.engine import AckPayload, DataFrag, RdmaReadReq
 from repro.via import CompletionStatus, Descriptor, Reliability
+from repro.via.cq import CompletionQueue
+from repro.via.descriptor import DataSegment
+from repro.via.vi import WorkQueue
 
 from conftest import (connected_endpoints, run_pair, run_proc, simple_recv,
                       simple_send)
@@ -281,3 +286,107 @@ def test_fast_forward_declines_are_counted_by_reason(fidelity):
     assert declines == {"sim.ff.decline.single_fragment": 1}
     summary = profile_transfer("clan", fidelity=fidelity).summary()
     assert "declined            2  single_fragment" in summary
+
+
+def test_a_kept_route_decline_is_counted_on_every_attempt():
+    """``_ff_route`` resolves a peer's route once per engine; a tiered
+    fabric's ``route_not_flat`` is still counted for each message, and
+    ``Testbed.close()`` drops the kept routes."""
+    tb = Testbed("clan", leaf_groups=(("a0", "a1"), ("b0", "b1")),
+                 fidelity="flow")
+    client_setup, server_setup = connected_endpoints(tb, bufsize=64)
+
+    def client():
+        ep = yield from client_setup()
+        for _ in range(3):
+            yield from simple_send(*ep, b"x" * 64)
+
+    def server():
+        h, vi, region, mh = yield from server_setup()
+        for _ in range(3):
+            yield from simple_recv(h, vi, region, mh, 64)
+
+    run_pair(tb, client(), server())
+    assert tb.sim.ff_declines == {"route_not_flat": 3}
+    engine = tb.provider("a0").engine
+    assert engine._ff_routes == {"a1": "route_not_flat"}
+    tb.close()
+    assert engine._ff_routes == {}
+
+
+# -- the () contract: completion and reap-time work that ran in place
+# return (), work that must queue returns the generator that waits -------
+
+def test_finish_returns_empty_tuple_in_place_and_a_generator_to_queue():
+    """bvia completes through a software CQ: a 2.5 us writeback, then a
+    3 us notify.  With nothing else due, both run in place and the
+    descriptor is complete when the call returns.  An event due during
+    the notify, or during the writeback, makes the call return the
+    generator that waits, and the completion lands at the same time."""
+    tb = Testbed("bvia")
+    sim = tb.sim
+    engine = tb.provider("node0").engine
+    cq = CompletionQueue(sim, 8)
+    got = []
+
+    def finish(due_after):
+        wq = WorkQueue(sim, 1, "recv")
+        wq.cq = cq
+        desc = Descriptor.recv()
+        wq.enqueue(desc)
+        start = sim.now
+        if due_after is not None:
+            sim.timeout(due_after)
+        wait = engine._finish(wq, desc, CompletionStatus.SUCCESS, 0)
+        got.append(("()" if wait == () else
+                    "generator" if inspect.isgenerator(wait) else wait,
+                    desc.status))
+        yield from wait
+        assert sim.now == start + 2.5 + 3.0
+        assert desc.status is CompletionStatus.SUCCESS
+
+    def body():
+        for due_after in (None, 4.0, 1.0):
+            yield from finish(due_after)
+            yield sim.timeout(10.0)
+
+    run_proc(sim, body())
+    assert got == [("()", CompletionStatus.SUCCESS),
+                   ("generator", CompletionStatus.PENDING),
+                   ("generator", CompletionStatus.PENDING)]
+    assert len(cq.entries) == 3
+
+
+@pytest.mark.parametrize("provider, kind, length, host_work", [
+    ("mvia", "recv", 3000, True),     # staged: per-fragment, translate, copy
+    ("mvia", "recv", 0, False),
+    ("mvia", "send", 3000, False),
+    ("clan", "recv", 3000, False),    # zero-copy: nothing left at reap
+])
+def test_reap_postprocess_returns_a_generator_only_for_staged_host_work(
+        provider, kind, length, host_work):
+    tb = Testbed(provider)
+    sim = tb.sim
+    p = tb.provider("node0")
+    h = tb.open("node0", "app")
+    region = h.alloc(4096)
+    desc = Descriptor.recv([DataSegment(region.base, 4096, None)])
+    desc.control.length = length
+    got = []
+
+    def body():
+        wait = p._reap_postprocess(h, WorkQueue(sim, 1, kind), desc)
+        got.append(inspect.isgenerator(wait) if host_work else wait)
+        yield from wait
+
+    run_proc(sim, body())
+    if host_work:
+        c = p.costs
+        assert got == [True]
+        assert h.actor.rusage.stime == pytest.approx(
+            c.recv_host_per_frag * -(-length // p.mtu)
+            + c.host_translation_per_page * 1        # one page
+            + p.node.cpu.copy_cost(length))
+    else:
+        assert got == [()]
+        assert sim.now == 0.0 and h.actor.rusage.total == 0.0

@@ -1,5 +1,7 @@
 """Unit tests for the host CPU / rusage model."""
 
+import inspect
+
 import pytest
 
 from repro.hw.cpu import HostCPU, Rusage
@@ -259,3 +261,107 @@ def test_busy_interrupt_while_queued_leaves_no_stale_request():
     assert caught == ["Interrupt"]
     assert cpu.resource.in_use == 0
     assert cpu.resource.queued == 0
+
+
+# -- the () contract: a charge that ran in place returns (), one that
+# must queue returns the generator that waits ---------------------------
+
+def test_busy_copy_and_acquire_return_empty_tuple_when_run_in_place():
+    sim = Simulator()
+    cpu = HostCPU(sim, mem_copy_bw=100.0)
+    actor = cpu.actor("a")
+    got = []
+
+    def body():
+        wait = actor.busy(3.0)
+        got.append((wait, sim.now))
+        yield from wait
+        wait = actor.copy(200)
+        got.append((wait, sim.now))
+        yield from wait
+        wait = actor._acquire_cpu()
+        got.append((wait, cpu.resource.in_use))
+        yield from wait
+        cpu.resource.release()
+
+    run_proc(sim, body())
+    # each ran before the call returned: the clock had already moved
+    assert got == [((), 3.0), ((), 5.0), ((), 1)]
+    assert (actor.rusage.utime, actor.rusage.stime) == (3.0, 2.0)
+    assert sim.inplace_events == 2 + 2 + 1
+    assert cpu.resource.in_use == 0
+
+
+def test_busy_copy_and_acquire_return_a_generator_while_the_cpu_is_held():
+    """A spinner holds the CPU until t=4; three workers arrive at t=1.
+    Each call returns a generator that has not run yet, and the waits
+    are granted in FIFO order once the spinner lets go."""
+    sim = Simulator()
+    cpu = HostCPU(sim, mem_copy_bw=100.0)
+    spinner = cpu.actor("spin")
+    worker = cpu.actor("work")
+    got = []
+
+    def spin():
+        yield from spinner.spin_wait(sim.timeout(4.0))
+
+    def work(name, call):
+        yield sim.timeout(1.0)
+        wait = call()
+        got.append((name, inspect.isgenerator(wait), sim.now))
+        yield from wait
+        if name == "acquire":
+            cpu.resource.release()
+        got.append((name, sim.now))
+
+    sim.process(spin())
+    sim.process(work("busy", lambda: worker.busy(2.0)))
+    sim.process(work("copy", lambda: worker.copy(100)))
+    sim.process(work("acquire", worker._acquire_cpu))
+    sim.run()
+    assert got == [("busy", True, 1.0), ("copy", True, 1.0),
+                   ("acquire", True, 1.0), ("busy", 6.0), ("copy", 7.0),
+                   ("acquire", 7.0)]
+    assert (worker.rusage.utime, worker.rusage.stime) == (2.0, 1.0)
+    assert (cpu.resource.in_use, cpu.resource.queued) == (0, 0)
+
+
+def test_busy_asks_the_fault_injector_once_per_charge():
+    """Under ``cpu_jitter`` the scaled duration is both the wait and the
+    charge, and ``faults.cpu_time`` runs once per charge, on the queued
+    path and the in-place one alike (never for a zero charge)."""
+
+    class Jitter:
+        def __init__(self):
+            self.calls = []
+
+        def cpu_time(self, cpu_name, duration):
+            self.calls.append((cpu_name, duration))
+            return duration * 2
+
+    sim = Simulator()
+    cpu = HostCPU(sim, mem_copy_bw=100.0, name="node0")
+    spinner, worker = cpu.actor("spin"), cpu.actor("work")
+    sim.faults = jitter = Jitter()
+    waits = []
+
+    def spin():
+        yield from spinner.spin_wait(sim.timeout(4.0))
+
+    def work():
+        yield sim.timeout(1.0)
+        for wait in (lambda: worker.busy(1.0),      # queued behind the spin
+                     lambda: worker.busy(0.5),      # in place
+                     lambda: worker.busy(0.0),
+                     lambda: worker.copy(100, "sys")):
+            wait = wait()
+            waits.append(wait == ())
+            yield from wait
+
+    sim.process(spin())
+    sim.process(work())
+    sim.run()
+    assert jitter.calls == [("node0", 1.0), ("node0", 0.5), ("node0", 1.0)]
+    assert waits == [False, True, True, True]
+    assert sim.now == 4.0 + 2.0 + 1.0 + 2.0
+    assert (worker.rusage.utime, worker.rusage.stime) == (3.0, 2.0)

@@ -1,5 +1,7 @@
 """Unit tests for the NIC model: translation cache and DMA engine."""
 
+import inspect
+
 import pytest
 
 from repro.hw.nic import NIC, DMAEngine, TranslationCache
@@ -152,3 +154,68 @@ def test_launch_starts_where_a_transmit_process_would():
     assert nic.tx_packets == 2
     with pytest.raises(RuntimeError):
         NIC(sim, "detached").launch(Packet("a", "b", "d", 1))
+
+
+# -- the () contract: a transfer that ran in place returns (), one that
+# must queue returns the generator that waits ---------------------------
+
+def test_dma_transfer_returns_empty_tuple_when_run_in_place():
+    sim = Simulator()
+    dma = DMAEngine(sim, bandwidth=100.0, per_transfer_cost=1.0)
+    got = []
+
+    def body():
+        wait = dma.transfer(500)
+        got.append((wait, sim.now))
+        yield from wait
+        dma._ff_busy_until = 10.0     # a burst's occupancy; nothing else due
+        wait = dma.transfer(100)
+        got.append((wait, sim.now))
+        yield from wait
+
+    run_proc(sim, body())
+    assert got == [((), 6.0), ((), 12.0)]
+    assert (dma.transfers, dma.bytes_moved) == (2, 600)
+    assert sim.inplace_events == 2 + 1 + 2
+
+
+def test_dma_transfer_returns_a_generator_while_the_bus_is_busy():
+    sim = Simulator()
+    dma = DMAEngine(sim, bandwidth=100.0)
+    got = []
+
+    def body(n):
+        wait = dma.transfer(1000)
+        got.append((n, inspect.isgenerator(wait), dma._bus.in_use))
+        yield from wait
+        got.append((n, sim.now))
+
+    sim.process(body(0))
+    sim.process(body(1))
+    sim.run()
+    # body(0) queues because body(1)'s start is due at the same instant
+    # (its hold is taken once the generator runs); body(1) finds the bus
+    # taken by that hold
+    assert got == [(0, True, 0), (1, True, 1), (0, 10.0), (1, 20.0)]
+    assert (dma._bus.in_use, dma._bus.queued) == (0, 0)
+
+
+def test_dma_transfer_returns_a_generator_behind_a_burst_it_cannot_skip():
+    """A burst left the bus busy until t=10 and another event is due at
+    t=5, so the wait cannot run in place: the call returns a generator
+    that waits to t=10, then holds the bus."""
+    sim = Simulator()
+    dma = DMAEngine(sim, bandwidth=100.0, per_transfer_cost=1.0)
+    dma._ff_busy_until = 10.0
+    sim.timeout(5.0)
+    got = []
+
+    def body():
+        wait = dma.transfer(100)
+        got.append((inspect.isgenerator(wait), sim.now, dma.transfers))
+        yield from wait
+        got.append(sim.now)
+
+    run_proc(sim, body())
+    assert got == [(True, 0.0, 0), 12.0]
+    assert (dma.transfers, dma.bytes_moved) == (1, 100)

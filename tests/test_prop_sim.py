@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw.cpu import HostCPU
+from repro.hw.nic import DMAEngine
 from repro.sim import Interrupt, Resource, ResourceHold, Simulator, Store
 
 
@@ -188,18 +189,31 @@ _PROGRAM = st.fixed_dictionaries({
 })
 
 
-def run_program(program, variant, stepwise=False):
+def run_program(program, variant, stepwise=False, bus_busy_until=0.0):
     """Run a random resource program; return everything observable.
 
     ``variant`` picks the waits: ``"reference"`` (request() + timeout()),
-    ``"hold"`` (``Resource.hold``/``acquire``) or ``"in_place"`` (the
-    ``advance`` helpers, falling back to queued waits).  ``stepwise``
+    ``"hold"`` (``Resource.hold``/``acquire``), ``"in_place"`` (the
+    ``advance`` helpers, falling back to queued waits) or ``"helpers"``
+    (the ``in_place`` waits, but resource 0 is a host CPU held through
+    ``CpuActor.busy``, or ``copy`` for an acquire step, and resource 1 a
+    DMA bus held through ``DMAEngine.transfer``, behind a burst's
+    occupancy until ``bus_busy_until``; these release the slot
+    themselves and return ``()`` when they ran in place).  ``stepwise``
     drives the run by ``run_events(1)``, which never runs a wait in
     place, instead of ``run()``."""
     sim = Simulator()
     resources = [Resource(sim, 1), Resource(sim, 1),
                  Resource(sim, program["k"])]
     log = []
+    helpers = variant == "helpers"
+    if helpers:
+        variant = "in_place"
+        # a copy of n bytes, or a transfer of n bytes, takes n / 2 us
+        cpu = HostCPU(sim, mem_copy_bw=2.0)
+        dma = DMAEngine(sim, bandwidth=2.0)
+        dma._ff_busy_until = bus_busy_until
+        resources[:2] = [cpu.resource, dma._bus]
     in_place = variant == "in_place"
     held = {"reference": reference_hold, "hold": timed_hold,
             "in_place": lambda res, d: reference_hold(res, d, True)}[variant]
@@ -221,7 +235,13 @@ def run_program(program, variant, stepwise=False):
                 if step[0] == "hold":
                     _, r, d, via_acquire = step
                     res = resources[r]
-                    if via_acquire:
+                    if helpers and r < 2:
+                        actor = cpu.actor(f"p{pid}")
+                        yield from (dma.transfer(int(2 * d)) if r
+                                    else actor.copy(int(2 * d)) if via_acquire
+                                    else actor.busy(d))
+                        log.append((sim.now, pid, i, res.in_use, res.queued))
+                    elif via_acquire:
                         yield from acquire(res, d)
                         log.append((sim.now, pid, i, res.in_use, res.queued))
                     else:
@@ -265,7 +285,12 @@ def run_program(program, variant, stepwise=False):
             pass
     else:
         sim.run()
-    return (log, sim.now, sim.events_run, sim._seq, sim.ctx_switches,
+    usage = None
+    if helpers:
+        usage = ([(name, a.rusage.utime, a.rusage.stime)
+                  for name, a in sorted(cpu._actors.items())],
+                 dma.transfers, dma.bytes_moved)
+    return (log, sim.now, sim.events_run, sim._seq, sim.ctx_switches, usage,
             [(r.in_use, r.queued) for r in resources])
 
 
@@ -292,6 +317,21 @@ def test_in_place_waits_match_the_queued_run(program):
     got = run_program(program, "in_place")
     assert got == run_program(program, "in_place", stepwise=True)
     assert got == run_program(program, "reference")
+
+
+@given(_PROGRAM, _TICK)
+@settings(max_examples=120, deadline=None)
+def test_host_helpers_in_place_match_the_queued_run(program, bus_busy_until):
+    """``CpuActor.busy``/``copy`` and ``DMAEngine.transfer`` return
+    ``()`` when they ran in place and a generator when the wait must
+    queue.  Under ``run()``, which takes what it can in place, and under
+    a ``run_events(1)`` loop, which never does, the log, the clock,
+    every kernel counter, every slot, each actor's rusage and the DMA
+    counters come out identical."""
+    got = run_program(program, "helpers", bus_busy_until=bus_busy_until)
+    assert got == run_program(program, "helpers", stepwise=True,
+                              bus_busy_until=bus_busy_until)
+    assert all(slot == (0, 0) for slot in got[-1])
 
 
 @pytest.mark.parametrize("when", ["queued", "granted", "holding"])
