@@ -161,8 +161,9 @@ def test_message_call_budget():
             finally:
                 sys.setprofile(None)
             per_message[f"{provider}/{engine.__name__}"] = calls / messages
-    # measured 212-243 calls per message (304-334 before waits that
-    # run in place stopped building generators)
+    # measured 204-234 calls per message (212-243 while a memory access
+    # checked its region's bounds through contains/end calls, 304-334
+    # before waits that run in place stopped building generators)
     worst = max(per_message, key=per_message.get)
     assert per_message[worst] <= 250, (
         f"{per_message[worst]:.1f} Python calls per message on {worst} "

@@ -32,7 +32,7 @@ from .vibe import (
     run_benchmark,
 )
 from .via.constants import WaitMode
-from .vibe.executor import parallel_map
+from .executor import parallel_map
 
 PROVIDERS = ("mvia", "bvia", "clan")
 

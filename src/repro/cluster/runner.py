@@ -5,7 +5,7 @@ and clients spawned, a fixed number of requests pushed through at one
 offered load, and the latency distribution plus goodput extracted.
 A *sweep* runs one point per (provider, rate) cell, fanned out through
 the suite's parallel executor — every point is an independent
-simulation with a :func:`~repro.vibe.executor.task_seed`-derived seed,
+simulation with a :func:`~repro.executor.task_seed`-derived seed,
 so the report is byte-identical for any ``--jobs`` value.
 
 The saturation knee is the largest offered load a provider still
@@ -21,7 +21,7 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 
 from ..obs.metrics import Histogram
-from ..vibe.executor import parallel_map, task_seed
+from ..executor import parallel_map, task_seed
 from .policy import DEFAULT_DEADLINE_US, RetryPolicy, ServerPolicy
 from .server import ClusterServer, make_service
 from .topology import build_testbed, make_topology

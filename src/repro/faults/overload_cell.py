@@ -75,7 +75,7 @@ def run_overload_scenario(provider: str, sc: ChaosScenario, seed: int = 0,
     from ..cluster.topology import build_testbed, make_topology
     from ..cluster.workload import LATENCY_BUCKETS, ClusterClient, StartGate
     from ..obs.metrics import Histogram
-    from ..vibe.executor import task_seed
+    from ..executor import task_seed
     from .chaos import ScenarioResult
     from .injector import attach_faults
 

@@ -162,27 +162,32 @@ class MemorySystem:
         idx = bisect.bisect_right(self._bases, addr) - 1
         if idx >= 0:
             region = self._regions[idx]
-            if region.contains(addr):
+            # region.base <= addr by the bisect; the bounds are inline
+            # because every read, write and pin comes through here
+            if addr < region.base + region.length:
                 return region
         raise ProtectionError(f"address {addr:#x} is not allocated")
 
     # -- data access -----------------------------------------------------
+    # region_at leaves 0 <= off < region.length, so a span of 0 or 1
+    # bytes always fits and only the span's end needs checking
+
     def write(self, addr: int, data: bytes) -> None:
         region = self.region_at(addr)
-        if not region.contains(addr, len(data)):
+        off = addr - region.base
+        if off + len(data) > region.length:
             raise ProtectionError(
                 f"write of {len(data)} bytes at {addr:#x} spills out of region"
             )
-        off = addr - region.base
         region.data[off : off + len(data)] = data
 
     def read(self, addr: int, length: int) -> bytes:
         region = self.region_at(addr)
-        if not region.contains(addr, max(length, 1)):
+        off = addr - region.base
+        if off + length > region.length:
             raise ProtectionError(
                 f"read of {length} bytes at {addr:#x} spills out of region"
             )
-        off = addr - region.base
         return bytes(region.data[off : off + length])
 
     # -- pinning ---------------------------------------------------------
@@ -197,7 +202,7 @@ class MemorySystem:
         the pinnable-page budget would be exceeded.
         """
         region = self.region_at(addr)
-        if not region.contains(addr, max(length, 1)):
+        if addr - region.base + length > region.length:
             raise ProtectionError(
                 f"pin range {addr:#x}+{length} spills out of its region"
             )

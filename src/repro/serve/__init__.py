@@ -15,12 +15,13 @@ commands run the same specs through the same executor in-process:
   ``result-<key>.json`` and ``cell-<key>.json`` entries;
 * :mod:`~repro.serve.jobs` — a bounded FIFO job queue with per-client
   round-robin fairness and an append-only per-job event log;
-* :mod:`~repro.serve.service` — :class:`ExperimentService`, the HTTP
-  server: job submission, status, results, an SSE event stream per
-  job, and a ``/metrics`` endpoint exporting the service's own
-  counters through the :mod:`repro.obs` registry;
+* :mod:`~repro.serve.service` — :class:`ExperimentService`, the HTTP/1.1
+  keep-alive server: job submission, status, results, an SSE event
+  stream per job, and a ``/metrics`` endpoint exporting the service's
+  own counters through the :mod:`repro.obs` registry;
 * :mod:`~repro.serve.client` — :class:`ServiceClient`, the stdlib
-  client behind ``vibe submit`` / ``vibe jobs``.
+  ``http.client`` client behind ``vibe submit`` / ``vibe jobs``, which
+  sends every call but the SSE stream over one kept connection.
 
 ``tests/test_serve.py`` proves the bar: a served result equals the
 direct CLI's ``--json-out`` byte for byte, and resubmitting it is

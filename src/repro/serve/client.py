@@ -1,16 +1,26 @@
-"""Service client: stdlib-urllib wrapper over the control-plane API.
+"""Service client: a stdlib ``http.client`` wrapper over the control-plane API.
 
 Used by ``vibe submit`` / ``vibe jobs`` and by the tests; knows how to
 submit specs, poll for completion, fetch byte-exact results, and parse
 the ``/jobs/<id>/events`` SSE stream into a sequence of event dicts.
+
+Every call but :meth:`ServiceClient.follow` goes over one kept HTTP/1.1
+connection, opened on first use and guarded by a lock, so the calls of
+a shared client run one at a time.  When a *reused* connection fails
+before any byte of the response, the call is sent once more on a new
+connection.  The service closes a connection only while it waits for
+the next request, so the failed request was never read and resending
+it cannot submit a job twice.  :meth:`~ServiceClient.follow` streams on
+a connection of its own, which a long stream therefore never blocks.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 
 __all__ = ["ServiceClient", "ServiceError"]
 
@@ -31,34 +41,82 @@ class ServiceClient:
         self.base_url = base_url.rstrip("/")
         self.client = client
         self.timeout = timeout
+        url = urllib.parse.urlsplit(self.base_url)
+        self._host, self._port = url.hostname, url.port
+        self._prefix = url.path
+        self._lock = threading.Lock()
+        self._conn: http.client.HTTPConnection | None = None
+
+    def close(self) -> None:
+        """Close the kept connection; the next call opens a new one."""
+        with self._lock:
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
     # -- plumbing ----------------------------------------------------
 
-    def _request(self, method: str, path: str, payload: dict | None = None):
-        data = None
+    def _connect(self) -> http.client.HTTPConnection:
+        return http.client.HTTPConnection(self._host, self._port,
+                                          timeout=self.timeout)
+
+    def _unreachable(self, exc: Exception) -> ServiceError:
+        return ServiceError(0, f"cannot reach {self.base_url}: {exc}")
+
+    def _send(self, conn: http.client.HTTPConnection, method: str,
+              path: str, payload: dict | None) -> http.client.HTTPResponse:
+        """One request on ``conn``; its response, body not yet read."""
+        body = None
         headers = {"Accept": "application/json"}
         if payload is not None:
-            data = json.dumps(payload).encode()
+            body = json.dumps(payload).encode()
             headers["Content-Type"] = "application/json"
-        req = urllib.request.Request(f"{self.base_url}{path}", data=data,
-                                     headers=headers, method=method)
-        try:
-            return urllib.request.urlopen(req, timeout=self.timeout)
-        except urllib.error.HTTPError as exc:
+        conn.request(method, self._prefix + path, body=body, headers=headers)
+        return conn.getresponse()
+
+    def _request(self, method: str, path: str,
+                 payload: dict | None = None) -> tuple[bytes, dict]:
+        """The response body and headers of one call on the kept
+        connection; ServiceError on an HTTP error or an unreachable
+        service."""
+        with self._lock:
+            reused = self._conn is not None and self._conn.sock is not None
+            if self._conn is None:
+                self._conn = self._connect()
             try:
-                message = json.loads(exc.read() or b"{}").get(
-                    "error", exc.reason)
-            except ValueError:
-                message = str(exc.reason)
-            raise ServiceError(exc.code, message) from None
-        except urllib.error.URLError as exc:
-            raise ServiceError(0, f"cannot reach {self.base_url}: "
-                                  f"{exc.reason}") from None
+                try:
+                    resp = self._send(self._conn, method, path, payload)
+                except ConnectionError:  # RemoteDisconnected included
+                    if not reused:
+                        raise
+                    # closed while idle: the request was never read
+                    self._conn.close()
+                    resp = self._send(self._conn, method, path, payload)
+                body = resp.read()
+            except (OSError, http.client.HTTPException) as exc:
+                self._conn.close()
+                raise self._unreachable(exc) from None
+            return self._check(resp, body), resp.headers
+
+    @staticmethod
+    def _check(resp: http.client.HTTPResponse, body: bytes) -> bytes:
+        if resp.status < 400:
+            return body
+        try:
+            message = json.loads(body or b"{}").get("error", resp.reason)
+        except ValueError:
+            message = resp.reason
+        raise ServiceError(resp.status, message)
 
     def _json(self, method: str, path: str,
               payload: dict | None = None) -> dict:
-        with self._request(method, path, payload) as resp:
-            return json.loads(resp.read())
+        return json.loads(self._request(method, path, payload)[0])
 
     # -- API ---------------------------------------------------------
 
@@ -91,10 +149,8 @@ class ServiceClient:
         The payload is returned exactly as served — callers that write
         it to disk get bytes identical to the direct CLI's ``--json-out``.
         """
-        with self._request("GET", f"/jobs/{job_id}/result") as resp:
-            body = resp.read().decode()
-            hit = resp.headers.get("X-VIBE-Cache") == "hit"
-        return body, hit
+        body, headers = self._request("GET", f"/jobs/{job_id}/result")
+        return body.decode(), headers.get("X-VIBE-Cache") == "hit"
 
     def wait(self, job_id: str, timeout: float = 300.0,
              poll: float = 0.2) -> dict:
@@ -111,8 +167,17 @@ class ServiceClient:
 
     def follow(self, job_id: str):
         """Yield the job's SSE events as dicts, ending after the final
-        ``end`` sentinel (which is not yielded)."""
-        with self._request("GET", f"/jobs/{job_id}/events") as resp:
+        ``end`` sentinel (which is not yielded).  The stream has a
+        connection of its own, closed when the generator ends."""
+        conn = self._connect()
+        try:
+            try:
+                resp = self._send(conn, "GET", f"/jobs/{job_id}/events",
+                                  None)
+            except (OSError, http.client.HTTPException) as exc:
+                raise self._unreachable(exc) from None
+            if resp.status >= 400:
+                self._check(resp, resp.read())
             data_lines: list[bytes] = []
             for raw in resp:
                 line = raw.rstrip(b"\r\n")
@@ -124,3 +189,5 @@ class ServiceClient:
                     if not event:  # the {} payload of "event: end"
                         return
                     yield event
+        finally:
+            conn.close()

@@ -8,9 +8,10 @@ FIFO *per client* and hands them out round-robin over clients, so one
 client dumping a hundred sweeps cannot starve another's single cell —
 within a client, submission order is preserved.
 
-Everything is guarded by one lock + condition; event appends notify
-every waiter, which is how both the SSE streamers and ``wait()``-style
-pollers wake up without busy loops.
+The queue's state is guarded by one lock + condition, which wakes the
+runner threads blocked in :meth:`JobQueue.take` on submit, cancel,
+drain and close.  Event-log appends have a condition of their own that
+only the SSE streamers wait on, so a job's events never wake a runner.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ class Job:
         event.update(data)
         q = self._queue
         if q is not None:
-            with q._cond:
+            with q._events:
                 self.events.append(event)
-                q._cond.notify_all()
+                q._events.notify_all()
         else:
             self.events.append(event)
 
@@ -100,6 +101,8 @@ class JobQueue:
     def __init__(self, capacity: int = 64) -> None:
         self.capacity = capacity
         self._cond = threading.Condition()
+        #: notified on every event-log append; only wait_event waits
+        self._events = threading.Condition()
         #: client -> FIFO of queued jobs; OrderedDict so the round-robin
         #: order over clients is first-submission order, deterministic
         self._queues: "OrderedDict[str, deque[Job]]" = OrderedDict()
@@ -267,8 +270,8 @@ class JobQueue:
     def wait_event(self, job: Job, have: int, timeout: float) -> bool:
         """Block until ``job`` has more than ``have`` events (or timeout);
         returns whether new events are available."""
-        with self._cond:
+        with self._events:
             if len(job.events) > have:
                 return True
-            self._cond.wait(timeout)
+            self._events.wait(timeout)
             return len(job.events) > have

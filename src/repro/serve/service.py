@@ -16,6 +16,12 @@ Endpoints (full schemas in ``docs/SERVICE.md``)::
     GET  /jobs/<id>/events   SSE stream of the job's event log
     POST /jobs/<id>/cancel   cancel queued (immediate) or running job
 
+The front end speaks HTTP/1.1 keep-alive: one handler thread serves
+every request of one client connection, ``TCP_NODELAY`` keeps a
+response's header and body writes from waiting on a delayed ACK, a
+connection idle for :data:`IDLE_TIMEOUT_S` is closed, and ``stop()``
+closes the idle ones (see "Transport" in ``docs/SERVICE.md``).
+
 Two kinds of :class:`~repro.serve.cache.ResultCache` entry answer
 resubmissions without simulation: whole-spec ``result-<key>.json``
 (``cache_hit`` jobs finish at submit time) and, inside cluster sweeps,
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -34,16 +41,20 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..obs.metrics import MetricsRegistry
 from ..snap.format import CODE_VERSION
-from ..vibe.executor import effective_jobs
+from ..executor import effective_jobs
 from .cache import ResultCache
 from .execute import (assemble_cluster_result, cluster_plan,
                       execute_spec, point_metrics)
 from .jobs import Job, JobQueue, QueueFullError
 from .spec import ExperimentSpec, SpecError
 
-__all__ = ["ExperimentService", "DEFAULT_PORT"]
+__all__ = ["ExperimentService", "DEFAULT_PORT", "IDLE_TIMEOUT_S"]
 
 DEFAULT_PORT = 8642
+#: seconds a kept connection may wait for its next request before the
+#: server closes it (a socket timeout, so a stalled read or write of a
+#: request in progress ends the connection too)
+IDLE_TIMEOUT_S = 5.0
 
 
 class ExperimentService:
@@ -65,6 +76,7 @@ class ExperimentService:
         self._stopping = threading.Event()
         self._pool: ProcessPoolExecutor | None = None
         self._httpd: ThreadingHTTPServer | None = None
+        self._conns = _KeptConnections()
         self._threads: list[threading.Thread] = []
         self._started = False
         with self._mlock:
@@ -83,7 +95,6 @@ class ExperimentService:
             raise RuntimeError("service already started")
         self._httpd = ThreadingHTTPServer((self.host, self.port),
                                           _make_handler(self))
-        self._httpd.daemon_threads = True
         self.port = self._httpd.server_address[1]
         self._pool = ProcessPoolExecutor(max_workers=self.workers)
         self._started = True
@@ -105,7 +116,12 @@ class ExperimentService:
     def stop(self, drain: bool | None = None) -> None:
         """Shut down; ``drain=True`` (the default) finishes every queued
         and in-flight job first, ``drain=False`` (quick quiesce) cancels
-        the queue and waits only for cells already executing."""
+        the queue and waits only for cells already executing.
+
+        New connections are refused at once.  Kept connections still
+        answer through the drain (submissions get 503); then the idle
+        ones are closed and the busy ones close after their response,
+        so no handler thread outlives the service."""
         if not self._started or self._stopping.is_set():
             return
         if drain is None:
@@ -119,6 +135,8 @@ class ExperimentService:
         for t in self._threads[1:]:
             t.join()
         self._pool.shutdown(wait=True)
+        self._conns.close_idle()
+        # handler threads are not daemons, so this joins every one
         self._httpd.server_close()
         self._threads[0].join(timeout=5.0)
 
@@ -307,22 +325,112 @@ class ExperimentService:
 # -- HTTP layer ------------------------------------------------------
 
 
+class _KeptConnections:
+    """Open client connections and whether each is idle between
+    requests, so ``stop()`` closes only connections whose next request
+    has not been read: a client may resend such a request elsewhere."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: dict[socket.socket, bool] = {}
+        self._closing = False
+
+    def wait(self, sock: socket.socket) -> bool:
+        """Mark ``sock`` idle before its next request is read; False
+        once the service closes its connections."""
+        with self._lock:
+            if self._closing:
+                return False
+            self._idle[sock] = True
+            return True
+
+    def busy(self, sock: socket.socket) -> bool:
+        """A request line arrived; False if ``close_idle`` came first."""
+        with self._lock:
+            if sock not in self._idle:
+                return False
+            self._idle[sock] = False
+            return True
+
+    def drop(self, sock: socket.socket) -> None:
+        with self._lock:
+            self._idle.pop(sock, None)
+
+    def close_idle(self) -> None:
+        """Close every idle connection; a busy one closes after its
+        response, when it would next wait."""
+        with self._lock:
+            self._closing = True
+            for sock in [s for s, idle in self._idle.items() if idle]:
+                del self._idle[sock]
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)  # wakes its reader
+                except OSError:  # the client closed it first
+                    pass
+
+
 def _make_handler(service: ExperimentService):
+    conns = service._conns
+
     class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.0"
+        protocol_version = "HTTP/1.1"
+        timeout = IDLE_TIMEOUT_S
 
         def log_message(self, *_args) -> None:  # silence per-request spam
             pass
 
+        # -- connection ----------------------------------------------
+
+        def setup(self) -> None:
+            # a response goes out as two writes, headers then body; with
+            # Nagle on, the body waits for the client to ACK the headers,
+            # which a kept connection's client delays by up to 40 ms
+            self.request.setsockopt(socket.IPPROTO_TCP,
+                                    socket.TCP_NODELAY, 1)
+            super().setup()
+            service._inc("serve.http.connections")
+
+        def handle(self) -> None:
+            self.close_connection = False
+            try:
+                while not self.close_connection \
+                        and conns.wait(self.request):
+                    self.handle_one_request()
+            except ConnectionError:  # the client went away
+                pass
+
+        def parse_request(self) -> bool:
+            if not conns.busy(self.request):
+                # stop() closed the connection while it was idle: the
+                # request is dropped unread, so resending it is safe
+                self.close_connection = True
+                return False
+            if not super().parse_request():
+                return False
+            # read the whole body before any route answers, so the
+            # connection's next request parses
+            length = self.headers.get("Content-Length", "")
+            if length.isdigit():
+                self.body = self.rfile.read(int(length))
+            elif not length and "Transfer-Encoding" not in self.headers:
+                self.body = b""
+            else:
+                self._json(411, {"error": "a request body needs a "
+                                          "Content-Length"},
+                           headers={"Connection": "close"})
+                return False
+            return True
+
+        def finish(self) -> None:
+            conns.drop(self.request)
+            super().finish()
+
         # -- helpers -------------------------------------------------
 
-        def _json(self, code: int, obj: dict) -> None:
-            body = json.dumps(obj, sort_keys=True).encode()
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+        def _json(self, code: int, obj: dict,
+                  headers: dict | None = None) -> None:
+            self._raw(code, json.dumps(obj, sort_keys=True).encode(),
+                      headers=headers)
 
         def _raw(self, code: int, body: bytes,
                  content_type: str = "application/json",
@@ -335,9 +443,8 @@ def _make_handler(service: ExperimentService):
             self.end_headers()
             self.wfile.write(body)
 
-        def _body(self) -> dict:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b"{}"
+        @staticmethod
+        def _payload(raw: bytes) -> dict:
             try:
                 payload = json.loads(raw or b"{}")
             except ValueError as exc:
@@ -358,49 +465,46 @@ def _make_handler(service: ExperimentService):
         def do_GET(self) -> None:  # noqa: N802 - http.server API
             service._inc("serve.http.requests")
             parts = [p for p in self.path.split("?")[0].split("/") if p]
-            try:
-                if parts == ["healthz"]:
-                    self._json(200, {"ok": True,
-                                     "code_version": CODE_VERSION,
-                                     "workers": service.workers})
-                elif parts == ["metrics"]:
-                    self._raw(200, service.metrics_json().encode())
-                elif parts == ["jobs"]:
-                    jobs = service.queue.jobs()
-                    self._json(200, {"jobs": [j.summary() for j in jobs]})
-                elif len(parts) == 2 and parts[0] == "jobs":
-                    job = self._job_or_404(parts[1])
-                    if job is not None:
-                        pos = (service.queue.position(job)
-                               if job.state == "queued" else None)
-                        self._json(200, job.summary(queue_position=pos))
-                elif len(parts) == 3 and parts[0] == "jobs" \
-                        and parts[2] == "result":
-                    job = self._job_or_404(parts[1])
-                    if job is None:
-                        pass
-                    elif job.result is None:
-                        self._json(409, {"error": f"job {job.id} is "
-                                                  f"{job.state}; no "
-                                                  "result yet"})
-                    else:
-                        # the payload must stay byte-identical to the
-                        # direct CLI output, so the cache-hit marker
-                        # travels in a header, never in the body
-                        self._raw(200, job.result.encode(), headers={
-                            "X-VIBE-Cache":
-                                "hit" if job.cache_hit else "miss",
-                            "X-VIBE-Key": job.key,
-                        })
-                elif len(parts) == 3 and parts[0] == "jobs" \
-                        and parts[2] == "events":
-                    job = self._job_or_404(parts[1])
-                    if job is not None:
-                        self._stream(job)
+            if parts == ["healthz"]:
+                self._json(200, {"ok": True,
+                                 "code_version": CODE_VERSION,
+                                 "workers": service.workers})
+            elif parts == ["metrics"]:
+                self._raw(200, service.metrics_json().encode())
+            elif parts == ["jobs"]:
+                jobs = service.queue.jobs()
+                self._json(200, {"jobs": [j.summary() for j in jobs]})
+            elif len(parts) == 2 and parts[0] == "jobs":
+                job = self._job_or_404(parts[1])
+                if job is not None:
+                    pos = (service.queue.position(job)
+                           if job.state == "queued" else None)
+                    self._json(200, job.summary(queue_position=pos))
+            elif len(parts) == 3 and parts[0] == "jobs" \
+                    and parts[2] == "result":
+                job = self._job_or_404(parts[1])
+                if job is None:
+                    pass
+                elif job.result is None:
+                    self._json(409, {"error": f"job {job.id} is "
+                                              f"{job.state}; no "
+                                              "result yet"})
                 else:
-                    self._json(404, {"error": f"no route {self.path!r}"})
-            except (BrokenPipeError, ConnectionResetError):
-                pass
+                    # the payload must stay byte-identical to the
+                    # direct CLI output, so the cache-hit marker
+                    # travels in a header, never in the body
+                    self._raw(200, job.result.encode(), headers={
+                        "X-VIBE-Cache":
+                            "hit" if job.cache_hit else "miss",
+                        "X-VIBE-Key": job.key,
+                    })
+            elif len(parts) == 3 and parts[0] == "jobs" \
+                    and parts[2] == "events":
+                job = self._job_or_404(parts[1])
+                if job is not None:
+                    self._stream(job)
+            else:
+                self._json(404, {"error": f"no route {self.path!r}"})
 
         def do_POST(self) -> None:  # noqa: N802 - http.server API
             service._inc("serve.http.requests")
@@ -410,7 +514,7 @@ def _make_handler(service: ExperimentService):
                     if service._stopping.is_set():
                         self._json(503, {"error": "shutting down"})
                         return
-                    payload = self._body()
+                    payload = self._payload(self.body)
                     summary = service.submit(
                         payload, default_client=self.client_address[0])
                     self._json(201, summary)
@@ -427,8 +531,6 @@ def _make_handler(service: ExperimentService):
                 self._json(400, {"error": str(exc)})
             except QueueFullError as exc:
                 self._json(429, {"error": str(exc)})
-            except (BrokenPipeError, ConnectionResetError):
-                pass
 
         # -- SSE -----------------------------------------------------
 

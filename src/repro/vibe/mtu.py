@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..providers.registry import ProviderSpec
 from ..via.constants import WaitMode
-from .executor import parallel_map
+from ..executor import parallel_map
 from .harness import TransferConfig, run_bandwidth, run_latency
 from .metrics import BenchResult, Measurement
 

@@ -19,7 +19,7 @@ from . import (
     nondata,
     addrtrans,
 )
-from .executor import parallel_map
+from ..executor import parallel_map
 from .report import render_figure, render_memreg, render_table1
 
 __all__ = ["generate_report"]
@@ -34,7 +34,7 @@ def generate_report(out_dir: "str | pathlib.Path",
     """Run the core suite and write REPORT.md; returns its path.
 
     ``jobs`` fans the independent per-provider simulations of each
-    section over worker processes (see :mod:`repro.vibe.executor`);
+    section over worker processes (see :mod:`repro.executor`);
     the report content is identical for any ``jobs`` value.
     """
     # deferred: repro.models pulls the vibe harness back in (cycle)

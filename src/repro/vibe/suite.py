@@ -37,7 +37,8 @@ from . import (
     reliability,
     segments,
 )
-from . import concurrency, dynamic, executor
+from ..executor import parallel_map
+from . import concurrency, dynamic
 from .metrics import BenchResult
 
 __all__ = ["SUITE", "run_benchmark", "run_all", "DEFAULT_PROVIDERS"]
@@ -178,6 +179,11 @@ def _stamp_meta(result, name: str, provider, kwargs: dict) -> None:
             r.meta = dict(meta)
 
 
+def _run_named(name: str, provider, kwargs: dict):
+    """Picklable worker for :func:`run_all`: one benchmark, one provider."""
+    return run_benchmark(name, provider, **kwargs)
+
+
 def run_all(providers=DEFAULT_PROVIDERS,
             benchmarks: list[str] | None = None,
             jobs: int = 1,
@@ -186,7 +192,7 @@ def run_all(providers=DEFAULT_PROVIDERS,
 
     ``jobs`` fans the independent ``(benchmark, provider)`` simulations
     out over that many worker processes (see
-    :mod:`repro.vibe.executor`); results are identical to ``jobs=1``
+    :mod:`repro.executor`); results are identical to ``jobs=1``
     because each task is a self-contained deterministic simulation and
     collection preserves task order.
 
@@ -195,7 +201,7 @@ def run_all(providers=DEFAULT_PROVIDERS,
     names = benchmarks or list(SUITE)
     tasks = [(name, provider, kwargs)
              for name in names for provider in providers]
-    results = executor.parallel_map(executor._run_named, tasks, jobs)
+    results = parallel_map(_run_named, tasks, jobs)
     out: dict[str, dict] = {name: {} for name in names}
     for (name, provider, _), result in zip(tasks, results):
         out[name][provider] = result

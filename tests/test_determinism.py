@@ -187,7 +187,7 @@ _PROFILE_PROVIDERS = ("mvia", "bvia", "clan", "iba")
 def _profile_exports(jobs):
     from repro.obs.profile import (combined_metrics_json,
                                    combined_trace_json, profile_transfer)
-    from repro.vibe.executor import parallel_map
+    from repro.executor import parallel_map
 
     profiles = parallel_map(profile_transfer,
                             [(p, 256, 0) for p in _PROFILE_PROVIDERS], jobs)
@@ -219,7 +219,7 @@ def test_run_benchmark_meta_is_jobs_invariant():
 def test_parallel_map_empty_task_list_returns_empty():
     """Regression: an empty task list must short-circuit to [] at every
     --jobs value instead of ever reaching the pool machinery."""
-    from repro.vibe.executor import parallel_map
+    from repro.executor import parallel_map
 
     for jobs in (1, 2, -1):
         assert parallel_map(len, [], jobs=jobs) == []

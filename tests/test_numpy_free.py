@@ -3,7 +3,9 @@
 numpy is not a dependency: simulating, serving and the LogP fit
 (:mod:`repro.models.logp`) all run without importing it.  Running a
 benchmark does not import the checkpoint subsystem (:mod:`repro.snap`)
-either; only the callers that checkpoint on purpose pay for it.
+either; only the callers that checkpoint on purpose pay for it.  A
+cluster cell does not import the benchmark suite (:mod:`repro.vibe`),
+whose 36 benchmarks a cold start would otherwise compile.
 Each check runs in a fresh interpreter, so nothing an earlier test
 imported can hide an import.
 """
@@ -45,6 +47,16 @@ run_benchmark("base_latency", "clan", sizes=[4])
 print("repro.snap" in sys.modules)
 """
 
+_CLUSTER_CELL_PROG = """\
+import sys
+import repro.cluster
+from repro.cluster import ClusterConfig, run_cluster_once
+
+run_cluster_once("mvia", ClusterConfig(nodes=2, clients=2, requests=2),
+                 rate_rps=500.0)
+print(sorted(m for m in sys.modules if m.startswith("repro.vibe")))
+"""
+
 
 def _run(prog: str) -> str:
     env = dict(os.environ)
@@ -62,3 +74,7 @@ def test_simulation_and_serving_do_not_import_numpy():
 
 def test_run_benchmark_does_not_import_snap():
     assert _run(_RUN_BENCHMARK_PROG) == "False"
+
+
+def test_cluster_cell_does_not_import_the_suite():
+    assert _run(_CLUSTER_CELL_PROG) == "[]"

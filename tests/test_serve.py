@@ -8,6 +8,7 @@ per-cell checkpoints, or served whole from the result cache.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import pathlib
@@ -28,7 +29,8 @@ from repro.serve import (
     SpecError,
     execute_spec,
 )
-from repro.serve import client as serve_client, jobs as serve_jobs
+from repro.serve import (client as serve_client, jobs as serve_jobs,
+                         service as serve_service)
 from repro.serve.jobs import Job, JobQueue, QueueFullError
 
 SMALL_CLUSTER = {"nodes": 2, "clients": 2, "requests": 2,
@@ -52,7 +54,8 @@ def service(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def client(service):
-    return ServiceClient(service.url, client="pytest")
+    with ServiceClient(service.url, client="pytest") as c:
+        yield c
 
 
 # -- specs ------------------------------------------------------------------
@@ -399,8 +402,8 @@ def test_concurrent_clients_get_isolated_correct_results(service):
 
     def go(name):
         try:
-            c = ServiceClient(service.url, client=name)
-            _, body, _hit = _submit_and_fetch(c, specs[name])
+            with ServiceClient(service.url, client=name) as c:
+                _, body, _hit = _submit_and_fetch(c, specs[name])
             out[name] = body
         except Exception as exc:  # noqa: BLE001 - surfaced below
             errors.append(exc)
@@ -494,7 +497,8 @@ def test_start_on_busy_port_leaves_service_restartable(tmp_path):
         svc.port = 0
         svc.start()
         try:
-            assert ServiceClient(svc.url).health()["ok"] is True
+            with ServiceClient(svc.url) as c:
+                assert c.health()["ok"] is True
         finally:
             svc.stop()
         with pytest.raises(SystemExit) as exited:
@@ -506,6 +510,210 @@ def test_start_on_busy_port_leaves_service_restartable(tmp_path):
         holder.close()
 
 
+# -- transport: kept connections ---------------------------------------------
+
+def _connections(svc) -> int:
+    """Connections the service has accepted, read in-process."""
+    metrics = json.loads(svc.metrics_json())["metrics"]
+    return metrics.get("serve.http.connections", {}).get("value", 0)
+
+
+def _hold_runs(svc) -> threading.Event:
+    """Hold every job the runners take until the returned event is set."""
+    release, run_job = threading.Event(), svc._run_job
+
+    def held(job):
+        release.wait(60)
+        run_job(job)
+    svc._run_job = held
+    return release
+
+
+def test_calls_on_one_client_share_one_connection(service):
+    before = _connections(service)
+    with ServiceClient(service.url, client="kept") as c:
+        for _ in range(5):
+            assert c.health()["ok"] is True
+        c.metrics()
+        c.jobs()
+        with pytest.raises(ServiceError) as err:
+            c.job("job-999999")
+        assert err.value.status == 404
+        job = c.submit(_cluster_spec(23, requests=3))
+        assert c.wait(job["id"], timeout=120, poll=0.01)["state"] == "done"
+        c.result(job["id"])
+    assert _connections(service) == before + 1
+
+
+def test_kept_connection_answers_without_delayed_ack_stalls(service):
+    # without TCP_NODELAY each response's body waits for the client's
+    # delayed ACK of its headers: about 40 ms a call instead of < 1 ms
+    with ServiceClient(service.url) as c:
+        c.health()
+        t0 = time.monotonic()
+        for _ in range(20):
+            c.health()
+        assert time.monotonic() - t0 < 0.4
+
+
+def test_connection_closed_by_the_idle_timeout_is_replaced_once(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(serve_service, "IDLE_TIMEOUT_S", 0.2)
+    svc = ExperimentService(port=0, workers=1,
+                            cache_dir=str(tmp_path / "cache"))
+    svc.start()
+    try:
+        with ServiceClient(svc.url) as c:
+            assert c.health()["ok"] is True
+            time.sleep(0.6)   # the service closes the idle connection
+            assert c.health()["ok"] is True
+            assert _connections(svc) == 2
+    finally:
+        svc.stop()
+
+
+def test_kept_connection_outlives_a_restart_on_the_same_port(tmp_path):
+    cache_dir = str(tmp_path / "cache")
+    spec = _cluster_spec(61)
+    first = ExperimentService(port=0, workers=1, cache_dir=cache_dir)
+    first.start()
+    c = ServiceClient(first.url)   # closed by its last, failing call
+    try:
+        _, body, _hit = _submit_and_fetch(c, spec)
+    finally:
+        first.stop()
+    again = ExperimentService(port=first.port, workers=1,
+                              cache_dir=cache_dir)
+    again.start()
+    try:
+        # the kept connection died with the first service: the submit
+        # is resent once on a new one, and the new service sees it once
+        job = c.submit(spec)
+        assert job["cache_hit"] is True
+        assert c.result(job["id"]) == (body, True)
+        submitted = json.loads(again.metrics_json())["metrics"][
+            "serve.jobs.submitted"]["value"]
+        assert submitted == 1
+    finally:
+        again.stop()
+    with pytest.raises(ServiceError) as err:
+        c.health()
+    assert err.value.status == 0
+
+
+def test_unknown_route_with_a_body_keeps_the_connection(service):
+    conn = http.client.HTTPConnection(service.host, service.port,
+                                      timeout=30)
+    try:
+        conn.request("POST", "/no/such/route", body=b'{"x": 1}',
+                     headers={"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        assert resp.status == 404
+        resp.read()
+        sock = conn.sock
+        assert sock is not None
+        conn.request("GET", "/healthz")
+        resp = conn.getresponse()
+        assert resp.status == 200
+        assert json.loads(resp.read())["ok"] is True
+        assert conn.sock is sock
+    finally:
+        conn.close()
+
+
+def test_body_without_content_length_is_refused_and_closed(service):
+    conn = http.client.HTTPConnection(service.host, service.port,
+                                      timeout=30)
+    try:
+        conn.putrequest("POST", "/jobs")
+        conn.putheader("Transfer-Encoding", "chunked")
+        conn.endheaders(b"2\r\n{}\r\n0\r\n\r\n")
+        resp = conn.getresponse()
+        assert resp.status == 411
+        assert resp.getheader("Connection") == "close"
+        assert "Content-Length" in json.loads(resp.read())["error"]
+        assert conn.sock is None   # the service closed the connection
+    finally:
+        conn.close()
+    with ServiceClient(service.url) as c:
+        assert c.health()["ok"] is True
+
+
+def test_503_while_stopping_keeps_the_connection(tmp_path):
+    svc = ExperimentService(port=0, workers=1,
+                            cache_dir=str(tmp_path / "cache"))
+    svc.start()
+    release = _hold_runs(svc)
+    stopper = threading.Thread(target=svc.stop)
+    try:
+        with ServiceClient(svc.url) as c:
+            job = c.submit(_cluster_spec(62))
+            stopper.start()
+            assert svc._stopping.wait(10)
+            # the drain waits for the held job; the kept connection
+            # still answers, and a submission's body is read and refused
+            with pytest.raises(ServiceError) as err:
+                c.submit(_cluster_spec(63))
+            assert err.value.status == 503
+            assert c.job(job["id"])["state"] in ("queued", "running")
+            assert _connections(svc) == 1
+            release.set()
+            stopper.join(60)
+            assert not stopper.is_alive()
+            assert job["id"] in {j.id for j in svc.queue.jobs()
+                                 if j.state == "done"}
+    finally:
+        release.set()
+        if stopper.is_alive():
+            stopper.join(60)
+        svc.stop()
+
+
+def test_stop_closes_an_idle_kept_connection_promptly(tmp_path,
+                                                      monkeypatch):
+    # long enough that stop() would hang if it waited for the timeout
+    monkeypatch.setattr(serve_service, "IDLE_TIMEOUT_S", 120.0)
+    svc = ExperimentService(port=0, workers=1,
+                            cache_dir=str(tmp_path / "cache"))
+    svc.start()
+    with ServiceClient(svc.url) as c:
+        assert c.health()["ok"] is True
+        t0 = time.monotonic()
+        svc.stop()
+        assert time.monotonic() - t0 < 10.0
+        with pytest.raises(ServiceError) as err:
+            c.health()
+        assert err.value.status == 0
+
+
+def test_follow_never_blocks_calls_on_the_same_client(tmp_path):
+    svc = ExperimentService(port=0, workers=1,
+                            cache_dir=str(tmp_path / "cache"))
+    svc.start()
+    release = _hold_runs(svc)
+    try:
+        with ServiceClient(svc.url) as c:
+            job = c.submit(_cluster_spec(64))
+            streaming, events = threading.Event(), []
+
+            def follow():
+                for event in c.follow(job["id"]):
+                    events.append(event["event"])
+                    streaming.set()
+            follower = threading.Thread(target=follow)
+            follower.start()
+            assert streaming.wait(30)
+            assert c.job(job["id"])["state"] in ("queued", "running")
+            assert c.cancel(job["id"])["cancelled"] is True
+            release.set()
+            follower.join(60)
+            assert not follower.is_alive()
+            assert events[-1] == "cancelled"
+    finally:
+        release.set()
+        svc.stop()
+
+
 # -- cancellation under a busy worker ---------------------------------------
 
 def test_cancel_queued_job_via_api_never_wedges_the_worker(tmp_path):
@@ -513,19 +721,19 @@ def test_cancel_queued_job_via_api_never_wedges_the_worker(tmp_path):
                             cache_dir=str(tmp_path / "cache"))
     svc.start()
     try:
-        c = ServiceClient(svc.url, client="cancel-test")
-        # requests=6 keeps the single worker busy long enough for the
-        # next submissions to be reliably queued behind it
-        busy = c.submit(_cluster_spec(41, requests=6))
-        victim = c.submit(_cluster_spec(42))
-        out = c.cancel(victim["id"])
-        assert out["cancelled"] is True
-        assert c.wait(victim["id"], timeout=60)["state"] == "cancelled"
-        # the worker survives: both the running job and a fresh one
-        # still complete normally
-        assert c.wait(busy["id"], timeout=240)["state"] == "done"
-        after = c.submit(_cluster_spec(43))
-        assert c.wait(after["id"], timeout=240)["state"] == "done"
+        with ServiceClient(svc.url, client="cancel-test") as c:
+            # requests=6 keeps the single worker busy long enough for
+            # the next submissions to be reliably queued behind it
+            busy = c.submit(_cluster_spec(41, requests=6))
+            victim = c.submit(_cluster_spec(42))
+            out = c.cancel(victim["id"])
+            assert out["cancelled"] is True
+            assert c.wait(victim["id"], timeout=60)["state"] == "cancelled"
+            # the worker survives: both the running job and a fresh one
+            # still complete normally
+            assert c.wait(busy["id"], timeout=240)["state"] == "done"
+            after = c.submit(_cluster_spec(43))
+            assert c.wait(after["id"], timeout=240)["state"] == "done"
     finally:
         svc.stop()
 
@@ -544,9 +752,8 @@ def test_service_reuses_cluster_checkpoint_cells(tmp_path):
     svc = ExperimentService(port=0, workers=1, cache_dir=cache_dir)
     svc.start()
     try:
-        c = ServiceClient(svc.url, client="ckpt")
-        summary, body, hit = _submit_and_fetch(
-            c, _cluster_spec(51))
+        with ServiceClient(svc.url, client="ckpt") as c:
+            summary, body, hit = _submit_and_fetch(c, _cluster_spec(51))
         # whole-spec cache can't hit (the campaign never stored one),
         # but every cell must come from the campaign's checkpoints
         assert hit is False
