@@ -20,19 +20,37 @@ from __future__ import annotations
 
 import hashlib
 
-from ..providers.registry import Testbed
+from .. import programs
+from ..providers.registry import ALL_PROVIDERS, Testbed
 from ..via.constants import Reliability
-from ..via.descriptor import Descriptor
 
 __all__ = ["ALL_PROVIDERS", "WORKLOADS", "run_workload",
            "compare_signatures", "logp_consistency"]
 
-ALL_PROVIDERS = ("mvia", "bvia", "clan", "iba")
-
-
-def _pattern(n: int, salt: int = 0) -> bytes:
-    """Deterministic payload bytes, distinct per message."""
-    return bytes((i * 7 + 3 + salt * 13) % 256 for i in range(n))
+#: workload -> (program, its shape, signature key of the digest of what
+#: its receives saw, (key, ``Seen`` field) of a per-receive tuple or None)
+WORKLOADS = {
+    # unreliable ping-pong with per-iteration payloads
+    "pingpong": (programs.pingpong,
+                 {"size": 512, "count": 4,
+                  "reliability": Reliability.UNRELIABLE},
+                 "echo", ("statuses", "status")),
+    # windowed reliable-delivery stream; multi-fragment messages
+    "stream": (programs.stream,
+               {"size": 1500, "count": 12, "window": 4,
+                "reliability": Reliability.RELIABLE_DELIVERY},
+               "stream", ("statuses", "status")),
+    # reliable RDMA writes with immediate data into a peer region
+    "rdma_write": (programs.rdma_write,
+                   {"size": 1024, "count": 3,
+                    "reliability": Reliability.RELIABLE_DELIVERY},
+                   "placed", ("immediates", "immediate")),
+    # reliable-reception ping-pong with three-segment descriptors
+    "segmented": (programs.pingpong,
+                  {"size": 600, "count": 2, "segments": 3,
+                   "reliability": Reliability.RELIABLE_RECEPTION},
+                  "echo", None),
+}
 
 
 def _digest(chunks) -> str:
@@ -40,227 +58,6 @@ def _digest(chunks) -> str:
     for c in chunks:
         h.update(c)
     return h.hexdigest()[:16]
-
-
-# ---------------------------------------------------------------------------
-# workloads: each runs on a fresh checked testbed and returns the
-# workload-specific part of the structural signature
-# ---------------------------------------------------------------------------
-
-def _wl_pingpong(tb: Testbed) -> dict:
-    """Unreliable send/recv ping-pong with per-iteration payloads."""
-    size, iters, disc = 512, 4, 21
-    node0, node1 = tb.node_names[:2]
-    out: dict = {"echoes": [], "statuses": []}
-
-    def client():
-        h = tb.open(node0, "client")
-        vi = yield from h.create_vi(reliability=Reliability.UNRELIABLE)
-        buf = h.alloc(size)
-        mh = yield from h.register_mem(buf)
-        segs = [h.segment(buf, mh, 0, size)]
-        yield from h.post_recv(vi, Descriptor.recv(segs))
-        yield from h.connect(vi, node1, disc)
-        for i in range(iters):
-            h.write(buf, _pattern(size, salt=i))
-            yield from h.post_send(vi, Descriptor.send(segs))
-            yield from h.send_wait(vi)
-            desc = yield from h.recv_wait(vi)
-            out["echoes"].append(h.read(buf, size))
-            out["statuses"].append(desc.control.status.value)
-            if i + 1 < iters:
-                yield from h.post_recv(vi, Descriptor.recv(segs))
-        yield from h.disconnect(vi)
-
-    def server():
-        h = tb.open(node1, "server")
-        vi = yield from h.create_vi(reliability=Reliability.UNRELIABLE)
-        buf = h.alloc(size)
-        mh = yield from h.register_mem(buf)
-        segs = [h.segment(buf, mh, 0, size)]
-        yield from h.post_recv(vi, Descriptor.recv(segs))
-        req = yield from h.connect_wait(disc)
-        yield from h.accept(req, vi)
-        for i in range(iters):
-            yield from h.recv_wait(vi)
-            if i + 1 < iters:
-                yield from h.post_recv(vi, Descriptor.recv(segs))
-            yield from h.post_send(vi, Descriptor.send(segs))
-            yield from h.send_wait(vi)
-
-    cproc = tb.spawn(client(), "client")
-    sproc = tb.spawn(server(), "server")
-    tb.run(cproc)
-    tb.run(sproc)
-    return {"echo": _digest(out["echoes"]),
-            "statuses": tuple(out["statuses"])}
-
-
-def _wl_stream(tb: Testbed) -> dict:
-    """Windowed reliable-delivery stream; multi-fragment messages."""
-    size, count, window, disc = 1500, 12, 4, 22
-    node0, node1 = tb.node_names[:2]
-    out: dict = {"got": [], "statuses": []}
-
-    def client():
-        h = tb.open(node0, "client")
-        vi = yield from h.create_vi(
-            reliability=Reliability.RELIABLE_DELIVERY)
-        bufs = []
-        for _ in range(window):
-            buf = h.alloc(size)
-            mh = yield from h.register_mem(buf)
-            bufs.append((buf, mh))
-        ctl = h.alloc(4)
-        ctl_mh = yield from h.register_mem(ctl)
-        # the server's "done" message can never be unexpected
-        yield from h.post_recv(
-            vi, Descriptor.recv([h.segment(ctl, ctl_mh, 0, 4)]))
-        yield from h.connect(vi, node1, disc)
-        inflight = 0
-        for i in range(count):
-            if inflight >= window:
-                yield from h.send_wait(vi)
-                inflight -= 1
-            buf, mh = bufs[i % window]
-            h.write(buf, _pattern(size, salt=i))
-            segs = [h.segment(buf, mh, 0, size)]
-            yield from h.post_send(vi, Descriptor.send(segs))
-            inflight += 1
-        while inflight:
-            yield from h.send_wait(vi)
-            inflight -= 1
-        yield from h.recv_wait(vi)           # server's "done"
-        yield from h.disconnect(vi)
-
-    def server():
-        h = tb.open(node1, "server")
-        vi = yield from h.create_vi(
-            reliability=Reliability.RELIABLE_DELIVERY)
-        pool = []
-        for _ in range(count):
-            buf = h.alloc(size)
-            mh = yield from h.register_mem(buf)
-            pool.append(buf)
-            yield from h.post_recv(
-                vi, Descriptor.recv([h.segment(buf, mh, 0, size)]))
-        ctl = h.alloc(4)
-        ctl_mh = yield from h.register_mem(ctl)
-        req = yield from h.connect_wait(disc)
-        yield from h.accept(req, vi)
-        for i in range(count):
-            desc = yield from h.recv_wait(vi)
-            out["statuses"].append(desc.control.status.value)
-            out["got"].append(h.read(pool[i], size))
-        yield from h.post_send(
-            vi, Descriptor.send([h.segment(ctl, ctl_mh, 0, 4)]))
-        yield from h.send_wait(vi)
-
-    cproc = tb.spawn(client(), "client")
-    sproc = tb.spawn(server(), "server")
-    tb.run(cproc)
-    tb.run(sproc)
-    return {"stream": _digest(out["got"]),
-            "statuses": tuple(out["statuses"])}
-
-
-def _wl_rdma_write(tb: Testbed) -> dict:
-    """Reliable RDMA writes with immediate data into a peer region."""
-    size, iters, disc = 1024, 3, 23
-    node0, node1 = tb.node_names[:2]
-    out: dict = {"placed": [], "immediates": []}
-    xchg: dict = {}
-
-    def client():
-        h = tb.open(node0, "client")
-        vi = yield from h.create_vi(
-            reliability=Reliability.RELIABLE_DELIVERY)
-        buf = h.alloc(size)
-        mh = yield from h.register_mem(buf)
-        yield from h.connect(vi, node1, disc)
-        raddr, rhandle = xchg["server"]   # registered before accept
-        for i in range(iters):
-            h.write(buf, _pattern(size, salt=100 + i))
-            segs = [h.segment(buf, mh, 0, size)]
-            yield from h.post_send(
-                vi, Descriptor.rdma_write(segs, raddr, rhandle, immediate=i))
-            yield from h.send_wait(vi)
-        yield from h.disconnect(vi)
-
-    def server():
-        h = tb.open(node1, "server")
-        vi = yield from h.create_vi(
-            reliability=Reliability.RELIABLE_DELIVERY)
-        region = h.alloc(size)
-        mh = yield from h.register_mem(region, enable_rdma_write=True)
-        xchg["server"] = (region.base, mh.handle_id)
-        for _ in range(iters):
-            yield from h.post_recv(vi, Descriptor.recv([]))
-        req = yield from h.connect_wait(disc)
-        yield from h.accept(req, vi)
-        for _ in range(iters):
-            desc = yield from h.recv_wait(vi)
-            out["immediates"].append(desc.control.immediate)
-            out["placed"].append(h.read(region, size))
-
-    cproc = tb.spawn(client(), "client")
-    sproc = tb.spawn(server(), "server")
-    tb.run(cproc)
-    tb.run(sproc)
-    return {"placed": _digest(out["placed"]),
-            "immediates": tuple(out["immediates"])}
-
-
-def _wl_segmented(tb: Testbed) -> dict:
-    """Reliable-reception ping-pong with three-segment descriptors."""
-    size, nseg, iters, disc = 600, 3, 2, 24
-    seg_len = size // nseg
-    node0, node1 = tb.node_names[:2]
-    out: dict = {"echoes": []}
-
-    def body(me: str, peer: str, is_client: bool):
-        h = tb.open(me, "app-" + me)
-        vi = yield from h.create_vi(
-            reliability=Reliability.RELIABLE_RECEPTION)
-        buf = h.alloc(size)
-        mh = yield from h.register_mem(buf)
-        segs = [h.segment(buf, mh, k * seg_len, seg_len)
-                for k in range(nseg)]
-        yield from h.post_recv(vi, Descriptor.recv(segs))
-        if is_client:
-            yield from h.connect(vi, peer, disc)
-        else:
-            req = yield from h.connect_wait(disc)
-            yield from h.accept(req, vi)
-        for i in range(iters):
-            if is_client:
-                h.write(buf, _pattern(size, salt=200 + i))
-                yield from h.post_send(vi, Descriptor.send(segs))
-                yield from h.send_wait(vi)
-                yield from h.recv_wait(vi)
-                out["echoes"].append(h.read(buf, size))
-            else:
-                yield from h.recv_wait(vi)
-                yield from h.post_send(vi, Descriptor.send(segs))
-                yield from h.send_wait(vi)
-            if i + 1 < iters:
-                yield from h.post_recv(vi, Descriptor.recv(segs))
-        if is_client:
-            yield from h.disconnect(vi)
-
-    cproc = tb.spawn(body(node0, node1, True), "client")
-    sproc = tb.spawn(body(node1, node0, False), "server")
-    tb.run(cproc)
-    tb.run(sproc)
-    return {"echo": _digest(out["echoes"])}
-
-
-WORKLOADS = {
-    "pingpong": _wl_pingpong,
-    "stream": _wl_stream,
-    "rdma_write": _wl_rdma_write,
-    "segmented": _wl_segmented,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +79,15 @@ def run_workload(provider: str, workload: str, seed: int = 0,
     equivalence tests compare unchecked runs); ``fidelity`` selects the
     simulation mode as on :class:`~repro.providers.registry.Testbed`.
     """
+    program, shape, digest_key, per_receive = WORKLOADS[workload]
     tb = Testbed(provider, seed=seed, check=check, fidelity=fidelity)
-    sig = dict(WORKLOADS[workload](tb))
+    prog = program(tb, **shape)
+    prog.run()
     tb.run()          # drain teardown events before the quiesce audit
+    sig = {digest_key: _digest(s.payload for s in prog.seen)}
+    if per_receive is not None:
+        key, field = per_receive
+        sig[key] = tuple(getattr(s, field) for s in prog.seen)
     if check:
         tb.checker.check_quiesced(tb)
         chk = tb.checker

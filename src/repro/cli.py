@@ -15,6 +15,7 @@ import argparse
 import sys
 
 from .vibe import (
+    DEFAULT_PROVIDERS,
     SUITE,
     ascii_plot,
     base_bandwidth,
@@ -33,8 +34,6 @@ from .vibe import (
 )
 from .via.constants import WaitMode
 from .executor import parallel_map
-
-PROVIDERS = ("mvia", "bvia", "clan")
 
 
 def _sizes(arg: str | None) -> list[int] | None:
@@ -154,40 +153,13 @@ def cmd_breakdown(args) -> None:
 
 
 def cmd_trace(args) -> None:
-    from .models.breakdown import latency_breakdown
+    from .programs import oneway
     from .providers import Testbed
     from .sim.trace import Tracer
-    from .via import Descriptor
 
     tb = Testbed(args.provider)
     tb.sim.tracer = Tracer()
-    out = {}
-
-    def client():
-        h = tb.open("node0", "client")
-        vi = yield from h.create_vi()
-        region = h.alloc(max(args.size, 4))
-        mh = yield from h.register_mem(region)
-        yield from h.connect(vi, "node1", 3)
-        segs = [h.segment(region, mh, 0, args.size)]
-        yield from h.post_send(vi, Descriptor.send(segs))
-        yield from h.send_wait(vi)
-
-    def server():
-        h = tb.open("node1", "server")
-        vi = yield from h.create_vi()
-        region = h.alloc(max(args.size, 4))
-        mh = yield from h.register_mem(region)
-        segs = [h.segment(region, mh, 0, args.size)]
-        yield from h.post_recv(vi, Descriptor.recv(segs))
-        req = yield from h.connect_wait(3)
-        yield from h.accept(req, vi)
-        yield from h.recv_wait(vi)
-
-    cproc = tb.spawn(client())
-    sproc = tb.spawn(server())
-    tb.run(cproc)
-    tb.run(sproc)
+    oneway(tb, args.size).run()
     print(tb.sim.tracer.timeline())
     if args.trace_out:
         from .obs.perfetto import dumps_trace
@@ -237,7 +209,7 @@ def cmd_check(args) -> None:
     from .check import ALL_PROVIDERS, run_conformance
 
     providers = tuple(args.providers)
-    if providers == PROVIDERS:
+    if providers == DEFAULT_PROVIDERS:
         # conformance should cover every stack unless explicitly narrowed
         providers = ALL_PROVIDERS
     report = run_conformance(providers, seed=args.seed,
@@ -261,7 +233,8 @@ def _chaos_providers(args) -> list | None:
     means every stack), ``vibe submit chaos`` its own ``--provider``."""
     if args.command == "submit":
         return None if args.provider == "all" else args.provider.split(",")
-    return None if tuple(args.providers) == PROVIDERS else args.providers
+    return (None if tuple(args.providers) == DEFAULT_PROVIDERS
+            else args.providers)
 
 
 def _chaos_spec_params(args) -> dict:
@@ -621,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vibe",
         description="VIBe micro-benchmark suite over simulated VIA providers",
     )
-    parser.add_argument("--providers", default=",".join(PROVIDERS),
+    parser.add_argument("--providers", default=",".join(DEFAULT_PROVIDERS),
                         type=lambda s: s.split(","),
                         help="comma-separated provider list")
     parser.add_argument("--jobs", "-j", type=int, default=1,
@@ -810,8 +783,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_inputs(args) -> None:
+    """Exit with one ``vibe <cmd>: ...`` line on an unknown provider or
+    a message size a provider cannot send, before anything is simulated
+    (``run``, ``cluster`` and ``submit`` check their spec instead)."""
+    from .providers.registry import ALL_PROVIDERS, PROVIDERS
+
+    if args.command in ("table1", "figure", "profile", "check", "chaos",
+                        "report") or getattr(args, "compare", False):
+        names = args.providers          # the global --providers list
+    elif args.command in ("trace", "breakdown", "save"):
+        names = [args.provider]
+    else:
+        return
+    for name in names:
+        if name not in PROVIDERS:
+            sys.exit(f"vibe {args.command}: unknown provider {name!r}; "
+                     f"known: {', '.join(ALL_PROVIDERS)}")
+        limit = PROVIDERS[name].costs.max_transfer_size
+        if hasattr(args, "size") and not 0 <= args.size <= limit:
+            # trace, breakdown and profile send --size bytes per message
+            sys.exit(f"vibe {args.command}: --size {args.size} is "
+                     f"outside {name}'s message sizes 0..{limit}")
+
+
 def main(argv: list[str] | None = None) -> None:
     args = build_parser().parse_args(argv)
+    _check_inputs(args)
     {
         "table1": cmd_table1,
         "figure": cmd_figure,

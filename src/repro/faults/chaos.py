@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..check.invariants import ConformanceError
-from ..providers.registry import Testbed
+from ..providers.registry import ALL_PROVIDERS, Testbed
 from ..sim.ids import reset_ids
 from ..sim.trace import Tracer
 from ..snap.format import blob_hash
@@ -479,8 +479,6 @@ def run_chaos(providers: tuple | None = None,
               quick: bool = False) -> ChaosReport:
     """Run the campaign; never raises, inspect ``report.ok``."""
     if providers is None:
-        from ..check import ALL_PROVIDERS
-
         providers = ALL_PROVIDERS
     if scenarios:
         chosen = tuple(get_scenario(n) for n in scenarios)

@@ -2,8 +2,9 @@
 is spent in each of the components in the implementation, and pinpoint
 the bottlenecks").
 
-Runs a single traced message transfer and telescopes its timeline into
-the architectural phases of a VIA send:
+Traces two one-way messages (:func:`repro.programs.oneway`): the first
+warms every cache, and the second's timeline telescopes into the
+architectural phases of a VIA send:
 
 ====================  =====================================================
 phase                 boundary events
@@ -32,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..obs.spans import PhaseBoundary, phase_spans
+from ..programs import oneway
 from ..providers.registry import ProviderSpec, Testbed
 from ..sim.trace import Tracer
-from ..via.descriptor import Descriptor
 
 __all__ = ["Breakdown", "latency_breakdown", "render_breakdowns",
            "PHASES", "PHASE_BOUNDARIES"]
@@ -89,60 +90,18 @@ class Breakdown:
 
 def latency_breakdown(provider: "str | ProviderSpec", size: int = 1024,
                       seed: int = 0) -> Breakdown:
-    """Trace one send and decompose its one-way latency by phase."""
+    """Trace two one-way sends and decompose the second's latency by
+    phase: the first warms every cache."""
     tb = Testbed(provider, seed=seed)
-    tracer = Tracer()
-    out: dict = {}
-
-    def client():
-        h = tb.open("node0", "client")
-        vi = yield from h.create_vi()
-        region = h.alloc(max(size, 4))
-        mh = yield from h.register_mem(region)
-        yield from h.connect(vi, "node1", 3)
-        # warm every cache with one untraced message, then trace the next
-        segs = [h.segment(region, mh, 0, size)]
-        yield from h.post_send(vi, Descriptor.send(segs))
-        yield from h.send_wait(vi)
-        while not out.get("warmed"):
-            yield tb.sim.timeout(5.0)
-        tb.sim.tracer = tracer
-        yield from h.post_send(vi, Descriptor.send(segs))
-        yield from h.send_wait(vi)
-
-    def server():
-        h = tb.open("node1", "server")
-        vi = yield from h.create_vi()
-        region = h.alloc(max(size, 4))
-        mh = yield from h.register_mem(region)
-        segs = [h.segment(region, mh, 0, size)]
-        yield from h.post_recv(vi, Descriptor.recv(segs))
-        req = yield from h.connect_wait(3)
-        yield from h.accept(req, vi)
-        yield from h.recv_wait(vi)
-        yield from h.post_recv(vi, Descriptor.recv(segs))
-        out["warmed"] = True
-        yield from h.recv_wait(vi)
-        out["done"] = tb.now
-
-    cproc = tb.spawn(client(), "client")
-    sproc = tb.spawn(server(), "server")
-    tb.run(cproc)
-    tb.run(sproc)
+    tracer = tb.sim.tracer = Tracer()
+    oneway(tb, size, count=2).run()
     tb.close()
-
-    name = provider if isinstance(provider, str) else provider.name
-    return _parse(tracer, name, size)
-
-
-def _parse(tracer: Tracer, provider: str, size: int) -> Breakdown:
     # last-match anchors: the warm-up message emitted the same labels
     spans = phase_spans(tracer, PHASE_BOUNDARIES, nodes=("node0", "node1"),
                         select="last")
-    bd = Breakdown(provider, size)
-    bd.phases = {s.name: s.duration for s in spans}
-    bd.total = spans[-1].end - spans[0].start
-    return bd
+    name = provider if isinstance(provider, str) else provider.name
+    return Breakdown(name, size, {s.name: s.duration for s in spans},
+                     spans[-1].end - spans[0].start)
 
 
 def render_breakdowns(breakdowns: list[Breakdown]) -> str:

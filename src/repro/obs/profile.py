@@ -17,34 +17,15 @@ import json
 from dataclasses import dataclass, replace
 
 from ..sim.trace import TraceEvent, Tracer
-from ..via.descriptor import Descriptor
 from .harvest import harvest_into
 from .metrics import MetricsRegistry
 from .perfetto import dumps_trace
-from .spans import Span, SpanRecorder, phase_spans
+from .spans import Span, phase_spans
 
 __all__ = ["TransferProfile", "profile_transfer", "run_metadata",
            "combined_trace_json", "combined_metrics_json"]
 
-_DISCRIMINATOR = 7
 _DECLINE = "sim.ff.decline."
-
-
-def _reset_id_counters() -> None:
-    """Restart the global id allocators (packets, VIs, descriptors, ...).
-
-    The ids are scoped per testbed anyway — the allocators are global
-    only as an allocation convenience — but they appear in trace events,
-    so a canonical profile run must not inherit whatever offset earlier
-    simulations in this process left behind.  Resetting makes the run's
-    exported bytes identical whether it is the first simulation of the
-    process or the hundredth (and therefore identical across ``--jobs``
-    fan-out, where workers start fresh).  Delegates to
-    :func:`repro.sim.ids.reset_ids`, which the snapshot layer shares.
-    """
-    from ..sim.ids import reset_ids
-
-    reset_ids()
 
 
 def run_metadata(provider: str, params: dict | None = None) -> dict:
@@ -158,9 +139,9 @@ def profile_transfer(provider, size: int = 256, seed: int = 0,
     fast-forwarded in the summary and metrics.
     """
     from ..models.breakdown import PHASE_BOUNDARIES
+    from ..programs import pingpong
     from ..providers.registry import Testbed, get_spec
 
-    _reset_id_counters()
     tb = Testbed(provider, seed=seed,
                  loss_rate=loss_rate if loss_rate else None,
                  fidelity=fidelity)
@@ -169,45 +150,9 @@ def profile_transfer(provider, size: int = 256, seed: int = 0,
         tb.sim.tracer = tracer            # attached before the handshake
     registry = MetricsRegistry()
     tb.sim.metrics = registry
-    rec = SpanRecorder(tb.sim)
-    out: dict = {}
-
-    def client():
-        with rec.span("setup", node="node0"):
-            h = tb.open("node0", "client")
-            vi = yield from h.create_vi(reliability=reliability)
-            region = h.alloc(max(size, 4))
-            mh = yield from h.register_mem(region)
-        segs = [h.segment(region, mh, 0, size)]
-        yield from h.post_recv(vi, Descriptor.recv(segs))
-        with rec.span("connect", node="node0"):
-            yield from h.connect(vi, "node1", _DISCRIMINATOR)
-        rec.begin("rtt", node="node0")
-        yield from h.post_send(vi, Descriptor.send(segs))
-        yield from h.send_wait(vi)
-        yield from h.recv_wait(vi)
-        out["rtt"] = rec.end("rtt", node="node0", size=size).duration
-        yield from h.disconnect(vi)
-
-    def server():
-        with rec.span("setup", node="node1"):
-            h = tb.open("node1", "server")
-            vi = yield from h.create_vi(reliability=reliability)
-            region = h.alloc(max(size, 4))
-            mh = yield from h.register_mem(region)
-        segs = [h.segment(region, mh, 0, size)]
-        yield from h.post_recv(vi, Descriptor.recv(segs))
-        req = yield from h.connect_wait(_DISCRIMINATOR)
-        yield from h.accept(req, vi)
-        with rec.span("serve", node="node1"):
-            yield from h.recv_wait(vi)
-            yield from h.post_send(vi, Descriptor.send(segs))
-            yield from h.send_wait(vi)
-
-    cproc = tb.spawn(client(), "client")
-    sproc = tb.spawn(server(), "server")
-    tb.run(cproc)
-    tb.run(sproc)
+    prog = pingpong(tb, size, reliability=reliability)
+    prog.run()
+    rtt = next(s.duration for s in prog.spans if s.name == "rtt")
 
     harvest_into(registry, tb)
     tb.close()
@@ -231,8 +176,8 @@ def profile_transfer(provider, size: int = 256, seed: int = 0,
         params["fidelity"] = fidelity
     meta = run_metadata(name, params)
     return TransferProfile(
-        provider=name, size=size, seed=seed, rtt_us=out["rtt"],
-        events=list(tracer.events), spans=rec.spans + phases,
+        provider=name, size=size, seed=seed, rtt_us=rtt,
+        events=list(tracer.events), spans=prog.spans + phases,
         registry=registry, meta=meta,
     )
 

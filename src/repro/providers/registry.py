@@ -22,7 +22,8 @@ from .costs import CostModel, DesignChoices
 from .iba import IBA_1X, IBA_CHOICES, IBA_COSTS
 from .mvia import MVIA_CHOICES, MVIA_COSTS
 
-__all__ = ["ProviderSpec", "PROVIDERS", "Testbed", "get_spec"]
+__all__ = ["ProviderSpec", "PROVIDERS", "ALL_PROVIDERS", "Testbed",
+           "get_spec"]
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,9 @@ PROVIDERS: dict[str, ProviderSpec] = {
     # the paper's future-work target (§5): an InfiniBand-style stack
     "iba": ProviderSpec("iba", IBA_1X, IBA_CHOICES, IBA_COSTS),
 }
+
+#: every built-in provider's name, in registry order
+ALL_PROVIDERS = tuple(PROVIDERS)
 
 
 def get_spec(name_or_spec: "str | ProviderSpec") -> ProviderSpec:

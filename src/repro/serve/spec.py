@@ -55,7 +55,7 @@ def _require(params: dict, allowed: set, kind: str) -> None:
 
 
 def _provider(name) -> str:
-    from ..check import ALL_PROVIDERS
+    from ..providers.registry import ALL_PROVIDERS
 
     name = str(name)
     if name not in ALL_PROVIDERS:
@@ -65,7 +65,7 @@ def _provider(name) -> str:
 
 
 def _providers(params: dict) -> tuple:
-    from ..check import ALL_PROVIDERS
+    from ..providers.registry import ALL_PROVIDERS
 
     raw = params.get("providers")
     if raw in (None, "all", []):

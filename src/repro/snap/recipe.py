@@ -18,14 +18,14 @@ reproduces the run (code drift, an unpinned iteration order) and raises
 :class:`~repro.snap.format.SnapshotDivergenceError` instead of handing
 back a silently different simulation.
 
-Builders register by name in :data:`BUILDERS` (see
-:mod:`repro.snap.programs` for the standard transfer workloads and
-:mod:`repro.faults.chaos` for the chaos-scenario builder).  A builder
-takes a parameter dict and returns a :class:`Session`; it must be
-deterministic given its parameters and a reset id/RNG environment —
-:func:`build_session` resets the global id allocators before invoking
-it, so blobs hash identically no matter what ran earlier in the
-process.
+Builders register by name in :data:`BUILDERS`: :func:`transfer_session`
+here runs one of the canonical two-node programs of
+:mod:`repro.programs`, and :mod:`repro.faults.chaos` registers the
+chaos-scenario builder.  A builder takes a parameter dict and returns a
+:class:`Session`; it must be deterministic given its parameters and a
+reset id/RNG environment — :func:`build_session` resets the global id
+allocators before invoking it, so blobs hash identically no matter what
+ran earlier in the process.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from .format import (SnapshotDivergenceError, SnapshotIntegrityError,
                      SnapshotStateError, SnapshotVersionError, decode, encode)
 
 __all__ = ["BUILDERS", "Session", "register_builder", "build_session",
-           "checkpoint_replay", "restore_replay", "canonical_dumps"]
+           "checkpoint_replay", "restore_replay", "canonical_dumps",
+           "transfer_session"]
 
 _PROTOCOL = 4  # fixed: the blob format pins the pickle protocol too
 
@@ -105,13 +106,10 @@ def build_session(builder: str, params: dict) -> Session:
     blob captured from it — is identical whether it is the first
     simulation of the process or the hundredth.
     """
-    if builder not in BUILDERS:
-        # standard builders register on import; pull them in so a blob
-        # can be restored in a process that never touched those modules
-        from . import programs  # noqa: F401
-
-        if builder == "chaos":
-            from ..faults import chaos  # noqa: F401
+    if builder == "chaos" and builder not in BUILDERS:
+        # registers on import; pull it in so a blob can be restored in a
+        # process that never touched the chaos campaign
+        from ..faults import chaos  # noqa: F401
     try:
         fn = BUILDERS[builder]
     except KeyError:
@@ -122,6 +120,46 @@ def build_session(builder: str, params: dict) -> Session:
     session = fn(dict(params))
     session.genesis = {"builder": builder, "params": dict(params)}
     return session
+
+
+_WORKLOADS = ("pingpong", "stream", "rdma_write", "segmented")
+
+
+@register_builder("transfer")
+def transfer_session(params: dict) -> Session:
+    """Two-node data-transfer session: the :mod:`repro.programs` program
+    named by ``workload`` (``segmented`` is a ping-pong of 4-segment
+    descriptors) on a testbed with the given provider, seed, loss rate,
+    checker, fault plan, fidelity and tracer."""
+    from .. import programs
+    from ..providers.registry import Testbed
+    from ..sim.trace import Tracer
+    from ..via.constants import Reliability
+
+    workload = params.get("workload", "pingpong")
+    if workload not in _WORKLOADS:
+        raise ValueError(
+            f"unknown transfer workload {workload!r}; one of {_WORKLOADS}")
+    tb = Testbed(params.get("provider", "clan"),
+                 seed=int(params.get("seed", 0)),
+                 loss_rate=params.get("loss_rate"),
+                 check=bool(params.get("check", False)),
+                 faults=params.get("faults"),
+                 fidelity=params.get("fidelity", "packet"))
+    if params.get("trace"):
+        # attached at genesis, so replay reproduces the full event log
+        tb.sim.tracer = Tracer()
+    reliability = params.get("reliability")
+    shape = {"size": int(params.get("size", 256)),
+             "count": int(params.get("count", 8)),
+             "reliability": (None if reliability is None
+                             else Reliability(reliability))}
+    if workload in ("pingpong", "segmented"):
+        shape["segments"] = int(params.get(
+            "segments", 4 if workload == "segmented" else 1))
+        workload = "pingpong"
+    prog = getattr(programs, workload)(tb, **shape)
+    return Session(tb, prog.procs, prog.board)
 
 
 class _CanonicalPickler(pickle.Pickler):

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..programs import split_segments
 from ..providers.registry import ProviderSpec, Testbed
 from ..via.constants import Reliability, WaitMode
 from ..via.descriptor import DataSegment, Descriptor
-from ..via.provider import NicHandle
 from .metrics import Measurement
 
 __all__ = ["TransferConfig", "Endpoint", "run_latency", "run_bandwidth",
@@ -96,22 +96,6 @@ def reuse_schedule(iters: int, reuse_fraction: float, pool: int) -> list[int]:
             schedule.append(1 + fresh % (pool - 1))
             fresh += 1
     return schedule
-
-
-def split_segments(handle: NicHandle, region, mh, size: int,
-                   nsegments: int) -> list[DataSegment]:
-    """Split ``size`` bytes of a buffer into ``nsegments`` data segments."""
-    if nsegments < 1:
-        raise ValueError("need at least one segment")
-    base = size // nsegments
-    sizes = [base] * nsegments
-    sizes[-1] += size - base * nsegments
-    segs = []
-    offset = 0
-    for s in sizes:
-        segs.append(handle.segment(region, mh, offset, s))
-        offset += s
-    return segs
 
 
 class Endpoint:

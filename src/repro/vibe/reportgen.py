@@ -21,10 +21,9 @@ from . import (
 )
 from ..executor import parallel_map
 from .report import render_figure, render_memreg, render_table1
+from .suite import DEFAULT_PROVIDERS
 
 __all__ = ["generate_report"]
-
-DEFAULT_PROVIDERS = ("mvia", "bvia", "clan")
 
 
 def generate_report(out_dir: "str | pathlib.Path",

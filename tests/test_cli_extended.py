@@ -1,8 +1,14 @@
 """Tests for the extended CLI commands (breakdown, trace, save, compare)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
+from repro.vibe import run_benchmark
 
 
 def test_breakdown_single(capsys):
@@ -21,12 +27,77 @@ def test_breakdown_compare(capsys):
 
 
 def test_trace_timeline(capsys):
-    main(["trace", "--provider", "bvia", "--size", "32"])
+    """The timeline names every layer, and it reads the same whatever
+    ran earlier in the process: after a benchmark has allocated packet
+    and descriptor ids, it matches a fresh interpreter's byte for
+    byte."""
+    argv = ["trace", "--provider", "bvia", "--size", "32"]
+    run_benchmark("base_latency", "clan", sizes=[4])
+    main(argv)
     out = capsys.readouterr().out
     assert "host/post_send" in out
     assert "nic/frag_out" in out
     assert "wire/serialized" in out
     assert "via/completed" in out
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(__file__).parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    fresh = subprocess.run([sys.executable, "-m", "repro.cli", *argv],
+                           env=env, capture_output=True, text=True,
+                           check=True)
+    assert out == fresh.stdout
+
+
+_KNOWN = "known: mvia, bvia, clan, iba"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["trace", "--size", "-1"],
+     "vibe trace: --size -1 is outside clan's message sizes 0..65536"),
+    (["breakdown", "--provider", "bvia", "--size", "65536"],
+     "vibe breakdown: --size 65536 is outside bvia's message sizes "
+     "0..32768"),
+    (["profile", "--size", "-1"],
+     "vibe profile: --size -1 is outside mvia's message sizes 0..65536"),
+    (["trace", "--provider", "nope"],
+     f"vibe trace: unknown provider 'nope'; {_KNOWN}"),
+    (["breakdown", "--provider", "nope"],
+     f"vibe breakdown: unknown provider 'nope'; {_KNOWN}"),
+    (["save", "--repo", "r", "--platform", "p", "--provider", "nope"],
+     f"vibe save: unknown provider 'nope'; {_KNOWN}"),
+    (["--providers", "mvia,nope", "breakdown", "--compare"],
+     f"vibe breakdown: unknown provider 'nope'; {_KNOWN}"),
+    (["--providers", "nope", "table1"],
+     f"vibe table1: unknown provider 'nope'; {_KNOWN}"),
+    (["--providers", "nope", "figure", "3"],
+     f"vibe figure: unknown provider 'nope'; {_KNOWN}"),
+    (["--providers", "nope", "profile"],
+     f"vibe profile: unknown provider 'nope'; {_KNOWN}"),
+    (["--providers", "nope", "report"],
+     f"vibe report: unknown provider 'nope'; {_KNOWN}"),
+    (["--providers", "nope", "check"],
+     f"vibe check: unknown provider 'nope'; {_KNOWN}"),
+    (["--providers", "nope", "chaos", "--rewind"],
+     f"vibe chaos: unknown provider 'nope'; {_KNOWN}"),
+])
+def test_bad_provider_or_size_exits_with_one_line(argv, message, capsys):
+    """Checked before anything is simulated: nothing reaches stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == message
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--size", "0"],
+    ["--providers", "mvia,bvia,clan,iba", "breakdown", "--compare",
+     "--size", "0"],
+    ["profile", "--size", "0"],
+])
+def test_zero_length_message_still_runs(argv, capsys):
+    main(argv)
+    assert capsys.readouterr().out
 
 
 def test_save_and_compare_roundtrip(tmp_path, capsys):

@@ -11,8 +11,8 @@ import pytest
 
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, attach_faults
 from repro.faults.plan import DELIVERY_KINDS, WIRE_KINDS
-from repro.obs.profile import _reset_id_counters
 from repro.providers import Testbed
+from repro.sim.ids import reset_ids
 from repro.sim.trace import Tracer
 from repro.via import CompletionStatus, Reliability
 
@@ -155,7 +155,7 @@ def test_target_prefix_matching():
 def _traced_ping(provider="mvia", faults=None):
     """One reliable ping-pong; returns the full (t, cat, label, node)
     event sequence plus the payload the server echoed."""
-    _reset_id_counters()
+    reset_ids()
     tb = Testbed(provider, seed=0, faults=faults)
     tracer = Tracer()
     tb.sim.tracer = tracer

@@ -5,7 +5,10 @@ One canonical poll-mode ping-pong per provider, with the full
 change to event ordering, timing, labels, or the instrumentation points
 fails loudly here — the trace is part of the kernel's determinism
 contract, exactly like the golden latency floats in
-``test_determinism.py``.
+``test_determinism.py``.  Two more outputs built on traced transfers
+are pinned beside it: the profile's metrics (without the kernel's own
+``sim.*`` accounting, as ``golden_snapshots.json`` leaves it out) and
+the printed ``vibe breakdown --compare`` table.
 
 Regenerate the fixtures after an *intentional* trace change with::
 
@@ -20,11 +23,22 @@ import pathlib
 
 import pytest
 
+from repro.cli import main
 from repro.obs.profile import profile_transfer
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 PROVIDERS = ("mvia", "bvia", "clan", "iba")
 SIZE, SEED = 256, 0
+#: 16 KiB is where bvia's rx_processing is sensitive to how the client
+#: waits for the receiver's repost before its second message
+BREAKDOWN_SIZES = (1024, 16384)
+
+
+def _check_golden(path: pathlib.Path, got) -> None:
+    got = json.loads(json.dumps(got))  # tuples compare as JSON lists
+    if os.environ.get("GOLDEN_REGEN"):  # pragma: no cover - maintenance aid
+        path.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
+    assert got == json.loads(path.read_text())
 
 
 def _sequence(profile):
@@ -94,3 +108,20 @@ def test_metrics_snapshot_consistent_with_trace(profiles, provider):
     assert prof.meta["params"] == {
         "size": SIZE, "seed": SEED, "benchmark": "profile_pingpong",
     }
+
+
+def test_golden_profile_metrics(profiles):
+    _check_golden(FIXTURES / "golden_profile_metrics.json", {
+        p: {name: value for name, value
+            in profiles[p].registry.snapshot().items()
+            if not name.startswith("sim.")}
+        for p in PROVIDERS})
+
+
+def test_golden_breakdown_compare(capsys):
+    got = {}
+    for size in BREAKDOWN_SIZES:
+        main(["--providers", ",".join(PROVIDERS), "breakdown", "--compare",
+              "--size", str(size)])
+        got[str(size)] = capsys.readouterr().out
+    _check_golden(FIXTURES / "golden_breakdown_compare.json", got)

@@ -22,8 +22,8 @@ import pathlib
 
 import pytest
 
-from repro.obs.profile import _reset_id_counters
 from repro.providers import Testbed
+from repro.sim.ids import reset_ids
 from repro.sim.trace import Tracer
 from repro.via import Descriptor
 from repro.via.constants import Reliability
@@ -40,7 +40,7 @@ _DEADLINE = 20_000.0
 def _lossy_stream_trace(level_name: str) -> dict:
     """One traced, checked stream under loss; returns events + counters."""
     level = Reliability(level_name)
-    _reset_id_counters()
+    reset_ids()
     tb = Testbed("mvia", seed=SEED, loss_rate=LOSS, check=True)
     tracer = Tracer()
     tb.sim.tracer = tracer
