@@ -36,10 +36,16 @@ from .via.constants import WaitMode
 from .executor import parallel_map
 
 
-def _sizes(arg: str | None) -> list[int] | None:
-    if not arg:
+def _sizes(args) -> list[int] | None:
+    """``--sizes`` as integers; exits with one ``vibe <cmd>: ...`` line
+    when a value is not an integer."""
+    if not args.sizes:
         return None
-    return [int(x) for x in arg.split(",")]
+    try:
+        return [int(x) for x in args.sizes.split(",")]
+    except ValueError:
+        sys.exit(f"vibe {args.command}: --sizes {args.sizes} is not a "
+                 "comma-separated list of integers")
 
 
 def _render(args, results, metric, title):
@@ -55,7 +61,7 @@ def cmd_table1(args) -> None:
 
 
 def cmd_figure(args) -> None:
-    sizes = _sizes(args.sizes)
+    sizes = _sizes(args)
     jobs = args.jobs
     n = args.number
     if n in (1, 2):
@@ -252,18 +258,23 @@ def cmd_chaos(args) -> None:
 
 
 def _chaos_rewind(args) -> None:
-    """``vibe chaos --rewind``: checkpoint each cell just before its
-    first fault arms, restore, and re-run the fault window traced."""
+    """``vibe chaos --rewind``: step each cell to just before its first
+    fault arms, then finish the fault window traced."""
     from .check import ALL_PROVIDERS
     from .faults.chaos import rewind_scenario
     from .faults.scenarios import SCENARIOS, get_scenario
 
     providers = _chaos_providers(args) or ALL_PROVIDERS
     names = _chaos_scenarios(args)
-    if names:
-        chosen = tuple(get_scenario(n) for n in names)
-    else:
-        chosen = tuple(sc for sc in SCENARIOS if sc.workload == "stream")
+    try:
+        chosen = (tuple(get_scenario(n) for n in names) if names else
+                  tuple(sc for sc in SCENARIOS if sc.workload == "stream"))
+    except KeyError as exc:
+        sys.exit(f"vibe chaos: {exc.args[0]}")
+    if not any(sc.workload == "stream" for sc in chosen):
+        sys.exit("vibe chaos: --rewind supports two-node stream scenarios "
+                 "only, not " + ", ".join(f"{sc.name} ({sc.workload} "
+                                          "workload)" for sc in chosen))
     print(f"chaos rewind: {len(chosen)} scenarios x "
           f"{len(providers)} providers")
     ok = True
@@ -358,7 +369,7 @@ def _run_spec_params(args) -> dict:
         # result metadata (fidelity never reaches params)
         params["fidelity"] = args.fidelity
     if args.sizes:
-        params["sizes"] = _sizes(args.sizes)
+        params["sizes"] = _sizes(args)
     return params
 
 
@@ -683,8 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--json-out", metavar="FILE.json",
                        help="also write the report as JSON")
     chaos.add_argument("--rewind", action="store_true",
-                       help="checkpoint each cell just before its first "
-                            "fault arms, restore, and replay only the "
+                       help="rebuild each cell, step it to just before "
+                            "its first fault arms, and finish only the "
                             "fault window under a tracer")
 
     clus = sub.add_parser(
@@ -785,8 +796,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_inputs(args) -> None:
     """Exit with one ``vibe <cmd>: ...`` line on an unknown provider or
-    a message size a provider cannot send, before anything is simulated
-    (``run``, ``cluster`` and ``submit`` check their spec instead)."""
+    a message or buffer size a provider cannot use, before anything is
+    simulated (``run``, ``cluster`` and ``submit`` check their spec
+    instead)."""
     from .providers.registry import ALL_PROVIDERS, PROVIDERS
 
     if args.command in ("table1", "figure", "profile", "check", "chaos",
@@ -805,6 +817,28 @@ def _check_inputs(args) -> None:
             # trace, breakdown and profile send --size bytes per message
             sys.exit(f"vibe {args.command}: --size {args.size} is "
                      f"outside {name}'s message sizes 0..{limit}")
+    if args.command == "figure":
+        _check_figure_sizes(args)
+
+
+def _check_figure_sizes(args) -> None:
+    """Figures 1-2 register a buffer of each ``--sizes`` size; figures 3,
+    4 and 7 send messages of each size on every provider and figure 5 on
+    bvia alone; figure 6 takes no sizes."""
+    from .providers.registry import PROVIDERS
+
+    n = args.number
+    senders = {3: args.providers, 4: args.providers, 5: ("bvia",),
+               7: args.providers}.get(n, ())
+    for size in _sizes(args) or ():
+        if n in (1, 2) and size < 1:
+            sys.exit(f"vibe figure: --sizes {size} is not a buffer size; "
+                     f"figure {n} registers 1 byte or more")
+        for name in senders:
+            limit = PROVIDERS[name].costs.max_transfer_size
+            if not 0 <= size <= limit:
+                sys.exit(f"vibe figure: --sizes {size} is outside "
+                         f"{name}'s message sizes 0..{limit}")
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -455,10 +455,10 @@ def cell_key(provider: str, cfg: ClusterConfig, rate: float | None,
     ``cell-<key>.json`` through :class:`repro.serve.ResultCache`, so a
     cell computed by either consumer is a cache hit for the other.
     """
-    from ..snap import snapshot_key
+    from ..serve.cache import content_key
 
     canon = repr((provider, sorted(asdict(cfg).items()), rate, check))
-    return snapshot_key(canon, cfg.seed)
+    return content_key(canon, cfg.seed)
 
 
 def run_cluster(providers: tuple, cfg: ClusterConfig,

@@ -21,9 +21,6 @@ from ..check.invariants import ConformanceError
 from ..providers.registry import ALL_PROVIDERS, Testbed
 from ..sim.ids import reset_ids
 from ..sim.trace import Tracer
-from ..snap.format import blob_hash
-from ..snap.recipe import (Session, build_session, checkpoint_replay,
-                           register_builder, restore_replay)
 from ..via.constants import CompletionStatus, Reliability, ViState
 from ..via.descriptor import Descriptor
 from ..via.errors import VipConnectionError, VipTimeout
@@ -112,28 +109,15 @@ class ChaosReport:
         )
 
 
-def _cell_params(provider: str, sc: ChaosScenario, seed: int,
-                 quick: bool) -> dict:
-    """The picklable genesis parameters of one (scenario, provider) cell."""
-    return {"provider": provider, "scenario": sc.name,
-            "seed": int(seed), "quick": bool(quick)}
+def _make_cell(provider: str, sc: ChaosScenario, seed: int,
+               quick: bool) -> tuple:
+    """Stand up one scenario cell from reset ids: ``(testbed, procs,
+    board)`` with its plan and both endpoint processes.
 
-
-@register_builder("chaos")
-def _chaos_builder(params: dict) -> "Session":
-    """Genesis builder: rebuild a chaos cell from its parameters alone."""
-    return _make_session(params["provider"], get_scenario(params["scenario"]),
-                         params["seed"], params["quick"])
-
-
-def _make_session(provider: str, sc: ChaosScenario, seed: int,
-                  quick: bool) -> "Session":
-    """Stand up one scenario cell: testbed, plan, both endpoint processes.
-
-    Everything the run will observe lives in the returned session's
-    board, so a cold cell and a restored-and-finished cell can be
-    compared field by field.
+    Everything the run will observe lives in the board, so a cold cell
+    and a rewound-and-finished cell can be compared field by field.
     """
+    reset_ids()
     count = min(sc.count, 8) if quick else sc.count
     deadline_us = min(sc.deadline_us, 150_000.0) if quick else sc.deadline_us
     window = min(sc.window, count)
@@ -309,19 +293,19 @@ def _make_session(provider: str, sc: ChaosScenario, seed: int,
              tb.spawn(server_body(), "chaos-server")]
     board = {"stats": stats, "violations": violations,
              "count": count, "size": size}
-    return Session(tb, procs, board)
+    return tb, procs, board
 
 
-def _finish_scenario(session: "Session", provider: str,
+def _finish_scenario(cell: tuple, provider: str,
                      sc: ChaosScenario) -> ScenarioResult:
-    """Drive a (possibly restored) scenario session to its verdict."""
-    tb = session.testbed
-    stats = session.board["stats"]
-    violations = session.board["violations"]
-    count = session.board["count"]
-    size = session.board["size"]
+    """Drive a (possibly part-run) scenario cell to its verdict."""
+    tb, procs, board = cell
+    stats = board["stats"]
+    violations = board["violations"]
+    count = board["count"]
+    size = board["size"]
     try:
-        for proc in session.procs:
+        for proc in procs:
             tb.run(proc)
         tb.run()  # drain stray timers so the quiesce audit sees a quiet sim
         tb.checker.check_quiesced(tb)
@@ -376,99 +360,79 @@ def run_scenario(provider: str, sc: ChaosScenario, seed: int = 0,
         from .overload_cell import run_overload_scenario
 
         return run_overload_scenario(provider, sc, seed=seed, quick=quick)
-    from .scenarios import _BY_NAME
-
-    if _BY_NAME.get(sc.name) == sc:
-        # registered scenario: build through the genesis registry, so
-        # the cell is replay-checkpointable (vibe chaos --rewind)
-        session = build_session("chaos", _cell_params(provider, sc, seed,
-                                                      quick))
-    else:
-        # ad-hoc scenario object: same run, just not checkpointable
-        reset_ids()
-        session = _make_session(provider, sc, seed, quick)
-    return _finish_scenario(session, provider, sc)
+    return _finish_scenario(_make_cell(provider, sc, seed, quick),
+                            provider, sc)
 
 
 @dataclass
 class RewindResult:
-    """What one ``--rewind`` cell produced: a checkpoint taken just
-    before the first fault window opens, proof it restores, and the
-    verdict of the restored run."""
+    """What one ``--rewind`` cell produced: the event cursor just before
+    the first fault window opens, and the verdict of a rebuilt cell
+    stepped to that cursor and finished under a tracer."""
 
     scenario: str
     provider: str
     t_arm_us: float          # when the earliest fault window opens
-    checkpoint_event: int    # event cursor the checkpoint was taken at
-    checkpoint_bytes: int
-    blob_sha256: str
+    checkpoint_event: int    # event cursor the rewind stopped at
     events_traced: int       # events recorded from the fault window on
-    matches_cold: bool       # restored verdict == cold verdict
+    matches_cold: bool       # rewound verdict == cold verdict
     result: ScenarioResult = None
 
     def summary(self) -> str:
         verdict = "ok" if (self.result.ok and self.matches_cold) else "FAIL"
         return (f"  {self.scenario:<20} {self.provider:<8} {verdict:<7} "
-                f"arm@{self.t_arm_us:>10.1f}us  ckpt@ev{self.checkpoint_event:<7} "
-                f"{self.checkpoint_bytes:>6}B  traced {self.events_traced}")
+                f"arm@{self.t_arm_us:>10.1f}us  "
+                f"ckpt@ev{self.checkpoint_event:<7}  traced {self.events_traced}")
 
 
 def rewind_scenario(provider: str, sc: ChaosScenario, seed: int = 0,
                     quick: bool = False) -> RewindResult:
-    """Checkpoint a scenario just before its first fault arms, restore
-    the checkpoint, and re-run the fault window under a tracer.
+    """Rewind a scenario to just before its first fault arms and re-run
+    the fault window under a tracer.
 
     The debugging workflow this enables: a chaos cell fails, you rewind
-    to the moment before the fault fires and replay just the
-    interesting window — with tracing, a debugger, or a code tweak —
-    in milliseconds instead of re-simulating the whole warmup.
+    to the moment before the fault fires and watch just the interesting
+    window — with tracing, a debugger, or a code tweak.  The simulation
+    is deterministic, so a cell is fully determined by how it was built
+    and how many events have run: the rewind rebuilds the cell and
+    steps it one event at a time up to the fault window.
 
     Two runs happen: a *cold* discovery run (to learn the absolute arm
     time — ``phase="data"`` plans are scheduled relative to connect)
-    and the rewound run restored from the checkpoint.  Their verdicts
-    must agree (``matches_cold``); tracing is observation-only.
+    and the rewound run.  Their verdicts must agree (``matches_cold``);
+    tracing is observation-only.
     """
     if sc.workload != "stream":
         raise ValueError(
             f"scenario {sc.name!r} runs a {sc.workload} workload; "
             "--rewind supports two-node stream scenarios only")
-    params = _cell_params(provider, sc, seed, quick)
     # discovery: run cold to completion, learn when the plan armed
-    probe = build_session("chaos", params)
+    probe = _make_cell(provider, sc, seed, quick)
     cold = _finish_scenario(probe, provider, sc)
-    injector = probe.testbed.injector
+    injector = probe[0].injector
     if injector is None or not injector.plan.faults:
         raise ValueError(
             f"scenario {sc.name!r} never armed a fault plan on "
             f"{provider}; nothing to rewind to")
     t_arm = min(spec.at for spec in injector.plan.faults)
 
-    # fresh cell, advanced to just before the first fault window opens
-    session = build_session("chaos", params)
-    sim = session.sim
+    # fresh cell, stepped to just before the first fault window opens,
+    # then finished under a tracer
+    cell = _make_cell(provider, sc, seed, quick)
+    sim = cell[0].sim
     while sim.peek() < t_arm:
-        if session.run_events(1) == 0:
+        if sim.run_events(1) == 0:
             break
-    blob = checkpoint_replay(session)
-    cursor = session.events_run
-    session.testbed.close()
-
-    # restore (replays genesis to the cursor, verifies the fingerprint)
-    # and watch the fault window under a tracer
-    restored = restore_replay(blob)
-    tracer = Tracer()
-    restored.testbed.sim.tracer = tracer
-    result = _finish_scenario(restored, provider, sc)
-    matches = result.to_dict() == cold.to_dict()
+    cursor = sim.events_run
+    tracer = sim.tracer = Tracer()
+    result = _finish_scenario(cell, provider, sc)
     return RewindResult(
         scenario=sc.name,
         provider=provider,
         t_arm_us=t_arm,
         checkpoint_event=cursor,
-        checkpoint_bytes=len(blob),
-        blob_sha256=blob_hash(blob),
         events_traced=len(tracer.events),
-        matches_cold=matches,
+        matches_cold=result.to_dict() == cold.to_dict(),
         result=result,
     )
 

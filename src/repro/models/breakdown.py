@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from ..obs.spans import PhaseBoundary, phase_spans
 from ..programs import oneway
-from ..providers.registry import ProviderSpec, Testbed
+from ..providers.registry import ProviderSpec, Testbed, get_spec
 from ..sim.trace import Tracer
 
 __all__ = ["Breakdown", "latency_breakdown", "render_breakdowns",
@@ -99,8 +99,8 @@ def latency_breakdown(provider: "str | ProviderSpec", size: int = 1024,
     # last-match anchors: the warm-up message emitted the same labels
     spans = phase_spans(tracer, PHASE_BOUNDARIES, nodes=("node0", "node1"),
                         select="last")
-    name = provider if isinstance(provider, str) else provider.name
-    return Breakdown(name, size, {s.name: s.duration for s in spans},
+    return Breakdown(get_spec(provider).name, size,
+                     {s.name: s.duration for s in spans},
                      spans[-1].end - spans[0].start)
 
 

@@ -3,9 +3,8 @@
 VIBe's method is to run one fixed set of programs unchanged on every
 VIA implementation, so that any difference in the numbers comes from
 the implementation.  These are the programs that everything outside
-the paper's measurement harness runs: the snapshot tier's
-``"transfer"`` builder, the conformance workloads, ``vibe profile``,
-``vibe trace`` and the latency breakdown.
+the paper's measurement harness runs: the conformance workloads,
+``vibe profile``, ``vibe trace`` and the latency breakdown.
 
 Each program runs on a testbed the caller built (provider, seed,
 fidelity, loss, checker, faults, tracer and live metrics stay the

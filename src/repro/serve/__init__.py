@@ -6,7 +6,7 @@ commands run the same specs through the same executor in-process:
 
 * :mod:`~repro.serve.spec` — :class:`ExperimentSpec`, the validated,
   canonicalised description of one experiment (``run`` / ``cluster`` /
-  ``chaos``), content-addressed by :func:`repro.snap.snapshot_key`;
+  ``chaos``), content-addressed by :func:`repro.serve.cache.content_key`;
 * :mod:`~repro.serve.execute` — :func:`run_spec`, the one execution
   path: the direct CLI calls it, and :func:`execute_spec` (its JSON)
   is what a served job returns, so the bytes match by construction;

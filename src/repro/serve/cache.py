@@ -5,8 +5,10 @@ whole experiment's result JSON (keyed by
 :meth:`~repro.serve.spec.ExperimentSpec.result_key`, stored beside its
 spec), and ``cell-<key>.json`` one cluster-sweep cell's point (keyed by
 :func:`repro.cluster.cell_key`; the service and ``vibe cluster
---checkpoint-dir`` share these).  Each stores ``key``, ``code_version``,
-the payload string ``result`` and its ``result_sha256``.
+--checkpoint-dir`` share these).  Both keys hash through
+:func:`content_key`, which folds in :data:`CODE_VERSION`.  Each entry
+stores ``key``, ``code_version``, the payload string ``result`` and its
+``result_sha256``.
 
 Every writer goes through its own temp file and ``os.replace``, so a
 killed writer never leaves a torn entry and concurrent writers of one
@@ -22,9 +24,24 @@ import json
 import os
 import threading
 
-from ..snap.format import CODE_VERSION
+from .. import __version__
 
-__all__ = ["ResultCache"]
+__all__ = ["CODE_VERSION", "ResultCache", "content_key"]
+
+#: folded into every key and stamped into every entry; the ``snap-6``
+#: suffix is the key-schema version, kept so that existing keys still hold
+CODE_VERSION = f"repro-{__version__}/snap-6"
+
+
+def content_key(config_repr: str, seed: int) -> str:
+    """Content-address a computation: (config, seed, code version).
+
+    Pure function of its arguments — identical across processes and
+    machines — used by campaign checkpoints and the service's result
+    cache.
+    """
+    raw = repr((CODE_VERSION, config_repr, seed)).encode()
+    return hashlib.sha256(raw).hexdigest()
 
 
 def _sha256(payload: str) -> str:

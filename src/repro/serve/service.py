@@ -40,9 +40,8 @@ from concurrent.futures import ProcessPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..obs.metrics import MetricsRegistry
-from ..snap.format import CODE_VERSION
 from ..executor import effective_jobs
-from .cache import ResultCache
+from .cache import CODE_VERSION, ResultCache
 from .execute import (assemble_cluster_result, cluster_plan,
                       execute_spec, point_metrics)
 from .jobs import Job, JobQueue, QueueFullError

@@ -7,9 +7,10 @@ ways of asking for the same experiment (sparse vs. explicit defaults,
 same canonical form and therefore the same content address.
 
 The content address is :meth:`ExperimentSpec.result_key`:
-``snapshot_key(canonical_repr, seed)`` — the PR 7 hash, which stamps
-:data:`repro.snap.CODE_VERSION` into the key, so a code-version bump
-silently invalidates every cached result without any migration logic.
+``content_key(canonical_repr, seed)`` from :mod:`repro.serve.cache`,
+which stamps :data:`~repro.serve.cache.CODE_VERSION` into the key, so a
+code-version bump invalidates every cached result without any
+migration logic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import copy
 from dataclasses import asdict, dataclass, field, fields
 
-from ..snap.format import snapshot_key
+from .cache import content_key
 
 __all__ = ["ExperimentSpec", "SpecError", "KINDS"]
 
@@ -281,9 +282,9 @@ class ExperimentSpec:
 
     def result_key(self) -> str:
         """The spec's content address: ``(canonical, seed, CODE_VERSION)``
-        hashed by the same :func:`~repro.snap.snapshot_key` campaign
-        checkpoints use."""
-        return snapshot_key(self.canonical(), self.seed)
+        hashed by the same :func:`~repro.serve.cache.content_key`
+        campaign checkpoints use."""
+        return content_key(self.canonical(), self.seed)
 
     def describe(self) -> str:
         """One-line human label for job listings."""

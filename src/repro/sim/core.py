@@ -926,9 +926,8 @@ class Simulator:
         ``events_run`` counts exactly one per processed event or kick,
         and :meth:`step` preserves the global ``(time, priority, seq)``
         order, so an event count is a precise, deterministic cursor into
-        a run: replaying ``run_events(t)`` on an identically-built
-        simulation reproduces the state at ``t`` bit-for-bit.  The
-        replay tier of :mod:`repro.snap` is built on this.
+        a run: ``run_events(t)`` on an identically-built simulation
+        reproduces the state at ``t`` bit-for-bit.
 
         Stops early (without raising) when the queue drains.  Like
         ``run(until=event)``, no time boundary is imposed, so flow-level

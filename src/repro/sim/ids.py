@@ -11,12 +11,11 @@ hand, which was fragile and invisible to new id kinds.
 
 :class:`IdSpace` replaces the raw counters with named, registered
 allocators that keep the ``next(...)`` call-site idiom but can be
-*reset* as a group.  That is the property the replay tier of
-:mod:`repro.snap` builds on: every checkpointable session is built
-after :func:`reset_ids`, so a replay allocates the same ids in the same
-order as the original — making runs byte-identical across fresh
-processes regardless of ``PYTHONHASHSEED`` or whatever earlier
-simulations left behind.
+*reset* as a group.  The canonical programs (:mod:`repro.programs`)
+and the chaos cells start from :func:`reset_ids`, so a rebuilt run
+allocates the same ids in the same order as the original — making runs
+byte-identical across fresh processes regardless of ``PYTHONHASHSEED``
+or whatever earlier simulations left behind.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ buffers.
 
 from __future__ import annotations
 
-from ..providers.registry import ProviderSpec
+from ..providers.registry import ProviderSpec, get_spec
 from ..units import paper_size_sweep
 from ..via.constants import WaitMode
 from ..executor import parallel_map
@@ -24,10 +24,6 @@ DEFAULT_REUSE_LEVELS = (1.0, 0.75, 0.5, 0.25, 0.0)
 
 #: enough distinct buffers that even 1-page buffers overflow a 32-entry TLB
 _POOL = 48
-
-
-def _name(provider) -> str:
-    return provider if isinstance(provider, str) else provider.name
 
 
 def reuse_latency(provider: "str | ProviderSpec",
@@ -51,11 +47,12 @@ def reuse_latency(provider: "str | ProviderSpec",
         for reuse in reuse_levels for size in sizes
     ]
     flat = parallel_map(run_latency, tasks, jobs)
+    name = get_spec(provider).name
     results = []
     for i, reuse in enumerate(reuse_levels):
         points = flat[i * len(sizes):(i + 1) * len(sizes)]
         results.append(BenchResult(
-            "reuse_latency", f"{_name(provider)}@{int(reuse * 100)}%",
+            "reuse_latency", f"{name}@{int(reuse * 100)}%",
             points, {"reuse": reuse, "mode": mode.value},
         ))
     return results
@@ -77,11 +74,12 @@ def reuse_bandwidth(provider: "str | ProviderSpec",
         for reuse in reuse_levels for size in sizes
     ]
     flat = parallel_map(run_bandwidth, tasks, jobs)
+    name = get_spec(provider).name
     results = []
     for i, reuse in enumerate(reuse_levels):
         points = flat[i * len(sizes):(i + 1) * len(sizes)]
         results.append(BenchResult(
-            "reuse_bandwidth", f"{_name(provider)}@{int(reuse * 100)}%",
+            "reuse_bandwidth", f"{name}@{int(reuse * 100)}%",
             points, {"reuse": reuse, "mode": mode.value},
         ))
     return results

@@ -19,7 +19,7 @@ receive completion) and whether the message survived at all.
 
 from __future__ import annotations
 
-from ..providers.registry import ProviderSpec, Testbed
+from ..providers.registry import ProviderSpec, Testbed, get_spec
 from ..via.constants import WaitMode
 from ..via.descriptor import Descriptor
 from ..via.errors import VipTimeout
@@ -30,10 +30,6 @@ __all__ = ["DEFAULT_DELAYS", "async_latency"]
 DEFAULT_DELAYS = (0.0, 25.0, 100.0, 400.0)
 
 _TIMEOUT = 50_000.0  # declare the message lost after 50 ms
-
-
-def _name(provider) -> str:
-    return provider if isinstance(provider, str) else provider.name
 
 
 def _one_trial(provider, size: int, delay: float, seed: int) -> Measurement:
@@ -95,5 +91,5 @@ def async_latency(provider: "str | ProviderSpec",
                   seed: int = 0) -> BenchResult:
     """Delivery latency vs receive-posting delay (one message each)."""
     points = [_one_trial(provider, size, d, seed) for d in delays]
-    return BenchResult("async_latency", _name(provider), points,
+    return BenchResult("async_latency", get_spec(provider).name, points,
                        {"size": size})

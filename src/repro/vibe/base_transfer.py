@@ -7,7 +7,7 @@ blocking variants (Figs. 3 & 4).
 
 from __future__ import annotations
 
-from ..providers.registry import ProviderSpec
+from ..providers.registry import ProviderSpec, get_spec
 from ..units import paper_size_sweep
 from ..via.constants import WaitMode
 from ..executor import parallel_map
@@ -15,10 +15,6 @@ from .harness import TransferConfig, run_bandwidth, run_latency
 from .metrics import BenchResult
 
 __all__ = ["base_latency", "base_bandwidth"]
-
-
-def _name(provider) -> str:
-    return provider if isinstance(provider, str) else provider.name
 
 
 def base_latency(provider: "str | ProviderSpec",
@@ -35,7 +31,7 @@ def base_latency(provider: "str | ProviderSpec",
     tasks = [(provider, TransferConfig(size=size, mode=mode, **overrides))
              for size in sizes]
     points = parallel_map(run_latency, tasks, jobs)
-    return BenchResult("base_latency", _name(provider), points,
+    return BenchResult("base_latency", get_spec(provider).name, points,
                        {"mode": mode.value, **overrides})
 
 
@@ -49,5 +45,5 @@ def base_bandwidth(provider: "str | ProviderSpec",
     tasks = [(provider, TransferConfig(size=size, mode=mode, **overrides))
              for size in sizes]
     points = parallel_map(run_bandwidth, tasks, jobs)
-    return BenchResult("base_bandwidth", _name(provider), points,
+    return BenchResult("base_bandwidth", get_spec(provider).name, points,
                        {"mode": mode.value, **overrides})

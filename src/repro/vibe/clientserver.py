@@ -10,7 +10,7 @@ it to the RPC/method-call rate sustainable on one VI connection.
 
 from __future__ import annotations
 
-from ..providers.registry import ProviderSpec, Testbed
+from ..providers.registry import ProviderSpec, Testbed, get_spec
 from ..units import US_PER_S, paper_size_sweep
 from ..via.constants import WaitMode
 from ..via.descriptor import Descriptor
@@ -19,10 +19,6 @@ from .metrics import BenchResult, Measurement
 __all__ = ["DEFAULT_REQUEST_SIZES", "client_server"]
 
 DEFAULT_REQUEST_SIZES = (16, 256)
-
-
-def _name(provider) -> str:
-    return provider if isinstance(provider, str) else provider.name
 
 
 def client_server(provider: "str | ProviderSpec",
@@ -39,7 +35,7 @@ def client_server(provider: "str | ProviderSpec",
         tps = _transaction_test(provider, request_size, reply, transactions,
                                 warmup, mode, seed)
         points.append(Measurement(param=reply, tps=tps))
-    return BenchResult("client_server", _name(provider), points,
+    return BenchResult("client_server", get_spec(provider).name, points,
                        {"request_size": request_size, "mode": mode.value})
 
 

@@ -17,7 +17,7 @@ What it exposes per design:
 
 from __future__ import annotations
 
-from ..providers.registry import ProviderSpec, Testbed
+from ..providers.registry import ProviderSpec, Testbed, get_spec
 from ..via.constants import WaitMode
 from ..via.descriptor import Descriptor
 from .metrics import BenchResult, Measurement
@@ -25,10 +25,6 @@ from .metrics import BenchResult, Measurement
 __all__ = ["DEFAULT_STREAM_COUNTS", "concurrent_streams"]
 
 DEFAULT_STREAM_COUNTS = (1, 2, 4, 8)
-
-
-def _name(provider) -> str:
-    return provider if isinstance(provider, str) else provider.name
 
 
 def concurrent_streams(provider: "str | ProviderSpec",
@@ -44,7 +40,7 @@ def concurrent_streams(provider: "str | ProviderSpec",
             param=k, bandwidth_mbs=aggregate,
             extra={"jain_fairness": fairness},
         ))
-    return BenchResult("concurrent_streams", _name(provider), points,
+    return BenchResult("concurrent_streams", get_spec(provider).name, points,
                        {"size": size, "messages": messages})
 
 

@@ -8,17 +8,13 @@ overhead for M-VIA and cLAN.
 
 from __future__ import annotations
 
-from ..providers.registry import ProviderSpec
+from ..providers.registry import ProviderSpec, get_spec
 from ..units import paper_size_sweep
 from ..via.constants import WaitMode
 from .harness import TransferConfig, run_bandwidth, run_latency
 from .metrics import BenchResult, Measurement
 
 __all__ = ["cq_latency", "cq_bandwidth", "cq_overhead"]
-
-
-def _name(provider) -> str:
-    return provider if isinstance(provider, str) else provider.name
 
 
 def cq_latency(provider: "str | ProviderSpec",
@@ -31,7 +27,7 @@ def cq_latency(provider: "str | ProviderSpec",
                                              use_recv_cq=True, **overrides))
         for s in sizes
     ]
-    return BenchResult("cq_latency", _name(provider), points,
+    return BenchResult("cq_latency", get_spec(provider).name, points,
                        {"mode": mode.value})
 
 
@@ -45,7 +41,7 @@ def cq_bandwidth(provider: "str | ProviderSpec",
                                                use_recv_cq=True, **overrides))
         for s in sizes
     ]
-    return BenchResult("cq_bandwidth", _name(provider), points,
+    return BenchResult("cq_bandwidth", get_spec(provider).name, points,
                        {"mode": mode.value})
 
 
@@ -70,5 +66,5 @@ def cq_overhead(provider: "str | ProviderSpec",
                 "overhead_us": with_cq.latency_us - base.latency_us,
             },
         ))
-    return BenchResult("cq_overhead", _name(provider), points,
+    return BenchResult("cq_overhead", get_spec(provider).name, points,
                        {"mode": mode.value})

@@ -17,17 +17,13 @@ from __future__ import annotations
 
 import random
 
-from ..providers.registry import ProviderSpec, Testbed
+from ..providers.registry import ProviderSpec, Testbed, get_spec
 from ..units import US_PER_S
 from ..via.constants import WaitMode
 from ..via.descriptor import Descriptor
 from .metrics import BenchResult, Measurement
 
 __all__ = ["connection_churn", "tail_latency_under_load"]
-
-
-def _name(provider) -> str:
-    return provider if isinstance(provider, str) else provider.name
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +83,7 @@ def connection_churn(provider: "str | ProviderSpec", cycles: int = 10,
     tb.close()
     per_cycle = out["elapsed"] / cycles
     return Measurement(
-        param=_name(provider),
+        param=get_spec(provider).name,
         extra={
             "cycles_per_s": US_PER_S / per_cycle,
             "cycle_us": per_cycle,
@@ -133,7 +129,7 @@ def tail_latency_under_load(provider: "str | ProviderSpec",
                 "mean_us": sum(lat) / len(lat),
             },
         ))
-    return BenchResult("tail_latency", _name(provider), points,
+    return BenchResult("tail_latency", get_spec(provider).name, points,
                        {"request": request_size, "reply": reply_size,
                         "service_us": base})
 

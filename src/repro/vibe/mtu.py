@@ -8,7 +8,7 @@ store-and-forward fabrics — less per-hop serialisation latency.
 
 from __future__ import annotations
 
-from ..providers.registry import ProviderSpec
+from ..providers.registry import ProviderSpec, get_spec
 from ..via.constants import WaitMode
 from ..executor import parallel_map
 from .harness import TransferConfig, run_bandwidth, run_latency
@@ -17,10 +17,6 @@ from .metrics import BenchResult, Measurement
 __all__ = ["DEFAULT_MTUS", "mtu_latency", "mtu_bandwidth"]
 
 DEFAULT_MTUS = (256, 512, 1024, 1500, 4096, 9000, 32768)
-
-
-def _name(provider) -> str:
-    return provider if isinstance(provider, str) else provider.name
 
 
 def mtu_latency(provider: "str | ProviderSpec",
@@ -36,7 +32,7 @@ def mtu_latency(provider: "str | ProviderSpec",
     points = [Measurement(param=mtu, latency_us=m.latency_us,
                           cpu_send=m.cpu_send, cpu_recv=m.cpu_recv)
               for mtu, m in zip(mtus, raw)]
-    return BenchResult("mtu_latency", _name(provider), points,
+    return BenchResult("mtu_latency", get_spec(provider).name, points,
                        {"size": size, "mode": mode.value})
 
 
@@ -53,5 +49,5 @@ def mtu_bandwidth(provider: "str | ProviderSpec",
     points = [Measurement(param=mtu, bandwidth_mbs=m.bandwidth_mbs,
                           cpu_send=m.cpu_send, cpu_recv=m.cpu_recv)
               for mtu, m in zip(mtus, raw)]
-    return BenchResult("mtu_bandwidth", _name(provider), points,
+    return BenchResult("mtu_bandwidth", get_spec(provider).name, points,
                        {"size": size, "mode": mode.value})

@@ -14,7 +14,7 @@ client twice: more VIs *and* more polling)."""
 
 from __future__ import annotations
 
-from ..providers.registry import ProviderSpec, Testbed
+from ..providers.registry import ProviderSpec, Testbed, get_spec
 from ..units import US_PER_S
 from ..via.constants import WaitMode
 from ..via.descriptor import Descriptor
@@ -23,10 +23,6 @@ from .metrics import BenchResult, Measurement
 __all__ = ["DEFAULT_CLIENT_COUNTS", "multiclient_throughput"]
 
 DEFAULT_CLIENT_COUNTS = (1, 2, 4, 8)
-
-
-def _name(provider) -> str:
-    return provider if isinstance(provider, str) else provider.name
 
 
 def multiclient_throughput(provider: "str | ProviderSpec",
@@ -44,8 +40,8 @@ def multiclient_throughput(provider: "str | ProviderSpec",
             param=n, tps=tps,
             extra={"tps_per_client": per_client},
         ))
-    return BenchResult("multiclient_throughput", _name(provider), points,
-                       {"request": request_size, "reply": reply_size})
+    return BenchResult("multiclient_throughput", get_spec(provider).name,
+                       points, {"request": request_size, "reply": reply_size})
 
 
 def _run(provider, nclients: int, request_size: int, reply_size: int,

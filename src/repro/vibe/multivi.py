@@ -9,7 +9,7 @@ and NICs with directly-indexed doorbells (M-VIA, cLAN) are flat.
 
 from __future__ import annotations
 
-from ..providers.registry import ProviderSpec
+from ..providers.registry import ProviderSpec, get_spec
 from ..via.constants import WaitMode
 from .harness import TransferConfig, run_bandwidth, run_latency
 from .metrics import BenchResult, Measurement
@@ -17,10 +17,6 @@ from .metrics import BenchResult, Measurement
 __all__ = ["DEFAULT_VI_COUNTS", "multivi_latency", "multivi_bandwidth"]
 
 DEFAULT_VI_COUNTS = (1, 2, 4, 8, 16, 32)
-
-
-def _name(provider) -> str:
-    return provider if isinstance(provider, str) else provider.name
 
 
 def multivi_latency(provider: "str | ProviderSpec",
@@ -36,7 +32,7 @@ def multivi_latency(provider: "str | ProviderSpec",
         m = run_latency(provider, cfg)
         points.append(Measurement(param=n, latency_us=m.latency_us,
                                   cpu_send=m.cpu_send, cpu_recv=m.cpu_recv))
-    return BenchResult("multivi_latency", _name(provider), points,
+    return BenchResult("multivi_latency", get_spec(provider).name, points,
                        {"size": size, "mode": mode.value})
 
 
@@ -53,5 +49,5 @@ def multivi_bandwidth(provider: "str | ProviderSpec",
         m = run_bandwidth(provider, cfg)
         points.append(Measurement(param=n, bandwidth_mbs=m.bandwidth_mbs,
                                   cpu_send=m.cpu_send, cpu_recv=m.cpu_recv))
-    return BenchResult("multivi_bandwidth", _name(provider), points,
+    return BenchResult("multivi_bandwidth", get_spec(provider).name, points,
                        {"size": size, "mode": mode.value})

@@ -11,7 +11,7 @@ Measures the cost of the basic VIA housekeeping operations:
 
 from __future__ import annotations
 
-from ..providers.registry import ProviderSpec, Testbed
+from ..providers.registry import ProviderSpec, Testbed, get_spec
 from ..units import paper_size_sweep
 from .metrics import BenchResult, Measurement
 
@@ -80,8 +80,8 @@ def nondata_costs(provider: "str | ProviderSpec", repeats: int = 5,
         Measurement(param=op, extra={"cost_us": sum(v) / len(v)})
         for op, v in acc.items()
     ]
-    name = provider if isinstance(provider, str) else provider.name
-    return BenchResult("nondata", name, points, {"repeats": repeats})
+    return BenchResult("nondata", get_spec(provider).name, points,
+                       {"repeats": repeats})
 
 
 def memreg_sweep(provider: "str | ProviderSpec",
@@ -99,7 +99,7 @@ def memreg_sweep(provider: "str | ProviderSpec",
     which is exact — every provider is an independent testbed either way.
     """
     sizes = sizes or paper_size_sweep()
-    name = provider if isinstance(provider, str) else provider.name
+    name = get_spec(provider).name
     tb = Testbed(provider, seed=seed)
     points: list[Measurement] = []
 

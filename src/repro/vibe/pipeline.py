@@ -8,7 +8,7 @@ hard; unreliable providers complete locally and saturate earlier.
 
 from __future__ import annotations
 
-from ..providers.registry import ProviderSpec
+from ..providers.registry import ProviderSpec, get_spec
 from ..via.constants import WaitMode
 from .harness import TransferConfig, run_bandwidth
 from .metrics import BenchResult, Measurement
@@ -16,10 +16,6 @@ from .metrics import BenchResult, Measurement
 __all__ = ["DEFAULT_WINDOWS", "pipeline_bandwidth"]
 
 DEFAULT_WINDOWS = (1, 2, 4, 8, 16, 32, 64)
-
-
-def _name(provider) -> str:
-    return provider if isinstance(provider, str) else provider.name
 
 
 def pipeline_bandwidth(provider: "str | ProviderSpec",
@@ -33,5 +29,5 @@ def pipeline_bandwidth(provider: "str | ProviderSpec",
         m = run_bandwidth(provider, cfg)
         points.append(Measurement(param=w, bandwidth_mbs=m.bandwidth_mbs,
                                   cpu_send=m.cpu_send, cpu_recv=m.cpu_recv))
-    return BenchResult("pipeline_bandwidth", _name(provider), points,
+    return BenchResult("pipeline_bandwidth", get_spec(provider).name, points,
                        {"size": size, "mode": mode.value})

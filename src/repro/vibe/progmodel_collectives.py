@@ -11,16 +11,12 @@ from __future__ import annotations
 import struct
 
 from ..layers.collectives import connect_group
-from ..providers.registry import ProviderSpec, Testbed
+from ..providers.registry import ProviderSpec, Testbed, get_spec
 from .metrics import BenchResult, Measurement
 
 __all__ = ["DEFAULT_GROUP_SIZES", "collective_latency"]
 
 DEFAULT_GROUP_SIZES = (2, 4, 8)
-
-
-def _name(provider) -> str:
-    return provider if isinstance(provider, str) else provider.name
 
 
 def collective_latency(provider: "str | ProviderSpec",
@@ -38,7 +34,7 @@ def collective_latency(provider: "str | ProviderSpec",
             extra={"barrier_us": barrier, "bcast_us": bcast,
                    "allreduce_us": allreduce},
         ))
-    return BenchResult("collective_latency", _name(provider), points,
+    return BenchResult("collective_latency", get_spec(provider).name, points,
                        {"payload": payload})
 
 

@@ -17,14 +17,10 @@ into fault costs."""
 from __future__ import annotations
 
 from ..layers.dsm import connect_mesh
-from ..providers.registry import ProviderSpec, Testbed
+from ..providers.registry import ProviderSpec, Testbed, get_spec
 from .metrics import BenchResult, Measurement
 
 __all__ = ["dsm_fault_latency", "dsm_pingpong_sharing"]
-
-
-def _name(provider) -> str:
-    return provider if isinstance(provider, str) else provider.name
 
 
 def dsm_fault_latency(provider: "str | ProviderSpec",
@@ -38,7 +34,7 @@ def dsm_fault_latency(provider: "str | ProviderSpec",
             param=page_size,
             extra={"read_miss_us": read_us, "write_miss_us": write_us},
         ))
-    return BenchResult("dsm_fault_latency", _name(provider), points)
+    return BenchResult("dsm_fault_latency", get_spec(provider).name, points)
 
 
 def _fault_trial(provider, page_size: int, faults: int, seed: int):

@@ -11,16 +11,12 @@ from __future__ import annotations
 
 from ..layers.getput import GetPut
 from ..layers.msg import MsgEndpoint
-from ..providers.registry import ProviderSpec, Testbed
+from ..providers.registry import ProviderSpec, Testbed, get_spec
 from ..units import paper_size_sweep
 from .harness import pattern_bytes
 from .metrics import BenchResult, Measurement
 
 __all__ = ["getput_latency"]
-
-
-def _name(provider) -> str:
-    return provider if isinstance(provider, str) else provider.name
 
 
 def _run(provider, size: int, iters: int, op: str, seed: int):
@@ -89,4 +85,4 @@ def getput_latency(provider: "str | ProviderSpec",
             param=s,
             extra={"put_us": put, "get_us": get, "get_over_put": get / put},
         ))
-    return BenchResult("getput_latency", _name(provider), points)
+    return BenchResult("getput_latency", get_spec(provider).name, points)

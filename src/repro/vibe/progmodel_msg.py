@@ -12,7 +12,7 @@ provider's VIBe profile surfaces at the MPI level.
 from __future__ import annotations
 
 from ..layers.msg import MsgEndpoint
-from ..providers.registry import ProviderSpec, Testbed
+from ..providers.registry import ProviderSpec, Testbed, get_spec
 from ..units import paper_size_sweep
 from .harness import pattern_bytes
 from .metrics import BenchResult, Measurement
@@ -21,10 +21,6 @@ __all__ = ["msg_layer_latency", "msg_layer_bandwidth", "eager_threshold_sweep"]
 
 _TAG = 1
 _ACK = 2
-
-
-def _name(provider) -> str:
-    return provider if isinstance(provider, str) else provider.name
 
 
 def _endpoints(tb: Testbed, eager_size: int, pool: int, reg_cache: bool):
@@ -128,7 +124,7 @@ def msg_layer_latency(provider: "str | ProviderSpec",
             provider, s, iters, warmup, eager_size, pool, reg_cache, seed))
         for s in sizes
     ]
-    return BenchResult("msg_layer_latency", _name(provider), points,
+    return BenchResult("msg_layer_latency", get_spec(provider).name, points,
                        {"eager_size": eager_size})
 
 
@@ -152,7 +148,7 @@ def msg_layer_bandwidth(provider: "str | ProviderSpec",
     ]
     return BenchResult(
         "msg_layer_bandwidth",
-        _name(provider) + ("+isend" if nonblocking else ""),
+        get_spec(provider).name + ("+isend" if nonblocking else ""),
         points, {"eager_size": eager_size, "nonblocking": nonblocking},
     )
 
@@ -174,5 +170,5 @@ def eager_threshold_sweep(provider: "str | ProviderSpec",
             param=thr, latency_us=lat,
             extra={"protocol": "eager" if size <= thr else "rendezvous"},
         ))
-    return BenchResult("eager_threshold", _name(provider), points,
+    return BenchResult("eager_threshold", get_spec(provider).name, points,
                        {"size": size})

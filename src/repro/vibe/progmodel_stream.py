@@ -12,17 +12,13 @@ from __future__ import annotations
 
 from ..layers.msg import MsgEndpoint
 from ..layers.stream import ViaStream
-from ..providers.registry import ProviderSpec, Testbed
+from ..providers.registry import ProviderSpec, Testbed, get_spec
 from .harness import pattern_bytes
 from .metrics import BenchResult, Measurement
 
 __all__ = ["DEFAULT_CHUNKS", "stream_throughput"]
 
 DEFAULT_CHUNKS = (512, 2048, 4096, 16384)
-
-
-def _name(provider) -> str:
-    return provider if isinstance(provider, str) else provider.name
 
 
 def stream_throughput(provider: "str | ProviderSpec",
@@ -35,7 +31,7 @@ def stream_throughput(provider: "str | ProviderSpec",
     for chunk in chunks:
         bw = _stream_once(provider, chunk, total_bytes, eager_size, seed)
         points.append(Measurement(param=chunk, bandwidth_mbs=bw))
-    return BenchResult("stream_throughput", _name(provider), points,
+    return BenchResult("stream_throughput", get_spec(provider).name, points,
                        {"total_bytes": total_bytes,
                         "eager_size": eager_size})
 

@@ -16,10 +16,6 @@ from .metrics import BenchResult, Measurement
 __all__ = ["rdma_write_latency", "rdma_read_latency", "rdma_capable"]
 
 
-def _name(provider) -> str:
-    return provider if isinstance(provider, str) else provider.name
-
-
 def rdma_capable(provider: "str | ProviderSpec") -> ProviderSpec:
     """A variant of ``provider`` with RDMA read enabled (for the read
     benchmark; none of the paper's three stacks shipped RDMA read)."""
@@ -37,7 +33,7 @@ def rdma_write_latency(provider: "str | ProviderSpec",
         Measurement(param=s, latency_us=_rdma_pingpong(provider, s, iters, seed))
         for s in sizes
     ]
-    return BenchResult("rdma_write_latency", _name(provider), points)
+    return BenchResult("rdma_write_latency", get_spec(provider).name, points)
 
 
 def _rdma_pingpong(provider, size: int, iters: int, seed: int) -> float:

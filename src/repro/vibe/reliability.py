@@ -10,7 +10,7 @@ messages while the reliable levels retransmit and deliver everything.
 
 from __future__ import annotations
 
-from ..providers.registry import ProviderSpec, Testbed
+from ..providers.registry import ProviderSpec, Testbed, get_spec
 from ..via.constants import CompletionStatus, Reliability, WaitMode
 from ..via.descriptor import Descriptor
 from ..via.errors import VipTimeout
@@ -21,10 +21,6 @@ __all__ = ["reliability_latency", "reliability_bandwidth", "loss_goodput"]
 
 _LEVELS = (Reliability.UNRELIABLE, Reliability.RELIABLE_DELIVERY,
            Reliability.RELIABLE_RECEPTION)
-
-
-def _name(provider) -> str:
-    return provider if isinstance(provider, str) else provider.name
 
 
 def reliability_latency(provider: "str | ProviderSpec",
@@ -38,7 +34,7 @@ def reliability_latency(provider: "str | ProviderSpec",
         m = run_latency(provider, cfg)
         points.append(Measurement(param=level.value, latency_us=m.latency_us,
                                   cpu_send=m.cpu_send, cpu_recv=m.cpu_recv))
-    return BenchResult("reliability_latency", _name(provider), points,
+    return BenchResult("reliability_latency", get_spec(provider).name, points,
                        {"size": size, "mode": mode.value})
 
 
@@ -54,8 +50,8 @@ def reliability_bandwidth(provider: "str | ProviderSpec",
         points.append(Measurement(param=level.value,
                                   bandwidth_mbs=m.bandwidth_mbs,
                                   cpu_send=m.cpu_send, cpu_recv=m.cpu_recv))
-    return BenchResult("reliability_bandwidth", _name(provider), points,
-                       {"size": size, "mode": mode.value})
+    return BenchResult("reliability_bandwidth", get_spec(provider).name,
+                       points, {"size": size, "mode": mode.value})
 
 
 def loss_goodput(provider: "str | ProviderSpec",
@@ -81,7 +77,7 @@ def loss_goodput(provider: "str | ProviderSpec",
                 "elapsed_us": elapsed,
             },
         ))
-    return BenchResult("loss_goodput", _name(provider), points,
+    return BenchResult("loss_goodput", get_spec(provider).name, points,
                        {"size": size, "loss_rate": loss_rate})
 
 

@@ -9,7 +9,7 @@ of segments it is split into.
 
 from __future__ import annotations
 
-from ..providers.registry import ProviderSpec
+from ..providers.registry import ProviderSpec, get_spec
 from ..via.constants import WaitMode
 from .harness import TransferConfig, run_bandwidth, run_latency
 from .metrics import BenchResult, Measurement
@@ -17,10 +17,6 @@ from .metrics import BenchResult, Measurement
 __all__ = ["DEFAULT_SEGMENT_COUNTS", "segments_latency", "segments_bandwidth"]
 
 DEFAULT_SEGMENT_COUNTS = (1, 2, 4, 8, 16)
-
-
-def _name(provider) -> str:
-    return provider if isinstance(provider, str) else provider.name
 
 
 def segments_latency(provider: "str | ProviderSpec",
@@ -34,7 +30,7 @@ def segments_latency(provider: "str | ProviderSpec",
         m = run_latency(provider, cfg)
         points.append(Measurement(param=n, latency_us=m.latency_us,
                                   cpu_send=m.cpu_send, cpu_recv=m.cpu_recv))
-    return BenchResult("segments_latency", _name(provider), points,
+    return BenchResult("segments_latency", get_spec(provider).name, points,
                        {"size": size, "mode": mode.value})
 
 
@@ -49,5 +45,5 @@ def segments_bandwidth(provider: "str | ProviderSpec",
         m = run_bandwidth(provider, cfg)
         points.append(Measurement(param=n, bandwidth_mbs=m.bandwidth_mbs,
                                   cpu_send=m.cpu_send, cpu_recv=m.cpu_recv))
-    return BenchResult("segments_bandwidth", _name(provider), points,
+    return BenchResult("segments_bandwidth", get_spec(provider).name, points,
                        {"size": size, "mode": mode.value})

@@ -38,6 +38,7 @@ from . import (
     segments,
 )
 from ..executor import parallel_map
+from ..providers.registry import get_spec
 from . import concurrency, dynamic
 from .metrics import BenchResult
 
@@ -169,11 +170,9 @@ def _stamp_meta(result, name: str, provider, kwargs: dict) -> None:
     """
     from ..obs.profile import run_metadata
 
-    provider_name = provider if isinstance(provider, str) else \
-        getattr(provider, "name", str(provider))
     params = {k: repr(v) for k, v in sorted(kwargs.items()) if k != "jobs"}
     params["benchmark"] = name
-    meta = run_metadata(provider_name, params)
+    meta = run_metadata(get_spec(provider).name, params)
     for r in result if isinstance(result, list) else [result]:
         if hasattr(r, "meta") and not r.meta:
             r.meta = dict(meta)

@@ -80,6 +80,20 @@ _KNOWN = "known: mvia, bvia, clan, iba"
      f"vibe check: unknown provider 'nope'; {_KNOWN}"),
     (["--providers", "nope", "chaos", "--rewind"],
      f"vibe chaos: unknown provider 'nope'; {_KNOWN}"),
+    (["figure", "3", "--sizes", "-1"],
+     "vibe figure: --sizes -1 is outside mvia's message sizes 0..65536"),
+    (["figure", "3", "--sizes", "40000"],
+     "vibe figure: --sizes 40000 is outside bvia's message sizes 0..32768"),
+    (["--providers", "mvia", "figure", "5", "--sizes", "40000"],
+     "vibe figure: --sizes 40000 is outside bvia's message sizes 0..32768"),
+    (["--providers", "clan", "figure", "7", "--sizes", "4,70000"],
+     "vibe figure: --sizes 70000 is outside clan's message sizes 0..65536"),
+    (["figure", "1", "--sizes", "0"],
+     "vibe figure: --sizes 0 is not a buffer size; figure 1 registers "
+     "1 byte or more"),
+    (["figure", "3", "--sizes", "4,abc"],
+     "vibe figure: --sizes 4,abc is not a comma-separated list of "
+     "integers"),
 ])
 def test_bad_provider_or_size_exits_with_one_line(argv, message, capsys):
     """Checked before anything is simulated: nothing reaches stdout."""
@@ -94,6 +108,10 @@ def test_bad_provider_or_size_exits_with_one_line(argv, message, capsys):
     ["--providers", "mvia,bvia,clan,iba", "breakdown", "--compare",
      "--size", "0"],
     ["profile", "--size", "0"],
+    ["figure", "3", "--sizes", "0"],
+    ["figure", "4", "--sizes", "0"],
+    ["figure", "5", "--sizes", "0"],
+    ["figure", "7", "--sizes", "0"],
 ])
 def test_zero_length_message_still_runs(argv, capsys):
     main(argv)

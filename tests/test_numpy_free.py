@@ -1,10 +1,8 @@
 """What the simulation's import path leaves out.
 
 numpy is not a dependency: simulating, serving and the LogP fit
-(:mod:`repro.models.logp`) all run without importing it.  Running a
-benchmark does not import the checkpoint subsystem (:mod:`repro.snap`)
-either; only the callers that checkpoint on purpose pay for it.  A
-cluster cell does not import the benchmark suite (:mod:`repro.vibe`),
+(:mod:`repro.models.logp`) all run without importing it.  A cluster
+cell does not import the benchmark suite (:mod:`repro.vibe`),
 whose 36 benchmarks a cold start would otherwise compile.
 Each check runs in a fresh interpreter, so nothing an earlier test
 imported can hide an import.
@@ -39,14 +37,6 @@ fit_loggp(
 print("numpy" in sys.modules)
 """
 
-_RUN_BENCHMARK_PROG = """\
-import sys
-from repro.vibe import run_benchmark
-
-run_benchmark("base_latency", "clan", sizes=[4])
-print("repro.snap" in sys.modules)
-"""
-
 _CLUSTER_CELL_PROG = """\
 import sys
 import repro.cluster
@@ -70,10 +60,6 @@ def _run(prog: str) -> str:
 
 def test_simulation_and_serving_do_not_import_numpy():
     assert _run(_SIMULATE_PROG) == "False"
-
-
-def test_run_benchmark_does_not_import_snap():
-    assert _run(_RUN_BENCHMARK_PROG) == "False"
 
 
 def test_cluster_cell_does_not_import_the_suite():

@@ -219,7 +219,6 @@ def test_code_version_skew_invalidates_cached_results(tmp_path,
     monkeypatch.setattr("repro.serve.cache.CODE_VERSION", "repro-9.9.9")
     assert cache.get(old_key) is None
     # and the key itself moves, so the new build never even looks there
-    monkeypatch.setattr("repro.snap.format.CODE_VERSION", "repro-9.9.9")
     assert spec.result_key() != old_key
 
 
@@ -462,7 +461,7 @@ def test_malformed_inline_design_is_an_http_400(client):
 
 
 def test_health_and_metrics_endpoints(client):
-    from repro.snap import CODE_VERSION
+    from repro.serve.cache import CODE_VERSION
 
     health = client.health()
     assert health["ok"] is True

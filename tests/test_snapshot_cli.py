@@ -1,11 +1,16 @@
-"""CLI surface of the checkpoint/restore subsystem.
+"""CLI surface of campaign resume and chaos rewind.
 
 `vibe cluster --checkpoint-dir` and `vibe chaos --rewind` are exercised
 through :func:`repro.cli.main` — the same entry CI drives — plus the
 :func:`rewind_scenario` API underneath.  The byte-identity claim (cold
 report == resumed report) is asserted on the emitted JSON files,
-mirroring the CI ``snap`` job's ``cmp`` steps.
+mirroring the CI ``cluster`` job's ``cmp`` steps.
 """
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -48,8 +53,6 @@ def test_cluster_checkpoint_dir_resumes_byte_identical(tmp_path, capsys):
 def test_rewind_scenario_api():
     rw = rewind_scenario("mvia", get_scenario("loss_burst"), quick=True)
     assert rw.matches_cold
-    assert rw.checkpoint_bytes < 4096, \
-        "replay checkpoints store a recipe, not the object graph"
     assert rw.events_traced > 0
     assert rw.result.ok
     assert "loss_burst" in rw.summary() and "ok" in rw.summary()
@@ -70,6 +73,28 @@ def test_chaos_rewind_cli(capsys):
     assert "FAIL" not in out
 
 
+def _one_line_exit(*argv: str) -> str:
+    """Run ``vibe *argv`` in a fresh interpreter; it must exit 1 with
+    one stderr line and no traceback.  Returns that line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(__file__).parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    run = subprocess.run([sys.executable, "-m", "repro.cli", *argv],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+    return run.stderr
+
+
 def test_chaos_rewind_cli_unknown_scenario_fails():
-    with pytest.raises(KeyError):
-        main(["chaos", "--rewind", "--scenario", "no_such_scenario"])
+    err = _one_line_exit("chaos", "--rewind", "--scenario",
+                         "no_such_scenario")
+    assert err.startswith(
+        "vibe chaos: unknown chaos scenario 'no_such_scenario'; known: [")
+
+
+def test_chaos_rewind_cli_without_stream_scenario_fails():
+    err = _one_line_exit("chaos", "--rewind", "--quick", "--scenario",
+                         "many_clients,retry_storm")
+    assert err.startswith("vibe chaos: ") and "many_clients" in err

@@ -1,18 +1,21 @@
-"""Snapshot/restore equivalence: a restored run IS the original run.
+"""Cut-and-finish equivalence: a run paused anywhere finishes the same.
 
-The correctness bar of the ``repro.snap`` subsystem: for *any* snapshot
-point — random event cursor, mid-fast-forward, with an armed fault
-plan — finishing the original simulation and finishing a restored copy
-produce bit-identical observables:
+The kernel is deterministic, so a simulation is fully determined by how
+it was built and how many events have run; ``vibe chaos --rewind``
+relies on this.  For *any* cut point — random event cursor,
+mid-fast-forward, with an armed fault plan — a run paused by
+``Simulator.run_events(cut)`` and then finished produces bit-identical
+observables to the uninterrupted run:
 
-- every descriptor's ``completed_at`` timestamp;
+- every descriptor's ``completed_at`` timestamp and every receive's
+  status, payload and immediate data;
 - the full harvested metrics registry (NIC/DMA/TLB/wire/engine/port
   counters, kernel accounting);
 - the complete golden trace ``(t, category, label, node)`` sequence.
 
-Hypothesis drives the snapshot point across workload x provider x cut
-fraction; dedicated tests pin the tricky cases (fidelity="auto" bursts,
-armed FaultPlans).
+Hypothesis drives the cut across workload x provider x cut fraction;
+dedicated tests pin the tricky cases (fidelity="auto" bursts, armed
+FaultPlans).
 """
 
 from __future__ import annotations
@@ -21,53 +24,75 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import snap
+from repro import programs
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs.harvest import harvest_testbed
+from repro.providers.registry import Testbed
+from repro.sim.ids import reset_ids
+from repro.sim.trace import Tracer
+from repro.via.constants import Reliability
 
 ALL_PROVIDERS = ("mvia", "bvia", "clan", "iba")
 WORKLOADS = ("pingpong", "stream", "rdma_write", "segmented")
 
 
-def _params(workload: str, provider: str, **over) -> dict:
-    p = {"workload": workload, "provider": provider, "size": 256,
-         "count": 3, "seed": 0, "trace": True}
-    p.update(over)
-    return p
+def _build(workload: str, provider: str, size: int = 256, count: int = 3,
+           seed: int = 0, trace: bool = True, fidelity: str = "packet",
+           faults=None, reliability=None) -> programs.Program:
+    """The ``workload`` program of :mod:`repro.programs` on a fresh
+    testbed (``segmented`` is a ping-pong of 4-segment descriptors)."""
+    reset_ids()
+    tb = Testbed(provider, seed=seed, faults=faults, fidelity=fidelity)
+    if trace:
+        tb.sim.tracer = Tracer()
+    shape = {"size": size, "count": count, "reliability": reliability}
+    if workload == "segmented":
+        workload, shape["segments"] = "pingpong", 4
+    return getattr(programs, workload)(tb, **shape)
 
 
-def _cold(params: dict) -> snap.Session:
-    session = snap.build_session("transfer", params)
-    session.drive()
-    return session
+def _finish(prog: programs.Program) -> dict:
+    """Run ``prog`` to completion, drain, and observe it."""
+    prog.run()
+    prog.tb.run()
+    return _observe(prog)
 
 
-def _observe(session: snap.Session) -> dict:
+def _observe(prog: programs.Program) -> dict:
     """Everything a finished run exposes, in comparable form.
 
     ``sim.inplace_events`` says how the host ran the events, not what
-    they were: ``run_events`` (the replay cursor) never runs a wait in
-    place and ``run()`` does wherever it can, so a run cut and replayed
-    counts fewer.  ``events_run`` and ``ctx_switches`` must still match.
+    they were: ``run_events`` (the cut) never runs a wait in place and
+    ``run()`` does wherever it can, so a cut run counts fewer.
+    ``events_run`` and ``ctx_switches`` must still match.
     """
-    tb = session.testbed
+    sim = prog.tb.sim
     trace = ()
-    if tb.sim.tracer is not None:
+    if sim.tracer is not None:
         trace = tuple((e.t, e.category, e.label, e.node)
-                      for e in tb.sim.tracer.events)
-    harvest = harvest_testbed(tb).snapshot()
+                      for e in sim.tracer.events)
+    harvest = harvest_testbed(prog.tb).snapshot()
     del harvest["sim.inplace_events"]
+    injector = prog.tb.injector
     return {
-        "board": session.board,
-        "now": tb.sim.now,
-        "events_run": tb.sim.events_run,
+        "board": prog.board,
+        "seen": prog.seen,
+        "now": sim.now,
+        "events_run": sim.events_run,
         "harvest": harvest,
         "trace": trace,
+        "faults": None if injector is None else dict(injector.counters),
     }
 
 
+def _cut_and_finish(cut: int, **shape) -> dict:
+    prog = _build(**shape)
+    assert prog.tb.sim.run_events(cut) == cut
+    return _finish(prog)
+
+
 # ---------------------------------------------------------------------------
-# the property: snapshot anywhere, restore, finish -> identical run
+# the property: cut anywhere, finish -> identical run
 # ---------------------------------------------------------------------------
 
 @given(
@@ -79,26 +104,14 @@ def _observe(session: snap.Session) -> dict:
 )
 @settings(max_examples=24, deadline=None)
 def test_snapshot_anywhere_is_equivalent(workload, provider, frac, seed):
-    params = _params(workload, provider, seed=seed)
-    ref = _cold(params)
-    want = _observe(ref)
+    shape = {"workload": workload, "provider": provider, "seed": seed}
+    want = _finish(_build(**shape))
     cut = int(frac * want["events_run"])
-
-    session = snap.build_session("transfer", params)
-    session.run_events(cut)
-    blob = snap.checkpoint_replay(session)
-    restored = snap.restore_replay(blob)
-    restored.drive()
-    assert _observe(restored) == want
-
-    # the interrupted original finishes identically too: taking a
-    # snapshot must not perturb the simulation it captured
-    session.drive()
-    assert _observe(session) == want
+    assert _cut_and_finish(cut, **shape) == want
 
 
 # ---------------------------------------------------------------------------
-# fidelity="auto": snapshot points inside and outside fast-forward bursts
+# fidelity="auto": cuts inside and outside fast-forward bursts
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("provider,fidelity", [
@@ -112,28 +125,24 @@ def test_snapshot_during_fast_forward(provider, fidelity):
     """Cut every few events through a fast-forwarding streaming run.
 
     The sweep necessarily lands cursors both inside fast-forwarded
-    stretches and in ordinary packet-mode gaps; every one must restore
-    to the identical completion.  (No tracer here: an attached tracer
+    stretches and in ordinary packet-mode gaps; every one must finish
+    with the identical completion.  (No tracer here: an attached tracer
     forces the packet path and no burst would ever arm.)
     """
-    params = _params("stream", provider, count=8, size=8192, trace=False,
-                     fidelity=fidelity)
-    ref = _cold(params)
-    want = _observe(ref)
-    assert ref.testbed.sim.ff_bursts > 0, \
+    shape = {"workload": "stream", "provider": provider, "count": 8,
+             "size": 8192, "trace": False, "fidelity": fidelity}
+    ref = _build(**shape)
+    want = _finish(ref)
+    assert ref.tb.sim.ff_bursts > 0, \
         "auto fidelity never burst; the test is vacuous"
 
     total = want["events_run"]
     for cut in range(0, total + 1, max(1, total // 9)):
-        session = snap.build_session("transfer", params)
-        session.run_events(cut)
-        restored = snap.restore_replay(snap.checkpoint_replay(session))
-        restored.drive()
-        assert _observe(restored) == want, f"diverged at cut {cut}"
+        assert _cut_and_finish(cut, **shape) == want, f"diverged at cut {cut}"
 
 
 # ---------------------------------------------------------------------------
-# armed fault plans: live fault state replays too
+# armed fault plans: live fault state survives the cut
 # ---------------------------------------------------------------------------
 
 # the window blankets the whole run: mvia's connection handshake alone
@@ -147,25 +156,16 @@ _FAULT_PLAN = FaultPlan(name="snap-eq", seed=5, faults=(
 
 @pytest.mark.parametrize("provider", ("mvia", "clan"))
 def test_snapshot_with_armed_fault_plan(provider):
-    """Snapshot points before, during, and after an armed loss window
-    restore bit-identically — the injector's RNG streams, counters, and
-    retransmission state are all part of the replayed history."""
-    params = _params("pingpong", provider, count=4, trace=False,
-                     faults=_FAULT_PLAN,
-                     reliability="reliable_delivery")
-    ref = _cold(params)
-    want = _observe(ref)
-    injector = ref.testbed.injector
-    assert injector is not None and sum(injector.counters.values()) > 0, \
+    """Cuts before, during, and after an armed loss window finish
+    bit-identically — the injector's RNG streams, counters, and
+    retransmission state are all part of the run's history."""
+    shape = {"workload": "pingpong", "provider": provider, "count": 4,
+             "trace": False, "faults": _FAULT_PLAN,
+             "reliability": Reliability.RELIABLE_DELIVERY}
+    want = _finish(_build(**shape))
+    assert sum(want["faults"].values()) > 0, \
         "the plan never injected; the test is vacuous"
 
     total = want["events_run"]
     for cut in (0, total // 4, total // 2, (3 * total) // 4, total):
-        session = snap.build_session("transfer", params)
-        session.run_events(cut)
-        restored = snap.restore_replay(snap.checkpoint_replay(session))
-        restored.drive()
-        got = _observe(restored)
-        assert got == want, f"diverged at cut {cut}"
-        got_inj = restored.testbed.injector
-        assert got_inj.counters == injector.counters
+        assert _cut_and_finish(cut, **shape) == want, f"diverged at cut {cut}"

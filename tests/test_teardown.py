@@ -112,8 +112,8 @@ def test_chaos_cell_frees_its_testbed(survivors):
 
 
 def test_rewind_frees_its_testbeds(survivors):
-    """A rewind checkpoints, restores through the replay tier and
-    finishes the run: none of its three testbeds may outlive it."""
+    """A rewind runs its cell cold, then rebuilds it, steps it to the
+    fault window and finishes it: neither testbed may outlive it."""
     from repro.faults.chaos import rewind_scenario
     from repro.faults.scenarios import get_scenario
 
@@ -123,12 +123,12 @@ def test_rewind_frees_its_testbeds(survivors):
 
 def test_closed_testbed_still_answers_its_harvest():
     from repro.obs import harvest_testbed
-    from repro.snap import build_session
+    from repro.programs import pingpong
+    from repro.providers import Testbed
 
-    session = build_session("transfer", {"workload": "pingpong",
-                                         "provider": "mvia", "count": 2})
-    session.drive()
-    tb = session.testbed
+    tb = Testbed("mvia")
+    pingpong(tb, size=256, count=2).run()
+    tb.run()
     before = harvest_testbed(tb).snapshot()
     tb.close()
     assert harvest_testbed(tb).snapshot() == before
