@@ -8,10 +8,13 @@ and writes their keys into ``BENCH_simkernel.json``::
 
 ``--cluster`` switches to the cluster-serving baseline
 (``BENCH_cluster.json``): simulated requests pushed through an 8-client
-star cluster per second, plus each provider's saturation-knee
-offered load from the quick rate grid.  The knees are exact simulation
-outputs — byte-deterministic — so ``--check`` requires them to match
-the baseline bit-for-bit while throughput gets the usual tolerance.
+star cluster per second, the same for one overloaded cell (the shape of
+the end-to-end ``cluster_sweep`` workload's mvia cell at 64k rps, whose
+clients keep failures, so its server idles after its last response),
+plus each provider's saturation-knee offered load from the quick rate
+grid.  The knees are exact simulation outputs — byte-deterministic — so
+``--check`` requires them to match the baseline bit-for-bit while both
+throughputs get the usual tolerance.
 Each provider's ``slo_knee_rps`` (largest offered load at which every
 tenant still meets its SLO, swept with retries and admission control
 on) is recorded alongside as a trend line only — ``--check`` prints
@@ -82,6 +85,14 @@ MIN_STREAM_SPEEDUP = 10.0
 
 #: one cluster throughput cell: 8 clients x 16 requests at a mid rate
 CLUSTER_REQUESTS_N = 128
+
+#: one overloaded cell, shaped like the e2e ``cluster_sweep`` workload's:
+#: 16 clients x 12 requests offered to mvia at 64k rps, past its knee
+OVERLOAD_CONFIG = dict(nodes=8, clients=16, requests=12, tenants=2,
+                       service="fixed:50", retry="on",
+                       server_policy="depth=16,shed=deadline")
+OVERLOAD_RATE = 64_000.0
+OVERLOAD_REQUESTS_N = OVERLOAD_CONFIG["clients"] * OVERLOAD_CONFIG["requests"]
 
 #: timed calls per workload.  On a shared 2-core host the median of 3
 #: moved by up to 17% between runs (the stream speedup read 9.2-12.9x);
@@ -236,11 +247,21 @@ def _cluster_workload() -> None:
     assert pt["completed"] == CLUSTER_REQUESTS_N
 
 
+def _overload_workload() -> None:
+    from repro.cluster import ClusterConfig, run_cluster_once
+
+    pt = run_cluster_once("mvia", ClusterConfig(**OVERLOAD_CONFIG),
+                          OVERLOAD_RATE)
+    # past the knee: some client keeps failures, so the server idles
+    assert pt["failed"] and not pt["violations"]
+
+
 def measure_cluster(repeats: int = REPEATS) -> dict:
     from repro.check import ALL_PROVIDERS
     from repro.cluster import QUICK_RATE_GRID, ClusterConfig, run_cluster
 
-    units = _medians({"requests": _cluster_workload}, repeats)["requests"][0]
+    med = _medians({"requests": _cluster_workload,
+                    "overload": _overload_workload}, repeats)
     report = run_cluster(ALL_PROVIDERS, ClusterConfig(),
                          rates=QUICK_RATE_GRID)
     assert report.ok, "knee sweep hit violations; baseline not recorded"
@@ -257,8 +278,11 @@ def measure_cluster(repeats: int = REPEATS) -> dict:
     assert slo_report.ok, "slo sweep hit violations; baseline not recorded"
     return {
         "requests_per_wallsec_normalized": _per_sec(CLUSTER_REQUESTS_N,
-                                                    units),
+                                                    med["requests"][0]),
         "requests_n": CLUSTER_REQUESTS_N,
+        "overload_requests_per_wallsec_normalized": _per_sec(
+            OVERLOAD_REQUESTS_N, med["overload"][0]),
+        "overload_requests_n": OVERLOAD_REQUESTS_N,
         "repeats": repeats,
         "rate_grid": list(QUICK_RATE_GRID),
         "knee_rps": {p: report.results[p]["knee_rps"]
@@ -275,13 +299,14 @@ def check_cluster(baseline_path: pathlib.Path, tolerance: float,
     baseline = json.loads(baseline_path.read_text())
     fresh = measure_cluster(repeats)
     failed = False
-    key = "requests_per_wallsec_normalized"
-    old, new = baseline[key], fresh[key]
-    drop = 1.0 - new / old
-    status = "FAIL" if drop > tolerance else "ok"
-    failed |= drop > tolerance
-    print(f"{status:>4}  {key}: baseline {old:.3f}, "
-          f"now {new:.3f} ({-drop:+.1%})")
+    for key in ("requests_per_wallsec_normalized",
+                "overload_requests_per_wallsec_normalized"):
+        old, new = baseline[key], fresh[key]
+        drop = 1.0 - new / old
+        status = "FAIL" if drop > tolerance else "ok"
+        failed |= drop > tolerance
+        print(f"{status:>4}  {key}: baseline {old:.3f}, "
+              f"now {new:.3f} ({-drop:+.1%})")
     # the knees are simulation outputs, not timings: exact match required
     for metric in ("knee_rps", "peak_goodput_rps"):
         for prov, old_v in baseline[metric].items():

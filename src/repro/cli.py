@@ -264,6 +264,9 @@ def _chaos_rewind(args) -> None:
     from .faults.chaos import rewind_scenario
     from .faults.scenarios import SCENARIOS, get_scenario
 
+    if args.json_out:
+        sys.exit("vibe chaos: --rewind writes no JSON report; "
+                 "drop --json-out or --rewind")
     providers = _chaos_providers(args) or ALL_PROVIDERS
     names = _chaos_scenarios(args)
     try:
@@ -692,7 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run only these scenarios (repeatable, "
                             "comma-separable); default: all of them")
     chaos.add_argument("--json-out", metavar="FILE.json",
-                       help="also write the report as JSON")
+                       help="also write the report as JSON (not with "
+                            "--rewind, which has no JSON report)")
     chaos.add_argument("--rewind", action="store_true",
                        help="rebuild each cell, step it to just before "
                             "its first fault arms, and finish only the "

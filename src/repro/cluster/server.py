@@ -76,8 +76,12 @@ class ClusterServer:
     Spawn :meth:`body` as a simulation process.  The server accepts
     ``n_clients`` connections on ``discriminator``, pre-posts ``window``
     receives per VI, then dispatches from one shared recv CQ until it
-    has served ``total_requests`` requests or the deadline passes —
-    whichever comes first, so a partitioned client can never wedge it.
+    has served ``total_requests`` requests, the deadline passes, or the
+    simulation is quiescent (an idle poll finds that nothing else can
+    ever act, so no request can arrive) — whichever comes first.  A
+    partitioned client can never wedge it, and an overloaded cell whose
+    clients keep failures does not poll out an idle tail to the
+    deadline.
 
     ``deadline_aware`` says clients prepend their absolute request
     deadline (``DEADLINE_HDR`` bytes, big-endian us) to every payload;
@@ -148,6 +152,19 @@ class ClusterServer:
         self.stats["accepted"] += 1
         peers[(req.client_node, req.client_vi_id)] = vi
 
+    def _idle_for_good(self, connmgr) -> bool:
+        """After an idle poll: True when no request, dial or disconnect
+        can ever reach this server again.
+
+        Nothing else in the simulation can act (see
+        :meth:`~repro.sim.core.Simulator.quiescent`) and no dial is
+        parked, so every further poll would time out on an empty CQ
+        until the deadline.  Stopping now leaves the state those polls
+        would have left, less their CPU time and events.
+        """
+        return (not connmgr.pending_count(self.discriminator)
+                and self.tb.sim.quiescent())
+
     def _conn_cap(self) -> int:
         if self.policy is not None and self.policy.max_conns is not None:
             return min(self.n_clients, self.policy.max_conns)
@@ -213,6 +230,8 @@ class ClusterServer:
                 wq, desc = yield from h.cq_wait(
                     recv_cq, mode=self.wait_mode, timeout=budget)
             except VipTimeout:
+                if self._idle_for_good(connmgr):
+                    break
                 continue
             vi, buf, mh, slots = slots_by_wq[wq]
             off = slots.popleft()
@@ -305,7 +324,8 @@ class ClusterServer:
             # its schedule.  The only trustworthy end-of-traffic signal
             # is teardown: every expected endpoint connected and has
             # since disconnected.  Clients that keep failures never
-            # disconnect, so an overloaded cell serves to its deadline.
+            # disconnect, so an overloaded cell serves until its
+            # deadline or until the simulation is quiescent.
             return (len(peers) >= cap
                     and all(not vi.is_connected for vi in peers.values()))
 
@@ -325,6 +345,8 @@ class ClusterServer:
                     item = yield from h.cq_wait(
                         recv_cq, mode=self.wait_mode, timeout=budget)
                 except VipTimeout:
+                    if self._idle_for_good(connmgr):
+                        break
                     continue
                 live += self._admit(h, item, slots_by_wq, pending)
             while True:  # drain the whole CQ into the pending queue

@@ -115,9 +115,30 @@ def _normalize_run(params: dict, seed: int) -> dict:
             raise SpecError(f"benchmark {benchmark!r} takes no sizes; "
                             f"those that do: {', '.join(sorted(SIZES_AWARE))}")
         out["sizes"] = _numbers(params["sizes"], int, "sizes")
-        if any(size < 0 for size in out["sizes"]):
-            raise SpecError(f"sizes must be >= 0, got {params['sizes']!r}")
+        _check_sizes(benchmark, out["provider"], out["sizes"])
     return out
+
+
+def _check_sizes(benchmark: str, provider, sizes: tuple) -> None:
+    """Refuse a size the benchmark cannot run: ``memreg`` registers
+    buffers of 1 byte or more, every other benchmark sends messages of
+    0 up to the provider's maximum transfer size."""
+    from ..providers.custom import parse_spec
+    from ..providers.registry import get_spec
+
+    if benchmark == "memreg":
+        for size in sizes:
+            if size < 1:
+                raise SpecError(f"size {size} is not a buffer size; "
+                                "memreg registers 1 byte or more")
+        return
+    spec = (get_spec(provider) if isinstance(provider, str)
+            else parse_spec(provider))
+    limit = spec.costs.max_transfer_size
+    for size in sizes:
+        if not 0 <= size <= limit:
+            raise SpecError(f"size {size} is outside {spec.name}'s "
+                            f"message sizes 0..{limit}")
 
 
 def _numbers(values, kind: type, what: str) -> tuple:

@@ -112,6 +112,23 @@ implementation:
   ``yield from`` starts a returned generator at once, so every side
   effect, clock move and counter lands at the same instant and in the
   same order as when the helper was itself a generator.
+- **Quiescence.**  :meth:`Simulator.quiescent` tells the running
+  process that nothing else can ever schedule, wake or send anything
+  again, so a loop that only polls for outside input may stop instead
+  of polling to its own deadline.  All five conditions must hold:
+
+  1. :meth:`run` is draining a sole callback (the first condition of
+     :meth:`advance`), so no half-drained bucket hides entries;
+  2. the immediate queue is empty;
+  3. the running process is the only live process;
+  4. no fault injector is attached (a CPU-time hook draws from its
+     RNG on every charge, so skipped polls would move its state);
+  5. every heap entry, alone or in a bucket, has an empty callback
+     list: a stale deadline timeout or a finished process nobody
+     waits on.  A kick record has no callback list and counts as live.
+
+  The query is read-only and fails in O(1) while a second process
+  lives; the heap scan runs only once the caller is the last one.
 - **Same-timestamp buckets.**  Priority-0 schedules for the same
   absolute time are appended to one FIFO bucket list that occupies a
   single heap slot, keyed by its *first* entry's sequence number.
@@ -907,6 +924,30 @@ class Simulator:
         self.events_run += entries
         self.ctx_switches += entries
         self.inplace_events += entries
+        return True
+
+    def quiescent(self) -> bool:
+        """True when nothing but the running process can ever schedule,
+        wake or send anything again.
+
+        The caller is the running process.  Every queued entry is then
+        a stale timer or an unwatched finished process, so a wait for
+        outside input can only time out; see "Quiescence" in the module
+        docstring for the five conditions.  Reads, never changes, the
+        simulation.
+        """
+        if not self._solo or self._immediate or self.faults is not None:
+            return False
+        processes = self._processes
+        if len(processes) != 1 or self.active_process not in processes:
+            return False
+        for entry in self._heap:
+            obj = entry[2]
+            if obj.__class__ is list:
+                if any(event.callbacks for _, event in obj):
+                    return False
+            elif getattr(obj, "callbacks", True):  # a _Kick is live
+                return False
         return True
 
     def step(self) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from repro.cluster import ClusterConfig, run_cluster, run_cluster_once
 from repro.cluster.policy import (DEFAULT_DEADLINE_US, RetryPolicy,
                                   ServerPolicy)
 from repro.cluster.runner import slo_knee
+from repro.providers.registry import ALL_PROVIDERS
 
 # a config comfortably past the knee: fixed:100 caps one server at
 # 10k rps while four clients offer 48k, so shedding and retries engage
@@ -248,6 +250,88 @@ def test_report_bytes_identical_across_jobs(seed):
     serial = run_cluster(("mvia",), cfg, rates=rates, jobs=1)
     fanned = run_cluster(("mvia",), cfg, rates=rates, jobs=2)
     assert serial.to_json() == fanned.to_json()
+
+
+# ---------------------------------------------------------------------------
+# the quiescent exit: a server whose clients keep failures stops polling
+# once nothing else can act, and no point moves
+
+# a retry budget of one, past the knee: some requests are lost, their
+# clients never disconnect, and the server idles from its last response
+IDLE_TAIL = replace(OVERLOAD, requests=4, deadline_us=200_000.0,
+                    retry="budget=1")
+
+
+def _cell_with_server_end(provider, cfg, rate):
+    """One cell's point, full harvest and server end time."""
+    from repro.cluster.server import ClusterServer
+    from repro.obs import MetricsRegistry
+
+    ends = []
+    body = ClusterServer.body
+
+    def timed_body(self):
+        yield from body(self)
+        ends.append(self.tb.now)
+
+    registry = MetricsRegistry()
+    with mock.patch.object(ClusterServer, "body", timed_body):
+        point = run_cluster_once(provider, cfg, rate, harvest=registry)
+    return point, registry.snapshot(), ends[0]
+
+
+@given(seed=st.integers(min_value=0, max_value=31),
+       rate=st.sampled_from([48_000.0, 96_000.0]),
+       provider=st.sampled_from(ALL_PROVIDERS))
+@settings(max_examples=8, deadline=None)
+def test_quiescent_exit_moves_no_point(seed, rate, provider):
+    """Against the server polling to its deadline (``quiescent`` forced
+    False), the point and every harvested counter but the kernel totals
+    and the server's own CPU time are equal, and the server is done
+    before its deadline."""
+    from repro.cluster.topology import make_topology
+    from repro.sim import Simulator
+
+    cfg = replace(IDLE_TAIL, seed=seed)
+    point, harvest, end = _cell_with_server_end(provider, cfg, rate)
+    with mock.patch.object(Simulator, "quiescent", lambda self: False):
+        ref_point, ref_harvest, _ = _cell_with_server_end(provider, cfg,
+                                                          rate)
+    server = make_topology(cfg.topology, cfg.nodes, cfg.servers).servers[0]
+    moved = ("sim.", f"cpu.{server}.server.")
+
+    def kept(snapshot):
+        return {k: v for k, v in snapshot.items() if not k.startswith(moved)}
+
+    assert point == ref_point
+    assert kept(harvest) == kept(ref_harvest)
+    assert end < cfg.deadline_us
+
+
+def test_quiescent_exit_waits_for_a_parked_dial():
+    """A dial parked after its client gave up and ended would still be
+    accepted or rejected at the loop's top, so it keeps the loop on."""
+    from repro.cluster.server import ClusterServer
+    from repro.providers import Testbed
+    from repro.via.connection import ConnRequest
+    from repro.via.constants import Reliability
+
+    tb = Testbed("mvia")
+    srv = ClusterServer(tb, tb.node_names[1], 1, 1)
+    connmgr = tb.providers[srv.node].connmgr
+    seen = []
+
+    def probe():
+        yield tb.sim.timeout(1.0)
+        seen.append(srv._idle_for_good(connmgr))
+        connmgr.deliver(ConnRequest(1, tb.node_names[0], 0,
+                                    srv.discriminator,
+                                    Reliability.RELIABLE_DELIVERY))
+        seen.append(srv._idle_for_good(connmgr))
+
+    tb.run(tb.spawn(probe(), "probe"))
+    tb.close()
+    assert seen == [True, False]
 
 
 # ---------------------------------------------------------------------------

@@ -451,6 +451,41 @@ def test_http_errors_are_structured(client):
     assert client.health()["ok"] is True
 
 
+#: run specs whose sizes the benchmark cannot run: over bvia's and
+#: mvia's maximum transfer size, and a zero-byte registration
+_UNRUNNABLE_SIZES = [("base_latency", "bvia", [40000]),
+                     ("cq_latency", "mvia", [70000]),
+                     ("memreg", "clan", [0])]
+
+
+@pytest.mark.parametrize("bench,provider,sizes", _UNRUNNABLE_SIZES)
+def test_unrunnable_sizes_are_refused_up_front(client, bench, provider,
+                                               sizes):
+    spec = {"kind": "run", "params": {"benchmark": bench,
+                                      "provider": provider,
+                                      "sizes": sizes}}
+    with pytest.raises(SpecError, match=f"size {sizes[0]} "):
+        ExperimentSpec.from_dict(spec)
+    with pytest.raises(ServiceError) as err:
+        client.submit(spec)
+    assert err.value.status == 400
+    assert client.health()["ok"] is True
+
+
+def test_sizes_at_the_limits_are_accepted():
+    def spec(benchmark, provider, sizes):
+        return ExperimentSpec.from_dict({"kind": "run", "params": {
+            "benchmark": benchmark, "provider": provider, "sizes": sizes}})
+
+    spec("base_latency", "bvia", [0, 32768])
+    spec("memreg", "clan", [1, 1 << 20])  # registration has no cap
+    # an inline design's limit comes from its own costs
+    small = {"base": "bvia", "costs": {"max_transfer_size": 1000}}
+    spec("base_latency", small, [1000])
+    with pytest.raises(SpecError, match="custom-bvia's message sizes"):
+        spec("base_latency", small, [1001])
+
+
 def test_malformed_inline_design_is_an_http_400(client):
     for design in _BAD_DESIGNS:
         with pytest.raises(ServiceError) as err:

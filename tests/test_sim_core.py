@@ -651,3 +651,95 @@ def test_resource_in_place_hold_and_grant_need_a_free_slot():
     assert log == [2.0] and res.in_use == 0
     # timeout 1 + grant 1 + hold 2, plus the boot and the process end
     assert (sim.events_run, sim.inplace_events) == (6, 3)
+
+
+# -- quiescent(): nothing but the running process can act again ----------
+
+def _quiescent_at_1(setup=None, drive=Simulator.run):
+    """Run a process that calls ``setup(sim)`` at t=1 and then asks
+    ``quiescent()``; return the answer."""
+    sim = Simulator()
+    seen = []
+
+    def proc():
+        # a wait whose event won the race leaves its deadline timeout
+        # queued with no callback, as a poll answered in time does
+        sim.any_of([sim.timeout(0.5), sim.timeout(5.0)])
+        yield sim.timeout(1.0)
+        if setup is not None:
+            setup(sim)
+        seen.append(sim.quiescent())
+
+    sim.process(proc())
+    drive(sim)
+    return seen[0]
+
+
+def test_quiescent_with_only_callback_less_timeouts_left():
+    assert _quiescent_at_1() is True
+    assert _quiescent_at_1(lambda sim: sim.timeout(3.0)) is True
+
+
+def test_quiescent_false_while_a_second_process_lives():
+    sim = Simulator()
+    never = sim.event()
+    seen = []
+
+    def waiter():
+        yield never
+
+    def proc():
+        yield sim.timeout(1.0)
+        seen.append(sim.quiescent())
+
+    sim.process(waiter())
+    sim.process(proc())
+    sim.run()
+    assert seen == [False]
+
+
+def test_quiescent_false_with_a_pending_timeout_that_has_a_callback():
+    def setup(sim):
+        sim.timeout(3.0).callbacks.append(lambda e: None)
+
+    assert _quiescent_at_1(setup) is False
+
+
+def test_quiescent_false_with_an_immediate_record_pending():
+    def setup(sim):
+        sim.call_soon(lambda arg: None, None)
+
+    assert _quiescent_at_1(setup) is False
+
+
+def test_quiescent_false_with_a_fault_injector_attached():
+    def setup(sim):
+        sim.faults = object()  # the kernel only asks whether one is set
+
+    assert _quiescent_at_1(setup) is False
+
+
+def test_quiescent_false_under_step_and_run_events():
+    def stepped(sim):
+        while sim.peek() != float("inf"):
+            sim.step()
+
+    assert _quiescent_at_1(drive=stepped) is False
+    assert _quiescent_at_1(drive=lambda sim: sim.run_events(100)) is False
+    assert Simulator().quiescent() is False  # nothing running at all
+
+
+@pytest.mark.parametrize("live", [False, True])
+def test_quiescent_reads_every_member_of_a_same_time_bucket(live):
+    """Past 16 heap entries same-time schedules share one bucket slot;
+    a callback on any member, not just the first, keeps the run live."""
+    def setup(sim):
+        for i in range(16):
+            sim.timeout(10.0 + i)
+        sim.timeout(4.0)
+        late = sim.timeout(4.0)
+        assert late in [e for _, e in sim._buckets[5.0]]
+        if live:
+            late.callbacks.append(lambda e: None)
+
+    assert _quiescent_at_1(setup) is (not live)

@@ -98,3 +98,14 @@ def test_chaos_rewind_cli_without_stream_scenario_fails():
     err = _one_line_exit("chaos", "--rewind", "--quick", "--scenario",
                          "many_clients,retry_storm")
     assert err.startswith("vibe chaos: ") and "many_clients" in err
+
+
+def test_chaos_rewind_cli_refuses_json_out(tmp_path):
+    """The rewind has no JSON report: asking for one is an input error,
+    not a PASS that silently writes nothing."""
+    out = tmp_path / "rw.json"
+    err = _one_line_exit("--providers", "mvia", "chaos", "--rewind",
+                         "--quick", "--scenario", "loss_burst",
+                         "--json-out", str(out))
+    assert err.startswith("vibe chaos: ") and "--json-out" in err
+    assert not out.exists()
