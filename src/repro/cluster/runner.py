@@ -253,8 +253,7 @@ def _assemble_point(provider: str, cfg: ClusterConfig,
 
 def run_cluster_once(provider: str, cfg: ClusterConfig,
                      rate_rps: float | None = None,
-                     check: bool = False, fault_plan=None,
-                     harvest=None) -> dict:
+                     check: bool = False, harvest=None) -> dict:
     """Run one cluster simulation; returns a deterministic point dict.
 
     ``rate_rps`` is the *total* offered load across all clients (open
@@ -264,7 +263,7 @@ def run_cluster_once(provider: str, cfg: ClusterConfig,
     """
     topo = make_topology(cfg.topology, cfg.nodes, cfg.servers)
     tb = build_testbed(provider, topo, seed=cfg.seed, check=check,
-                       faults=fault_plan, fidelity=cfg.fidelity)
+                       fidelity=cfg.fidelity)
     hists = [Histogram("latency_us", LATENCY_BUCKETS)
              for _ in range(max(1, cfg.tenants))]
     # clients only: servers serve reactively and never join the gate

@@ -98,14 +98,13 @@ def make_topology(kind: str, nodes: int, servers: int = 1) -> Topology:
 
 
 def build_testbed(provider: str, topo: Topology, seed: int = 0,
-                  check: bool = False, faults=None,
-                  fidelity: str = "packet") -> Testbed:
+                  check: bool = False, fidelity: str = "packet") -> Testbed:
     """Stand up a live testbed wired as ``topo``."""
     if topo.leaf_groups is None:
         return Testbed(provider, node_names=topo.nodes, seed=seed,
-                       check=check, faults=faults, fidelity=fidelity)
+                       check=check, fidelity=fidelity)
     spec = get_spec(provider)
     uplink_bw = spec.network.bandwidth * (topo.uplink_factor or 1.0)
     return Testbed(provider, seed=seed, leaf_groups=topo.leaf_groups,
                    uplink_bandwidth=uplink_bw, check=check,
-                   faults=faults, fidelity=fidelity)
+                   fidelity=fidelity)

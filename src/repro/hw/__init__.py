@@ -1,7 +1,7 @@
 """Simulated hardware substrate: memory, CPU, NIC, links, fabrics."""
 
 from .cpu import CpuActor, HostCPU, Rusage
-from .link import Channel, Link, Packet
+from .link import Channel, Packet
 from .memory import (
     PAGE_SIZE,
     MemoryError_,
@@ -33,7 +33,6 @@ __all__ = [
     "GIGE",
     "HostCPU",
     "HostParams",
-    "Link",
     "MYRINET",
     "MemoryError_",
     "MemorySystem",

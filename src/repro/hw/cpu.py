@@ -112,7 +112,7 @@ class CpuActor:
 
     def _acquire_cpu(self) -> tuple[()] | Generator[Event, Any, None]:
         """Acquire the CPU for :meth:`spin_wait`, leaving no stale state
-        on interruption.
+        when the waiting process is closed.
 
         A free CPU whose grant is provably the next event is taken in
         place (:meth:`Resource.advance_grant`): nothing to clean up, and
@@ -127,12 +127,12 @@ class CpuActor:
     def _request_cpu(resource: Resource) -> Generator[Event, Any, None]:
         """The queued half of :meth:`_acquire_cpu`.
 
-        A plain ``yield resource.request()`` is unsafe: if the waiting
-        process is interrupted (or the request fails) while still
-        queued, the dangling request would later be granted to nobody
-        and the CPU slot would leak forever.  On failure this cancels a
-        still-queued request, or releases a slot that was granted but
-        whose grant-event had not yet been delivered.
+        A plain ``yield resource.request()`` would leave stale state
+        when :meth:`Simulator.close` closes the waiting process: a
+        dangling request granted to nobody, or a granted slot nobody
+        releases.  On the way out this cancels a still-queued request,
+        or releases a slot that was granted but whose grant event had
+        not yet been delivered, so the CPU reads free afterwards.
         """
         req = resource.request()
         try:

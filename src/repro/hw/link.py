@@ -1,4 +1,4 @@
-"""Wire model: packets, unidirectional channels, full-duplex links.
+"""Wire model: packets and unidirectional channels.
 
 A :class:`Channel` models one direction of a physical link: packets are
 *serialised* (the channel is held for ``header + size`` at line rate),
@@ -19,7 +19,7 @@ from typing import Any, Callable, Generator
 from ..sim import Event, Resource, Simulator
 from ..sim.ids import id_space
 
-__all__ = ["Packet", "Channel", "Link"]
+__all__ = ["Packet", "Channel"]
 
 _packet_ids = id_space("packet")
 
@@ -224,28 +224,3 @@ class Channel:
         :meth:`repro.providers.Testbed.close`)."""
         self.sink = None
         self._line._queue.clear()
-
-
-class Link:
-    """A full-duplex link: an independent channel per direction."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        bandwidth: float,
-        prop_delay: float,
-        header_bytes: int = 0,
-        per_packet_cost: float = 0.0,
-        loss_rate: float = 0.0,
-        seed: int = 0,
-        name: str = "link",
-    ) -> None:
-        self.name = name
-        self.forward = Channel(
-            sim, bandwidth, prop_delay, header_bytes, per_packet_cost,
-            loss_rate, random.Random(seed * 2 + 1), f"{name}.fwd",
-        )
-        self.backward = Channel(
-            sim, bandwidth, prop_delay, header_bytes, per_packet_cost,
-            loss_rate, random.Random(seed * 2 + 2), f"{name}.bwd",
-        )

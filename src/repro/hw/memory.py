@@ -62,14 +62,6 @@ class VirtualRegion:
     base: int
     length: int
     data: bytearray = field(repr=False)
-    freed: bool = False
-
-    @property
-    def end(self) -> int:
-        return self.base + self.length
-
-    def contains(self, addr: int, length: int = 1) -> bool:
-        return self.base <= addr and addr + length <= self.end
 
 
 class PageTable:
@@ -135,28 +127,11 @@ class MemorySystem:
             base += self.page_size - base % self.page_size
         region = VirtualRegion(base=base, length=length, data=bytearray(length))
         self._next_va = base + length
-        idx = bisect.bisect_left(self._bases, base)
-        self._bases.insert(idx, base)
-        self._regions.insert(idx, region)
+        # bases only grow and regions are never freed: appending keeps
+        # both lists sorted
+        self._bases.append(base)
+        self._regions.append(region)
         return region
-
-    def free(self, region: VirtualRegion) -> None:
-        """Release a region. Pinned pages must be unpinned first."""
-        if region.freed:
-            raise MemoryError_("double free")
-        for vpage in page_span(region.base, region.length, self.page_size):
-            if self._pin_counts.get(vpage):
-                # Only an error if no *other* live region shares the page;
-                # overlapping regions are not produced by alloc(), so any
-                # pin on our pages is ours.
-                raise MemoryError_(
-                    f"region {region.base:#x} freed while page {vpage:#x} is pinned"
-                )
-        region.freed = True
-        idx = bisect.bisect_left(self._bases, region.base)
-        if idx < len(self._bases) and self._bases[idx] == region.base:
-            del self._bases[idx]
-            del self._regions[idx]
 
     def region_at(self, addr: int) -> VirtualRegion:
         idx = bisect.bisect_right(self._bases, addr) - 1

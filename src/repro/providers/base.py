@@ -1,7 +1,12 @@
-"""SimulatedProvider: host-side VIA operations over the NIC engine.
+"""SimulatedProvider: one node's VIA stack, host-side operations over
+the NIC engine.
 
-One instance per node.  All public operations are generators (timed);
-they charge the calling application's CPU actor and drive the shared
+One instance per node, and the only VIA provider: every platform and
+every ``--provider-spec`` design is a :class:`SimulatedProvider` with
+its own design choices and cost model.  An application opens it
+(``VipOpenNic``) to get a :class:`~repro.via.provider.NicHandle`.  All
+public operations are generators (timed); they charge the calling
+application's CPU actor and drive the shared
 :class:`~repro.providers.engine.NicEngine` for anything that happens on
 the NIC or the wire.
 """
@@ -35,7 +40,7 @@ from ..via.errors import (
 )
 from ..via.memory import MemoryHandle, MemoryRegistry
 from ..via.nameservice import NameService
-from ..via.provider import ViaProvider
+from ..via.provider import NicAttributes, NicHandle, ViAttributes
 from ..via.vi import VI, WorkQueue
 from .costs import CostModel, DataPath, DesignChoices, DoorbellKind, TranslationAgent, TableLocation
 from .engine import NicEngine
@@ -84,7 +89,7 @@ class _DisconnectPayload:
         self.dst_vi_id = dst_vi_id
 
 
-class SimulatedProvider(ViaProvider):
+class SimulatedProvider:
     """A VIA provider parameterised by design choices + a cost model."""
 
     def __init__(
@@ -97,7 +102,11 @@ class SimulatedProvider(ViaProvider):
         loss_possible: bool = False,
         name: str = "sim",
     ) -> None:
-        super().__init__(node, nameservice)
+        self.node = node
+        self.sim = node.sim
+        self.nameservice = nameservice
+        nameservice.register(node.name, node.name)
+        #: short identifier ("mvia", "bvia", "clan", ...)
         self.name = name
         self.choices = choices
         self.costs = costs
@@ -126,6 +135,10 @@ class SimulatedProvider(ViaProvider):
         #: with, resent when a duplicate conn_req shows our reply lost
         self._conn_replies: dict = {}
 
+    def open(self, actor_name: str) -> NicHandle:
+        """VipOpenNic: bind an application context to this provider."""
+        return NicHandle(self, self.node.cpu.actor(actor_name))
+
     # -- introspection -----------------------------------------------------
     @property
     def open_vi_count(self) -> int:
@@ -133,6 +146,7 @@ class SimulatedProvider(ViaProvider):
 
     @property
     def max_transfer_size(self) -> int:
+        """Largest descriptor the provider accepts (bytes)."""
         return self.costs.max_transfer_size
 
     @property
@@ -143,10 +157,8 @@ class SimulatedProvider(ViaProvider):
     def default_reliability(self) -> Reliability:
         return self.choices.default_reliability
 
-    def query_nic(self):
+    def query_nic(self) -> NicAttributes:
         """VipQueryNic: static capabilities of this provider instance."""
-        from ..via.provider import NicAttributes
-
         return NicAttributes(
             name=self.name,
             max_transfer_size=self.costs.max_transfer_size,
@@ -159,11 +171,26 @@ class SimulatedProvider(ViaProvider):
             nic_translation_entries=self.choices.nic_tlb_entries,
         )
 
+    def query_vi(self, vi: VI) -> ViAttributes:
+        """VipQueryVi: current endpoint state and queue occupancy."""
+        return ViAttributes(
+            vi_id=vi.vi_id,
+            state=vi.state,
+            reliability=vi.reliability,
+            peer=vi.peer,
+            send_posted=vi.send_q.outstanding,
+            send_completed=vi.send_q.total_completed,
+            recv_posted=vi.recv_q.outstanding,
+            recv_completed=vi.recv_q.total_completed,
+            max_transfer_size=vi.max_transfer_size,
+        )
+
     # =====================================================================
     # VI lifecycle
     # =====================================================================
 
     def vi_create(self, handle, reliability=None, send_cq=None, recv_cq=None) -> Op:
+        """VipCreateVi: returns a new :class:`VI` in IDLE state."""
         c = self.costs
         reliability = reliability or self.default_reliability
         yield from handle.actor.busy(c.vi_create, "sys")
@@ -181,6 +208,7 @@ class SimulatedProvider(ViaProvider):
         return vi
 
     def vi_destroy(self, handle, vi: VI) -> Op:
+        """VipDestroyVi: the VI must be idle/disconnected with empty queues."""
         vi.require_state(ViState.IDLE, ViState.DISCONNECTED, ViState.ERROR)
         for wq in (vi.send_q, vi.recv_q):
             if wq.posted or wq.completed:
@@ -202,6 +230,8 @@ class SimulatedProvider(ViaProvider):
 
     def register_mem(self, handle, address, length,
                      enable_rdma_write=True, enable_rdma_read=False) -> Op:
+        """VipRegisterMem: pin pages, install translations; returns a
+        :class:`MemoryHandle`."""
         c = self.costs
         npages = len(page_span(address, length, self.node.mem.page_size))
         yield from handle.actor.busy(c.reg_base + c.reg_per_page * npages, "sys")
@@ -215,6 +245,7 @@ class SimulatedProvider(ViaProvider):
         return mh
 
     def deregister_mem(self, handle, mh: MemoryHandle) -> Op:
+        """VipDeregisterMem."""
         c = self.costs
         yield from handle.actor.busy(
             c.dereg_base + c.dereg_per_page * mh.page_count, "sys"
@@ -232,12 +263,14 @@ class SimulatedProvider(ViaProvider):
     # =====================================================================
 
     def cq_create(self, handle, depth: int = 1024) -> Op:
+        """VipCreateCQ: returns a :class:`CompletionQueue`."""
         yield from handle.actor.busy(self.costs.cq_create, "sys")
         cq = CompletionQueue(self.sim, depth)
         self.cqs.append(cq)
         return cq
 
     def cq_destroy(self, handle, cq: CompletionQueue) -> Op:
+        """VipDestroyCQ."""
         yield from handle.actor.busy(self.costs.cq_destroy, "sys")
         cq.destroy()
 
@@ -262,6 +295,7 @@ class SimulatedProvider(ViaProvider):
 
     def connect_request(self, handle, vi: VI, remote_host: str,
                         discriminator: int, timeout: float | None = None) -> Op:
+        """VipConnectRequest + VipConnectWait (client side): dial and wait."""
         vi.require_state(ViState.IDLE)
         c = self.costs
         yield from handle.actor.busy(c.conn_client, "sys")
@@ -322,11 +356,13 @@ class SimulatedProvider(ViaProvider):
 
     def connect_wait(self, handle, discriminator: int,
                      timeout: float | None = None) -> Op:
+        """VipConnectWait (server side): returns a :class:`ConnRequest`."""
         ev = self.connmgr.wait_for(discriminator)
         request = yield from self._wait_event(ev, timeout)
         return request
 
     def connect_accept(self, handle, request: ConnRequest, vi: VI) -> Op:
+        """VipConnectAccept: bind ``vi`` to the requesting client."""
         vi.require_state(ViState.IDLE)
         if vi.reliability is not request.reliability:
             rej = _ConnRejPayload(request.conn_id, "reliability mismatch")
@@ -345,12 +381,14 @@ class SimulatedProvider(ViaProvider):
         return vi
 
     def connect_reject(self, handle, request: ConnRequest) -> Op:
+        """VipConnectReject."""
         self.conn_rejects += 1
         rej = _ConnRejPayload(request.conn_id, "rejected by peer")
         self._conn_replies[request.conn_id] = rej
         yield from self._control_tx(request.client_node, rej)
 
     def disconnect(self, handle, vi: VI) -> Op:
+        """VipDisconnect: tear the connection down, flush queues."""
         vi.require_state(ViState.CONNECTED)
         c = self.costs
         yield from handle.actor.busy(c.conn_teardown_active, "sys")
@@ -463,6 +501,7 @@ class SimulatedProvider(ViaProvider):
                                       vi.ptag)
 
     def post_send(self, handle, vi: VI, desc: Descriptor) -> Op:
+        """VipPostSend: post a send/RDMA descriptor and ring the doorbell."""
         vi.require_state(ViState.CONNECTED)
         self._validate_post(vi, desc, DescriptorOp.SEND,
                             DescriptorOp.RDMA_WRITE, DescriptorOp.RDMA_READ)
@@ -538,6 +577,7 @@ class SimulatedProvider(ViaProvider):
         yield from self.engine.send_message(vi, desc)
 
     def post_recv(self, handle, vi: VI, desc: Descriptor) -> Op:
+        """VipPostRecv."""
         vi.require_state(ViState.IDLE, ViState.CONNECT_PENDING,
                          ViState.CONNECTED)
         self._validate_post(vi, desc, DescriptorOp.RECEIVE)
@@ -586,10 +626,12 @@ class SimulatedProvider(ViaProvider):
         yield from handle.actor.copy(desc.control.length, "sys")
 
     def send_done(self, handle, vi: VI) -> Op:
+        """VipSendDone: non-blocking; a completed Descriptor or None."""
         yield from handle.actor.busy(self.costs.reap_cost, "user")
         return vi.send_q.try_reap()
 
     def recv_done(self, handle, vi: VI) -> Op:
+        """VipRecvDone."""
         yield from handle.actor.busy(self.costs.reap_cost, "user")
         desc = vi.recv_q.try_reap()
         if desc is not None:
@@ -601,12 +643,14 @@ class SimulatedProvider(ViaProvider):
 
     def send_wait(self, handle, vi: VI, mode=WaitMode.POLL,
                   timeout: float | None = None) -> Op:
+        """VipSendWait: poll (spin) or block until a send completes."""
         desc = yield from self._await(handle, vi.send_q.try_reap,
                                       vi.send_q.signal, mode, timeout)
         return desc
 
     def recv_wait(self, handle, vi: VI, mode=WaitMode.POLL,
                   timeout: float | None = None) -> Op:
+        """VipRecvWait."""
         desc = yield from self._await(handle, vi.recv_q.try_reap,
                                       vi.recv_q.signal, mode, timeout)
         yield from self._reap_postprocess(handle, vi.recv_q, desc)
@@ -616,6 +660,7 @@ class SimulatedProvider(ViaProvider):
         return desc
 
     def cq_done(self, handle, cq: CompletionQueue) -> Op:
+        """VipCQDone: non-blocking; (work_queue, Descriptor) or None."""
         yield from handle.actor.busy(self.costs.reap_cost, "user")
         entry = cq.try_pop()
         if entry is not None:
@@ -625,6 +670,7 @@ class SimulatedProvider(ViaProvider):
 
     def cq_wait(self, handle, cq: CompletionQueue, mode=WaitMode.POLL,
                 timeout: float | None = None) -> Op:
+        """VipCQWait."""
         entry = yield from self._await(handle, cq.try_pop, cq.signal,
                                        mode, timeout)
         wq, desc = entry

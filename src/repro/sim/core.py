@@ -23,21 +23,19 @@ every shortcut preserves the ``(time, priority, seq)`` total order
 exactly, so simulated results are bit-identical to the naive
 implementation:
 
-- **Kick records instead of events.**  Booting a process, resuming one
-  that yielded an already-processed event, and interrupts used to burn a
-  throwaway :class:`Event` (allocation + callback list + heap
-  round-trip).  They now use pooled :class:`_Kick` records.  Each kick
-  still consumes a sequence number from the same counter, so its
-  ordering key is identical to the event it replaces.
-- **Immediate queue.**  Priority-0 kicks are appended to a FIFO deque
-  instead of the heap.  Because their keys ``(now, 0, seq)`` are
-  strictly increasing in append order, the deque is always sorted; the
-  event loop pops whichever of ``deque[0]`` / ``heap[0]`` has the
-  smaller key, which is exactly what one big heap would do.  Kicks with
-  non-zero priority (interrupts, priority −1) would violate the
-  monotonicity argument, so they go on the heap as lightweight records.
-  Every record on the deque has ``time``, ``seq`` and a ``_fire()`` that
-  does any recycling itself.
+- **Kick records instead of events.**  Booting a process and resuming
+  one that yielded an already-processed event used to burn a throwaway
+  :class:`Event` (allocation + callback list + heap round-trip).  They
+  now use pooled :class:`_Kick` records.  Each kick still consumes a
+  sequence number from the same counter, so its ordering key is
+  identical to the event it replaces.
+- **Immediate queue.**  Every kick is appended to a FIFO deque instead
+  of the heap.  Because their keys ``(now, 0, seq)`` are strictly
+  increasing in append order, the deque is always sorted; the event
+  loop pops whichever of ``deque[0]`` / ``heap[0]`` has the smaller
+  key, which is exactly what one big heap would do.  Every record on
+  the deque has ``time``, ``seq`` and a ``_fire()`` that does any
+  recycling itself.
 - **Timed-hold records.**  ``Resource.hold(d)`` (see
   :mod:`repro.sim.resources`) replaces ``yield request()`` → resume →
   ``yield timeout(d)`` with one resume.  Its grant takes the same
@@ -47,9 +45,8 @@ implementation:
   number, which is the one the resumed holder's ``timeout(d)`` would
   have drawn.  So ``events_run`` and ``_seq`` match the two-resume
   form, and ``ctx_switches`` does too because a grant counts as the
-  resume it replaces.  A grant abandoned before it fires (the holder
-  was interrupted) counts as an event and nothing else, as an
-  orphaned grant event did.
+  resume it replaces.  A grant abandoned before it fires counts as an
+  event and nothing else, as an orphaned grant event did.
 - **Call records.**  :meth:`Simulator.call_soon` runs ``fn(arg)`` from
   a :class:`_Call` record on the immediate deque, keyed
   ``(now, seq)`` with the next sequence number: the key a new
@@ -76,9 +73,8 @@ implementation:
   ``yield from`` chain.  All five conditions must hold:
 
   1. :meth:`run` is draining an entry whose sole callback is running
-     (a kick, or an event with one callback); :meth:`step` and
-     :meth:`run_events` never run in place, so an event count stays a
-     replay cursor;
+     (a kick, or an event with one callback); :meth:`run_events` never
+     runs in place, so an event count stays a replay cursor;
   2. the immediate queue is empty, and no entry of the same-time
      bucket is pending (the loop closes a bucket before running its
      last entry, so what that entry schedules at ``now`` is a heap
@@ -125,7 +121,7 @@ implementation:
      RNG on every charge, so skipped polls would move its state);
   5. every heap entry, alone or in a bucket, has an empty callback
      list: a stale deadline timeout or a finished process nobody
-     waits on.  A kick record has no callback list and counts as live.
+     waits on.
 
   The query is read-only and fails in O(1) while a second process
   lives; the heap scan runs only once the caller is the last one.
@@ -135,24 +131,26 @@ implementation:
   Entries are appended in increasing-seq order, so the bucket is
   internally sorted and its heap key is its minimum; the drain loop
   walks the current bucket directly and only falls back to the heap
-  when an immediate record or a negative-priority entry at the same
-  timestamp outranks the bucket's front (compared by the same packed
-  key).  This turns the common O(log n) heap push/pop per event into an
+  when an immediate record, or a priority-0 single at the same
+  timestamp pushed while the heap was below ``_BUCKET_MIN_HEAP``,
+  outranks the bucket's front (compared by the same packed key).
+  This turns the common O(log n) heap push/pop per event into an
   O(1) list append/index.
 - **Direct generator dispatch.**  Resuming a process calls
   ``generator.send``/``generator.throw`` directly instead of through a
   per-resume lambda closure.
-- **Object pools.**  Callback lists are recycled after
-  ``_run_callbacks`` (they are dropped at that point by construction).
-  :class:`Timeout` objects are recycled only when a CPython refcount
-  check proves the event loop holds the sole remaining reference, so
-  user code that keeps a timeout around never sees it reused.
+- **Object pools.**  Callback lists are recycled once the drain loop
+  has run an event's callbacks (they are dropped at that point by
+  construction).  :class:`Timeout` objects are recycled only when a
+  CPython refcount check proves the event loop holds the sole
+  remaining reference, so user code that keeps a timeout around never
+  sees it reused.
 - **Finished work holds no cycles.**  A process whose generator ends
   leaves the simulator's live-process registry and clears its cached
   resume callback (a bound method of itself), so reference counting
-  frees it.  A triggered :class:`AnyOf`/:class:`AllOf` removes its
-  callback from every sub-event that has not fired; one that triggers
-  inside its constructor registers on none of the later ones.  The
+  frees it.  A triggered :class:`AnyOf` removes its callback from
+  every sub-event that has not fired; one that triggers inside its
+  constructor registers on none of the later ones.  The
   callback would only have returned at once, and the stale sub-event
   (typically a deadline timeout) still fires with its own sequence
   number, so ``events_run`` and ``_seq`` are unchanged.
@@ -181,8 +179,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AnyOf",
-    "AllOf",
-    "Interrupt",
     "Simulator",
     "SimulationError",
     "PENDING",
@@ -338,79 +334,36 @@ class Event:
         """Mark a failed event as handled even if nobody waits on it."""
         self._defused = True
 
-    # -- internal ------------------------------------------------------
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        assert callbacks is not None
-        for cb in callbacks:
-            cb(self)
-        callbacks.clear()
-        pool = self.sim._list_pool
-        if len(pool) < _LIST_POOL_MAX:
-            pool.append(callbacks)
-        if not self._ok and not self._defused:
-            raise self._value
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self.processed else ("triggered" if self._scheduled else "pending")
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` microseconds after creation."""
+    """An event that fires ``delay`` microseconds after creation.
+
+    Built only by :meth:`Simulator.timeout` (new or pooled, no
+    ``__init__`` call).
+    """
 
     __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        # Inlined Event.__init__ + scheduling: a Timeout is born
-        # triggered, so the generic succeed() machinery is dead weight.
-        self.sim = sim
-        pool = sim._list_pool
-        self.callbacks = pool.pop() if pool else []
-        self._value = value
-        self._ok = True
-        self._scheduled = True
-        self._defused = False
-        self.delay = delay
-        sim._seq = seq = sim._seq + 1
-        when = sim._now + delay
-        heap = sim._heap
-        if len(heap) < _BUCKET_MIN_HEAP:
-            heappush(heap, (when, seq, self))
-        else:
-            buckets = sim._buckets
-            bucket = buckets.get(when)
-            if bucket is None:
-                buckets[when] = bucket = []
-                heappush(heap, (when, seq, bucket))
-            bucket.append((seq, self))
 
 
 _TIMEOUT_NEW = Timeout.__new__
 
 
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted."""
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
-
-
 # _Kick.mode values
 _KICK_SEND = 0        # generator.send(value)
 _KICK_THROW = 1       # generator.throw(value)  (value is an exception)
-_KICK_INTERRUPT = 2   # generator.throw(Interrupt(value))
 
 
 class _Kick:
     """A pooled resume record: boots or resumes a :class:`Process`.
 
     Replaces the throwaway bootstrap/kick :class:`Event` of the slow
-    path.  Carries the full ``(time, priority, seq)`` ordering key so
-    the event loop can interleave it with heap events deterministically.
+    path.  Its ordering key is ``(time, 0, seq)``: every kick rides the
+    immediate queue, where the event loop interleaves it with heap
+    events deterministically.
     """
 
     __slots__ = ("time", "seq", "process", "value", "mode")
@@ -427,8 +380,6 @@ class _Kick:
             pool.append(self)
         if mode == _KICK_SEND:
             process._step_send(value)
-        elif mode == _KICK_INTERRUPT:
-            process._step_throw(Interrupt(value))
         else:
             process._step_throw(value)
 
@@ -465,26 +416,11 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         sim._processes[self] = None
         # Bootstrap: resume the generator at time now.
-        sim._kick(self, None, _KICK_SEND, 0)
+        sim._kick(self, None, _KICK_SEND)
 
     @property
     def is_alive(self) -> bool:
         return not self._scheduled
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield."""
-        if self._scheduled:
-            raise SimulationError(f"{self.name} has already finished")
-        if self is self.sim.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume_cb)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        self._target = None
-        self.sim._kick(self, cause, _KICK_INTERRUPT, -1)
 
     # -- internal ------------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -532,10 +468,10 @@ class Process(Event):
             if target._ok:
                 value = target._value
                 sim._kick(self, None if value is PENDING else value,
-                          _KICK_SEND, 0)
+                          _KICK_SEND)
             else:
                 target._defused = True
-                sim._kick(self, target._value, _KICK_THROW, 0)
+                sim._kick(self, target._value, _KICK_THROW)
         else:
             self._target = target
             callbacks.append(self._resume_cb)
@@ -590,7 +526,7 @@ class Process(Event):
         if target is not None:
             if target.callbacks is not None:
                 target.callbacks.remove(self._resume_cb)
-            if isinstance(target, _Condition):
+            if isinstance(target, AnyOf):
                 target._detach()
             self._target = None
         self._resume_cb = None
@@ -612,10 +548,10 @@ class Process(Event):
             if target._ok:
                 value = target._value
                 self.sim._kick(self, None if value is PENDING else value,
-                               _KICK_SEND, 0)
+                               _KICK_SEND)
             else:
                 target._defused = True
-                self.sim._kick(self, target._value, _KICK_THROW, 0)
+                self.sim._kick(self, target._value, _KICK_THROW)
         else:
             self._target = target
             callbacks.append(self._resume_cb)
@@ -624,10 +560,15 @@ class Process(Event):
         return f"<Process {self.name!r} {'done' if self._scheduled else 'alive'}>"
 
 
-class _Condition(Event):
-    """Base for AnyOf/AllOf composite events."""
+class AnyOf(Event):
+    """Triggers when the first of its events triggers.
 
-    __slots__ = ("events", "_count")
+    Its value maps each sub-event that has fired successfully to that
+    event's value; a failed sub-event fails it.  An empty ``events``
+    triggers at once with ``{}``.
+    """
+
+    __slots__ = ("events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim)
@@ -635,7 +576,6 @@ class _Condition(Event):
         for ev in self.events:
             if ev.sim is not sim:
                 raise SimulationError("all events in a condition must share a Simulator")
-        self._count = 0
         if not self.events:
             self.succeed({})
             return
@@ -650,7 +590,17 @@ class _Condition(Event):
                 ev.callbacks.append(self._check)
 
     def _check(self, event: Event) -> None:
-        raise NotImplementedError
+        if self._scheduled:
+            return
+        if not event._ok:
+            event._defused = True
+            self.fail(event._value)
+        else:
+            # only events whose callbacks have run count as "fired" — a
+            # Timeout is born triggered (value preset) but has not occurred
+            self.succeed({ev: ev._value for ev in self.events
+                          if ev.processed and ev._ok})
+        self._detach()
 
     def _detach(self) -> None:
         """Remove ``_check`` from every sub-event that has not fired
@@ -661,54 +611,16 @@ class _Condition(Event):
             if callbacks is not None and check in callbacks:
                 callbacks.remove(check)
 
-    def _results(self) -> dict[Event, Any]:
-        # only events whose callbacks have run count as "fired" — a
-        # Timeout is born triggered (value preset) but has not occurred
-        return {ev: ev._value for ev in self.events if ev.processed and ev._ok}
-
-
-class AnyOf(_Condition):
-    """Triggers when the first of its events triggers."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._scheduled:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        else:
-            self.succeed(self._results())
-        self._detach()
-
-
-class AllOf(_Condition):
-    """Triggers when all of its events have triggered."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._scheduled:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            self._detach()
-            return
-        self._count += 1
-        if self._count == len(self.events):
-            self.succeed(self._results())
-
 
 class Simulator:
     """The event loop: a heap of ``(time, priority·2⁴⁸ + seq, event)``.
 
     The packed int key orders exactly like the ``(priority, seq)`` pair
-    it replaces.  Priority-0 kick, call and timed-hold grant records
-    additionally flow through ``_immediate``, a FIFO deque whose keys
-    are monotonic (see the module docstring); the loop always processes
-    whichever of the two structures holds the smaller key next.
+    it replaces.  Kick, call and timed-hold grant records, all of
+    priority 0, flow through ``_immediate`` instead, a FIFO deque whose
+    keys are monotonic (see the module docstring); the loop always
+    processes whichever of the two structures holds the smaller key
+    next.
 
     Two totals are always on.  ``events_run`` counts every processed
     event, kick, call record and grant record: one per queue entry the
@@ -863,12 +775,9 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     # -- scheduling -------------------------------------------------------
-    def _kick(self, process: Process, value: Any, mode: int, priority: int) -> None:
-        """Schedule a process resume with the key ``(now, priority, seq)``."""
+    def _kick(self, process: Process, value: Any, mode: int) -> None:
+        """Schedule a process resume with the key ``(now, 0, seq)``."""
         self._seq = seq = self._seq + 1
         pool = self._kick_pool
         kick = pool.pop() if pool else _Kick()
@@ -877,11 +786,7 @@ class Simulator:
         kick.process = process
         kick.value = value
         kick.mode = mode
-        if priority == 0:
-            self._immediate.append(kick)
-        else:
-            heappush(self._heap,
-                     (self._now, priority * _PRIO_SHIFT + seq, kick))
+        self._immediate.append(kick)
 
     def call_soon(self, fn: Callable[[Any], None], arg: Any) -> None:
         """Run ``fn(arg)`` at ``(now, next seq)``, where a new process's
@@ -946,29 +851,21 @@ class Simulator:
             if obj.__class__ is list:
                 if any(event.callbacks for _, event in obj):
                     return False
-            elif getattr(obj, "callbacks", True):  # a _Kick is live
+            elif obj.callbacks:
                 return False
         return True
-
-    def step(self) -> None:
-        """Process the single next event."""
-        if not self._immediate and not self._heap:
-            raise SimulationError(
-                "step() on an empty event queue: nothing left to simulate"
-            )
-        # A non-empty sentinel makes _drain stop after exactly one event;
-        # its finally-block repacks any partially drained bucket, so the
-        # queue stays consistent between step() calls.
-        self._drain(float("inf"), [True])
 
     def run_events(self, n: int) -> int:
         """Run at most ``n`` further events/kicks; return how many ran.
 
         ``events_run`` counts exactly one per processed event or kick,
-        and :meth:`step` preserves the global ``(time, priority, seq)``
+        and each entry runs in the global ``(time, priority, seq)``
         order, so an event count is a precise, deterministic cursor into
         a run: ``run_events(t)`` on an identically-built simulation
-        reproduces the state at ``t`` bit-for-bit.
+        reproduces the state at ``t`` bit-for-bit.  A non-empty sentinel
+        makes each ``_drain`` stop after exactly one entry; its
+        finally-block repacks any partially drained bucket, so the
+        queue stays consistent between calls.
 
         Stops early (without raising) when the queue drains.  Like
         ``run(until=event)``, no time boundary is imposed, so flow-level
@@ -1007,9 +904,10 @@ class Simulator:
         cur_t = 0.0
         cur_i = 0
         runs = 0                  # folded into self.events_run on exit
-        # In-place wake-ups (see advance()) only inside run(): step() and
-        # run_events() keep one queue entry per call.  The mark stays set
-        # and is cleared around every entry that is not a sole callback.
+        # In-place wake-ups (see advance()) only inside run():
+        # run_events() keeps one queue entry per call.  The mark stays
+        # set and is cleared around every entry that is not a sole
+        # callback.
         solo = not sentinel
         self._solo = solo
         try:
@@ -1021,10 +919,11 @@ class Simulator:
                         if (imm and imm[0].seq < eseq) or (
                             heap and heap[0][0] == cur_t and heap[0][1] < eseq
                         ):
-                            # Rare: an immediate record or a negative-priority
-                            # heap entry outranks the rest of this bucket.
-                            # Push the remainder back and let the generic
-                            # path below re-merge everything by key.
+                            # Rare: an immediate record, or a priority-0
+                            # single pushed while the heap was below
+                            # _BUCKET_MIN_HEAP, outranks the rest of this
+                            # bucket.  Push the remainder back and let the
+                            # generic path below re-merge everything by key.
                             del cur[:cur_i]
                             heappush(heap, (cur_t, eseq, cur))
                             cur = None
@@ -1114,13 +1013,7 @@ class Simulator:
                     continue
                 self._now = when
                 runs += 1
-                try:
-                    callbacks = event.callbacks
-                except AttributeError:      # a _Kick record (interrupt path)
-                    event._fire()
-                    if sentinel:
-                        return
-                    continue
+                callbacks = event.callbacks
                 event.callbacks = None
                 if callbacks:
                     if len(callbacks) == 1:

@@ -1,9 +1,9 @@
 """Shared-resource primitives built on the event kernel.
 
 These model contention points in the simulated hardware: a NIC
-processing engine is a :class:`Resource` with capacity 1, a packet queue
-between the NIC and the wire is a :class:`Store`, a doorbell is a
-:class:`Signal`.
+processing engine, a DMA bus, a wire's line and a host CPU are each a
+:class:`Resource` with capacity 1, and the completion signal of a work
+queue or a completion queue is a :class:`Signal`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Any, Generator
 from .core import PENDING, Event, SimulationError, Simulator
 from .core import _BUCKET_MIN_HEAP
 
-__all__ = ["Resource", "Store", "Signal", "ResourceRequest", "ResourceHold"]
+__all__ = ["Resource", "Signal", "ResourceRequest", "ResourceHold"]
 
 
 class ResourceRequest(Event):
@@ -82,10 +82,10 @@ class ResourceHold(Event):
     def abandon(self) -> None:
         """Stop waiting: leave the queue if still queued, else free the slot.
 
-        Call it when the waiter gives up at its ``yield`` (an interrupt
-        or a thrown exception).  A grant that has not fired yet then
-        fires as a bare event; a hold already running fires with nobody
-        waiting, like an orphaned timeout.
+        Call it when the waiter gives up at its ``yield`` (its process
+        is closed, or an exception is thrown in).  A grant that has not
+        fired yet then fires as a bare event; a hold already running
+        fires with nobody waiting, like an orphaned timeout.
         """
         resource = self.resource
         if resource is None:
@@ -160,8 +160,8 @@ class Resource:
 
         The caller owns the slot once the event fires and must
         :meth:`release` it, as after :meth:`request`.  A waiter that can
-        be interrupted calls :meth:`ResourceHold.abandon` when its
-        ``yield`` raises (see :meth:`acquire`).  ``value`` passes state
+        give up calls :meth:`ResourceHold.abandon` when its ``yield``
+        raises (see :meth:`acquire`).  ``value`` passes state
         to a callback chain, as ``Simulator.timeout(delay, value)`` does.
         """
         if duration < 0:
@@ -219,8 +219,8 @@ class Resource:
     def acquire(self, duration: float) -> Generator[Event, Any, None]:
         """Process fragment: hold a slot for ``duration``, then release it.
 
-        An interrupted waiter leaves the queue, or frees the slot if it
-        was already granted.
+        A waiter closed at its ``yield`` (:meth:`Simulator.close`)
+        leaves the queue, or frees the slot if it was already granted.
         """
         hold = self.hold(duration)
         try:
@@ -229,71 +229,6 @@ class Resource:
             hold.abandon()
             raise
         self.release()
-
-
-class Store:
-    """An unbounded-or-bounded FIFO queue with blocking get/put."""
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.sim = sim
-        self.capacity = capacity
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> tuple[Any, ...]:
-        return tuple(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Return an event that fires once ``item`` is accepted."""
-        ev = Event(self.sim)
-        if self._getters:
-            # Hand the item straight to the oldest waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            ev.succeed(None)
-        elif len(self._items) < self.capacity:
-            self._items.append(item)
-            ev.succeed(None)
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def get(self) -> Event:
-        """Return an event whose value is the next item."""
-        ev = Event(self.sim)
-        if self._items:
-            ev.succeed(self._items.popleft())
-            if self._putters:
-                putter, item = self._putters.popleft()
-                self._items.append(item)
-                putter.succeed(None)
-        elif self._putters:
-            # capacity == 0 cannot happen (capacity > 0 enforced); this
-            # branch services a putter blocked behind an empty queue.
-            putter, item = self._putters.popleft()
-            putter.succeed(None)
-            ev.succeed(item)
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Any | None:
-        """Non-blocking get; None when empty."""
-        if not self._items:
-            return None
-        item = self._items.popleft()
-        if self._putters:
-            putter, pitem = self._putters.popleft()
-            self._items.append(pitem)
-            putter.succeed(None)
-        return item
 
 
 class Signal:

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .memory import MemoryHandle, MemoryRegistry
 from .nameservice import NameService
-from .provider import NicAttributes, NicHandle, ViAttributes, ViaProvider
+from .provider import NicAttributes, NicHandle, ViAttributes
 from .vi import VI, WorkQueue
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "VI",
     "ViAttributes",
     "ViState",
-    "ViaProvider",
     "VipConnectionError",
     "VipDescriptorError",
     "VipError",

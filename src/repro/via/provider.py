@@ -1,18 +1,16 @@
-"""The VIA provider API surface (VIPL analog).
+"""The VIA provider API surface (VIPL analog): the records and the handle.
 
-``ViaProvider`` is one node's VIA software/firmware stack.  An
-application opens it (``VipOpenNic``) to get a :class:`NicHandle`, which
-exposes the full VIPL-flavoured operation set.  Every operation that
-consumes simulated time is a *generator*: call it with ``yield from``
-inside a simulation process.
-
-The abstract methods here define semantics and signatures; timing and
-design-choice behaviour live in ``repro.providers``.
+An application opens a provider (``VipOpenNic``) to get a
+:class:`NicHandle`, which exposes the full VIPL-flavoured operation set
+and forwards each call to its provider.  Every operation that consumes
+simulated time is a *generator*: call it with ``yield from`` inside a
+simulation process.  The one provider is
+:class:`repro.providers.base.SimulatedProvider`, parameterised per
+platform by design choices and a cost model.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator
 
@@ -23,15 +21,14 @@ from .connection import ConnRequest
 from .constants import Reliability, ViState, WaitMode
 from .cq import CompletionQueue
 from .descriptor import DataSegment, Descriptor
-from .errors import VipNotSupported
 from .memory import MemoryHandle
-from .nameservice import NameService
 from .vi import VI
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hw.cpu import CpuActor
+    from ..providers.base import SimulatedProvider
 
-__all__ = ["ViaProvider", "NicHandle", "NicAttributes", "ViAttributes"]
+__all__ = ["NicHandle", "NicAttributes", "ViAttributes"]
 
 Op = Generator[Event, Any, Any]  # the type of every timed operation
 
@@ -66,190 +63,6 @@ class ViAttributes:
     max_transfer_size: int
 
 
-class ViaProvider(abc.ABC):
-    """Abstract per-node VIA provider."""
-
-    #: short identifier ("mvia", "bvia", "clan", ...)
-    name: str = "abstract"
-
-    def __init__(self, node: Node, nameservice: NameService) -> None:
-        self.node = node
-        self.sim: Simulator = node.sim
-        self.nameservice = nameservice
-        nameservice.register(node.name, node.name)
-
-    # -- session -----------------------------------------------------------
-    def open(self, actor_name: str) -> "NicHandle":
-        """VipOpenNic: bind an application context to this provider."""
-        return NicHandle(self, self.node.cpu.actor(actor_name))
-
-    # -- VI lifecycle --------------------------------------------------------
-    @abc.abstractmethod
-    def vi_create(
-        self,
-        handle: "NicHandle",
-        reliability: Reliability | None = None,
-        send_cq: CompletionQueue | None = None,
-        recv_cq: CompletionQueue | None = None,
-    ) -> Op:
-        """VipCreateVi: returns a new :class:`VI` in IDLE state."""
-
-    @abc.abstractmethod
-    def vi_destroy(self, handle: "NicHandle", vi: VI) -> Op:
-        """VipDestroyVi: VI must be idle/disconnected with empty queues."""
-
-    # -- memory ----------------------------------------------------------------
-    @abc.abstractmethod
-    def register_mem(
-        self,
-        handle: "NicHandle",
-        address: int,
-        length: int,
-        enable_rdma_write: bool = True,
-        enable_rdma_read: bool = False,
-    ) -> Op:
-        """VipRegisterMem: pin pages, install translations; returns
-        :class:`MemoryHandle`."""
-
-    @abc.abstractmethod
-    def deregister_mem(self, handle: "NicHandle", mh: MemoryHandle) -> Op:
-        """VipDeregisterMem."""
-
-    # -- completion queues -------------------------------------------------------
-    @abc.abstractmethod
-    def cq_create(self, handle: "NicHandle", depth: int = 1024) -> Op:
-        """VipCreateCQ: returns :class:`CompletionQueue`."""
-
-    @abc.abstractmethod
-    def cq_destroy(self, handle: "NicHandle", cq: CompletionQueue) -> Op:
-        """VipDestroyCQ."""
-
-    # -- connections ---------------------------------------------------------------
-    @abc.abstractmethod
-    def connect_request(
-        self,
-        handle: "NicHandle",
-        vi: VI,
-        remote_host: str,
-        discriminator: int,
-        timeout: float | None = None,
-    ) -> Op:
-        """VipConnectRequest + VipConnectWait(client side): dial and wait."""
-
-    @abc.abstractmethod
-    def connect_wait(
-        self, handle: "NicHandle", discriminator: int,
-        timeout: float | None = None,
-    ) -> Op:
-        """VipConnectWait (server side): returns :class:`ConnRequest`."""
-
-    @abc.abstractmethod
-    def connect_accept(
-        self, handle: "NicHandle", request: ConnRequest, vi: VI
-    ) -> Op:
-        """VipConnectAccept: bind ``vi`` to the requesting client."""
-
-    @abc.abstractmethod
-    def connect_reject(self, handle: "NicHandle", request: ConnRequest) -> Op:
-        """VipConnectReject."""
-
-    @abc.abstractmethod
-    def disconnect(self, handle: "NicHandle", vi: VI) -> Op:
-        """VipDisconnect: tear the connection down, flush queues."""
-
-    # -- error recovery ------------------------------------------------------
-    def vi_reset(self, handle: "NicHandle", vi: VI) -> Op:
-        """VipErrorReset analog: return an ERROR/DISCONNECTED VI to IDLE.
-
-        Completions must already be drained.  Optional: the base raises
-        VIP_ERROR_NOT_SUPPORTED.
-        """
-        raise VipNotSupported(f"{self.name} does not implement VI reset")
-        yield  # pragma: no cover - unreachable; makes this a generator
-
-    def register_error_callback(self, callback) -> None:
-        """VipErrorCallback analog: ``callback(AsyncError)`` is invoked
-        on asynchronous provider errors (e.g. a VI entering ERROR)."""
-        raise VipNotSupported(
-            f"{self.name} does not implement error callbacks"
-        )
-
-    # -- data transfer ---------------------------------------------------------------
-    @abc.abstractmethod
-    def post_send(self, handle: "NicHandle", vi: VI, desc: Descriptor) -> Op:
-        """VipPostSend: post a send/RDMA descriptor and ring the doorbell."""
-
-    @abc.abstractmethod
-    def post_recv(self, handle: "NicHandle", vi: VI, desc: Descriptor) -> Op:
-        """VipPostRecv."""
-
-    @abc.abstractmethod
-    def send_done(self, handle: "NicHandle", vi: VI) -> Op:
-        """VipSendDone: non-blocking; completed Descriptor or None."""
-
-    @abc.abstractmethod
-    def recv_done(self, handle: "NicHandle", vi: VI) -> Op:
-        """VipRecvDone."""
-
-    @abc.abstractmethod
-    def send_wait(
-        self, handle: "NicHandle", vi: VI,
-        mode: WaitMode = WaitMode.POLL, timeout: float | None = None,
-    ) -> Op:
-        """VipSendWait: poll (spin) or block until a send completes."""
-
-    @abc.abstractmethod
-    def recv_wait(
-        self, handle: "NicHandle", vi: VI,
-        mode: WaitMode = WaitMode.POLL, timeout: float | None = None,
-    ) -> Op:
-        """VipRecvWait."""
-
-    @abc.abstractmethod
-    def cq_done(self, handle: "NicHandle", cq: CompletionQueue) -> Op:
-        """VipCQDone: non-blocking; (work_queue, Descriptor) or None."""
-
-    @abc.abstractmethod
-    def cq_wait(
-        self, handle: "NicHandle", cq: CompletionQueue,
-        mode: WaitMode = WaitMode.POLL, timeout: float | None = None,
-    ) -> Op:
-        """VipCQWait."""
-
-    # -- capabilities ------------------------------------------------------------------
-    @property
-    @abc.abstractmethod
-    def max_transfer_size(self) -> int:
-        """Largest descriptor the provider accepts (bytes)."""
-
-    @property
-    @abc.abstractmethod
-    def supports_rdma_read(self) -> bool: ...
-
-    @property
-    @abc.abstractmethod
-    def default_reliability(self) -> Reliability: ...
-
-    # -- queries (pure state reads, free of simulated time) -----------------
-    @abc.abstractmethod
-    def query_nic(self) -> NicAttributes:
-        """VipQueryNic: static capabilities and limits."""
-
-    def query_vi(self, vi: VI) -> ViAttributes:
-        """VipQueryVi: current endpoint state and queue occupancy."""
-        return ViAttributes(
-            vi_id=vi.vi_id,
-            state=vi.state,
-            reliability=vi.reliability,
-            peer=vi.peer,
-            send_posted=vi.send_q.outstanding,
-            send_completed=vi.send_q.total_completed,
-            recv_posted=vi.recv_q.outstanding,
-            recv_completed=vi.recv_q.total_completed,
-            max_transfer_size=vi.max_transfer_size,
-        )
-
-
 class NicHandle:
     """An application's session with a provider (VipOpenNic result).
 
@@ -258,7 +71,7 @@ class NicHandle:
     benchmarks use heavily.
     """
 
-    def __init__(self, provider: ViaProvider, actor: "CpuActor") -> None:
+    def __init__(self, provider: "SimulatedProvider", actor: "CpuActor") -> None:
         self.provider = provider
         self.actor = actor
         #: protection tag shared by this session's VIs and registrations

@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 from repro.hw.cpu import HostCPU, Rusage
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 
 from conftest import run_proc
 
@@ -200,67 +200,58 @@ def test_spin_wait_failure_releases_cpu_and_charges_time():
     assert cpu.resource.in_use == 0
 
 
-def test_spin_wait_interrupt_while_queued_leaves_no_stale_request():
-    """Interrupting an actor still queued for the CPU must not leak the
-    slot: the dangling request used to be granted to nobody, wedging the
-    resource forever."""
-    sim = Simulator()
-    cpu = HostCPU(sim)
-    holder, spinner = cpu.actor("hold"), cpu.actor("spin")
-    ev = sim.event()
-    caught = []
+def _close_while_queued(sim, cpu, waiter_body):
+    """Start ``waiter_body`` (it waits 1 us, then wants the CPU) before
+    a holder that takes the CPU for 10 us at t=0, step with
+    ``run_events(1)`` until the waiter is queued, and close the run.
+    ``close()`` closes in start order, so the waiter's cleanup runs
+    while its request is still queued."""
+    holder = cpu.actor("hold")
 
     def hold_body():
         yield from holder.busy(10.0)
 
-    def spin_body():
-        try:
-            yield from spinner.spin_wait(ev)
-        except Interrupt as exc:
-            caught.append(type(exc).__name__)
-
+    sim.process(waiter_body())
     sim.process(hold_body())
-    proc = sim.process(spin_body())
+    while not cpu.resource.queued:
+        assert sim.run_events(1) == 1
+    assert (sim.now, cpu.resource.in_use) == (1.0, 1)
+    sim.close()
 
-    def interrupter():
-        yield sim.timeout(3.0)      # spinner is queued behind the holder
-        proc.interrupt(RuntimeError("give up"))
 
-    sim.process(interrupter())
-    sim.run()
-    assert caught == ["Interrupt"]
+def test_spin_wait_interrupt_while_queued_leaves_no_stale_request():
+    """Closing an actor still queued for the CPU in ``spin_wait`` must
+    not leak the slot: the dangling request would be granted to nobody
+    when the holder releases, leaving the CPU taken."""
+    sim = Simulator()
+    cpu = HostCPU(sim)
+    spinner = cpu.actor("spin")
+    ev = sim.event()
+
+    def spin_body():
+        yield sim.timeout(1.0)
+        yield from spinner.spin_wait(ev)
+
+    _close_while_queued(sim, cpu, spin_body)
     assert cpu.resource.in_use == 0
     assert cpu.resource.queued == 0
     assert spinner.rusage.total == 0.0   # never got the CPU: nothing billed
 
 
 def test_busy_interrupt_while_queued_leaves_no_stale_request():
+    """The same for a charge queued in ``busy``."""
     sim = Simulator()
     cpu = HostCPU(sim)
-    holder, worker = cpu.actor("hold"), cpu.actor("work")
-    caught = []
-
-    def hold_body():
-        yield from holder.busy(10.0)
+    worker = cpu.actor("work")
 
     def work_body():
-        try:
-            yield from worker.busy(5.0)
-        except Interrupt as exc:
-            caught.append(type(exc).__name__)
+        yield sim.timeout(1.0)
+        yield from worker.busy(5.0)
 
-    sim.process(hold_body())
-    proc = sim.process(work_body())
-
-    def interrupter():
-        yield sim.timeout(2.0)
-        proc.interrupt(RuntimeError("cancelled"))
-
-    sim.process(interrupter())
-    sim.run()
-    assert caught == ["Interrupt"]
+    _close_while_queued(sim, cpu, work_body)
     assert cpu.resource.in_use == 0
     assert cpu.resource.queued == 0
+    assert worker.rusage.total == 0.0
 
 
 # -- the () contract: a charge that ran in place returns (), one that

@@ -1,8 +1,8 @@
-"""Unit tests for channels, links, and packets."""
+"""Unit tests for channels and packets."""
 
 import pytest
 
-from repro.hw.link import Channel, Link, Packet
+from repro.hw.link import Channel, Packet
 from repro.sim import Simulator
 
 from conftest import run_proc
@@ -113,27 +113,6 @@ def test_channel_parameter_validation():
         Channel(sim, bandwidth=1.0, prop_delay=-1.0)
     with pytest.raises(ValueError):
         Channel(sim, bandwidth=1.0, prop_delay=0.0, loss_rate=1.0)
-
-
-def test_link_directions_are_independent():
-    sim = Simulator()
-    link = Link(sim, bandwidth=10.0, prop_delay=0.0)
-    fwd_got, bwd_got = [], []
-    link.forward.sink = lambda p: fwd_got.append(sim.now)
-    link.backward.sink = lambda p: bwd_got.append(sim.now)
-
-    def fwd():
-        yield from link.forward.send(Packet("a", "b", "d", 100))
-
-    def bwd():
-        yield from link.backward.send(Packet("b", "a", "d", 100))
-
-    sim.process(fwd())
-    sim.process(bwd())
-    sim.run()
-    # full duplex: both complete at the same time, no contention
-    assert fwd_got == [pytest.approx(10.0)]
-    assert bwd_got == [pytest.approx(10.0)]
 
 
 def test_byte_accounting():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.hw.cpu import HostCPU
 from repro.hw.nic import DMAEngine
-from repro.sim import Interrupt, Resource, ResourceHold, Simulator, Store
+from repro.sim import Resource, ResourceHold, ResourceRequest, Simulator, Timeout
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1,
@@ -64,57 +64,11 @@ def test_resource_never_exceeds_capacity(capacity, holds):
     assert sim.now <= sum(holds) + 1e-9
 
 
-@given(st.lists(st.integers(), min_size=0, max_size=60))
-@settings(max_examples=50, deadline=None)
-def test_store_preserves_fifo_for_any_items(items):
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def producer():
-        for item in items:
-            yield store.put(item)
-
-    def consumer():
-        for _ in items:
-            value = yield store.get()
-            got.append(value)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert got == items
-
-
-@given(st.integers(min_value=1, max_value=5),
-       st.lists(st.integers(), min_size=1, max_size=40))
-@settings(max_examples=40, deadline=None)
-def test_store_bounded_capacity_never_overflows(capacity, items):
-    sim = Simulator()
-    store = Store(sim, capacity=capacity)
-    max_len = [0]
-
-    def producer():
-        for item in items:
-            yield store.put(item)
-            max_len[0] = max(max_len[0], len(store))
-
-    def consumer():
-        for _ in items:
-            yield sim.timeout(1.0)
-            yield store.get()
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert max_len[0] <= capacity
-
-
 # -- Resource.hold against its request() + timeout() reference -----------
 
 def reference_hold(res, duration, in_place=False):
     """The reference for ``hold``: ``yield request()`` then ``yield
-    timeout(duration)``, interrupt-safe the way ``CpuActor._acquire_cpu``
+    timeout(duration)``, close-safe the way ``CpuActor._acquire_cpu``
     is (cancel while queued, release once granted).  Returns holding.
     ``in_place`` takes the grant and the timeout in place wherever the
     kernel allows (``advance_grant``, ``advance``)."""
@@ -182,10 +136,6 @@ _PROGRAM = st.fixed_dictionaries({
     "procs": st.lists(st.tuples(_TICK, st.lists(_STEP, min_size=1, max_size=8)),
                       min_size=1, max_size=10),
     "noise": st.lists(_TICK, max_size=24),
-    "interrupts": st.lists(
-        st.tuples(st.integers(min_value=1, max_value=16).map(lambda k: k * 0.5),
-                  st.integers(min_value=0, max_value=9)),
-        max_size=4),
 })
 
 
@@ -226,60 +176,41 @@ def run_program(program, variant, stepwise=False, bus_busy_until=0.0):
             yield sim.timeout(d)
 
     def body(pid, start, steps):
-        try:
-            yield sim.timeout(start)
-        except Interrupt:
-            log.append((sim.now, pid, "start", "interrupted"))
+        yield sim.timeout(start)
         for i, step in enumerate(steps):
-            try:
-                if step[0] == "hold":
-                    _, r, d, via_acquire = step
-                    res = resources[r]
-                    if helpers and r < 2:
-                        actor = cpu.actor(f"p{pid}")
-                        yield from (dma.transfer(int(2 * d)) if r
-                                    else actor.copy(int(2 * d)) if via_acquire
-                                    else actor.busy(d))
-                        log.append((sim.now, pid, i, res.in_use, res.queued))
-                    elif via_acquire:
-                        yield from acquire(res, d)
-                        log.append((sim.now, pid, i, res.in_use, res.queued))
-                    else:
-                        yield from held(res, d)
-                        log.append((sim.now, pid, i, res.in_use, res.queued))
-                        res.release()
-                elif step[0] == "timeout":
-                    yield from wait(step[1])
-                    log.append((sim.now, pid, i))
-                elif step[0] == "zero":
-                    yield from wait(0.0)
-                    log.append((sim.now, pid, i))
+            if step[0] == "hold":
+                _, r, d, via_acquire = step
+                res = resources[r]
+                if helpers and r < 2:
+                    actor = cpu.actor(f"p{pid}")
+                    yield from (dma.transfer(int(2 * d)) if r
+                                else actor.copy(int(2 * d)) if via_acquire
+                                else actor.busy(d))
+                    log.append((sim.now, pid, i, res.in_use, res.queued))
+                elif via_acquire:
+                    yield from acquire(res, d)
+                    log.append((sim.now, pid, i, res.in_use, res.queued))
                 else:
-                    done = sim.timeout(0.0)
-                    yield done
-                    yield done
-                    log.append((sim.now, pid, i, "kick"))
-            except Interrupt:
-                log.append((sim.now, pid, i, "interrupted"))
+                    yield from held(res, d)
+                    log.append((sim.now, pid, i, res.in_use, res.queued))
+                    res.release()
+            elif step[0] == "timeout":
+                yield from wait(step[1])
+                log.append((sim.now, pid, i))
+            elif step[0] == "zero":
+                yield from wait(0.0)
+                log.append((sim.now, pid, i))
+            else:
+                done = sim.timeout(0.0)
+                yield done
+                yield done
+                log.append((sim.now, pid, i, "kick"))
 
-    procs = [sim.process(body(pid, start, steps))
-             for pid, (start, steps) in enumerate(program["procs"])]
+    for pid, (start, steps) in enumerate(program["procs"]):
+        sim.process(body(pid, start, steps))
     for n, delay in enumerate(program["noise"]):
         sim.timeout(delay).callbacks.append(
             lambda _e, n=n: log.append((sim.now, "noise", n)))
-
-    def interrupter(at, victim):
-        yield sim.timeout(at)
-        proc = procs[victim % len(procs)]
-        # only a process parked on a pending event: one with a resume
-        # kick pending would be resumed twice, the second time at a
-        # yield that differs between the two variants
-        if proc.is_alive and proc._target is not None:
-            proc.interrupt()
-            log.append((sim.now, "interrupt", victim % len(procs)))
-
-    for at, victim in program["interrupts"]:
-        sim.process(interrupter(at, victim))
     if stepwise:
         while sim.run_events(1):
             pass
@@ -336,70 +267,54 @@ def test_host_helpers_in_place_match_the_queued_run(program, bus_busy_until):
 
 @pytest.mark.parametrize("when", ["queued", "granted", "holding"])
 def test_busy_interrupt_matches_reference(when):
-    """``CpuActor.busy`` interrupted while queued, after its grant but
-    before the grant record fires, and mid-hold: the slot is freed and
-    the run is counter-for-counter the request() + timeout() one.  A
-    last busy on an idle host runs in place under ``run()`` (the
-    reference's grant too, through ``_acquire_cpu``); a
-    ``run_events(1)`` loop runs the same scenario queued, identically."""
+    """``CpuActor.busy`` closed by ``Simulator.close`` while queued,
+    after its grant but before the grant record fires, and mid-hold:
+    its cleanup frees the slot, as the request() + timeout() reference's
+    does, and both runs reach that point with the same clock and kernel
+    counters.  ``run_events(1)`` steps each run to the state.  The
+    waiter starts first, so ``close()`` (start order) runs its cleanup
+    before the holder's."""
+    start, charge, held = 1.0, 3.0, 5.0
 
-    def scenario(use_hold, stepwise=False):
+    def scenario(use_hold):
         sim = Simulator()
         cpu = HostCPU(sim)
-        actors = {n: cpu.actor(n) for n in ("hold", "work", "late", "tail")}
+        res = cpu.resource
         busy = ((lambda a, d: a.busy(d)) if use_hold else reference_busy)
-        log = []
-        pending_grant = []
 
-        def worker(name, start, duration):
-            if start:
-                yield sim.timeout(start)
-            try:
-                yield from busy(actors[name], duration)
-                log.append((sim.now, name))
-            except Interrupt:
-                log.append((sim.now, name, "interrupted"))
+        def worker(name, wait, duration):
+            if wait:
+                yield sim.timeout(wait)
+            yield from busy(cpu.actor(name), duration)
 
-        sim.process(worker("hold", 0.0, 5.0))
-        victim = sim.process(worker("work", 0.0, 3.0))
-        sim.process(worker("late", 1.0, 2.0))
-        sim.process(worker("tail", 20.0, 1.0))
+        victim = sim.process(worker("work", start, charge))
+        sim.process(worker("hold", 0.0, held))
 
-        def interrupter():
+        def reached():
+            target = victim._target
+            if target is None:
+                return False
             if when == "queued":
-                yield sim.timeout(2.0)
-            elif when == "granted":
-                # drawn after the holder's hold, before the t=5 grant
-                yield sim.timeout(2.0)
-                yield sim.timeout(3.0)
-            else:
-                yield sim.timeout(6.0)
-            pending_grant.append(any(
-                isinstance(r, ResourceHold) and r.resource is cpu.resource
-                for r in sim._immediate))
-            victim.interrupt()
+                return target in res._queue
+            if when == "granted":
+                if use_hold:        # the grant record has not fired
+                    return target in sim._immediate
+                return (target.__class__ is ResourceRequest
+                        and target.triggered)
+            if use_hold:            # the grant fired; the hold runs
+                return target.__class__ is ResourceHold and target.triggered
+            return target.__class__ is Timeout and target.delay == charge
 
-        sim.process(interrupter())
-        if stepwise:
-            while sim.run_events(1):
-                pass
-        else:
-            sim.run()
-        assert (sim.inplace_events > 0) == (not stepwise)
-        usage = {n: (a.rusage.utime, a.rusage.stime)
-                 for n, a in actors.items()}
-        return (log, usage, sim.now, sim.events_run, sim._seq,
-                sim.ctx_switches, cpu.resource.in_use, cpu.resource.queued,
-                pending_grant)
+        while not reached():
+            assert sim.run_events(1) == 1
+        point = (sim.now, sim.events_run, sim._seq, sim.ctx_switches,
+                 res.in_use, res.queued)
+        sim.close()
+        return point, (res.in_use, res.queued)
 
     got = scenario(use_hold=True)
-    assert scenario(use_hold=True, stepwise=True) == got
-    want = scenario(use_hold=False)
-    assert got[:-1] == want[:-1]
-    assert scenario(use_hold=False, stepwise=True) == want
-    log, usage, *_rest, in_use, queued, pending_grant = got
-    assert (in_use, queued) == (0, 0)
-    assert ("work" in [e[1] for e in log]) and usage["work"] == (0.0, 0.0)
-    assert pending_grant == [when == "granted"]
-    expected_at = {"queued": 2.0, "granted": 5.0, "holding": 6.0}[when]
-    assert (expected_at, "work", "interrupted") in log
+    assert got == scenario(use_hold=False)
+    point, slot = got
+    assert point[0] == (start if when == "queued" else held)
+    assert point[-2:] == (1, int(when == "queued"))
+    assert slot == (0, 0)

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Simulator,
-    SimulationError,
-    Timeout,
-)
+from repro.sim import AnyOf, Simulator, SimulationError
 
 
 def test_timeout_advances_clock():
@@ -189,40 +181,6 @@ def test_nested_processes():
     assert sim.now == 7.0
 
 
-def test_interrupt_raises_in_process():
-    sim = Simulator()
-    caught = []
-
-    def victim():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as intr:
-            caught.append(intr.cause)
-        return "done"
-
-    def attacker(proc):
-        yield sim.timeout(1.0)
-        proc.interrupt("reason")
-
-    proc = sim.process(victim())
-    sim.process(attacker(proc))
-    assert sim.run(proc) == "done"
-    assert caught == ["reason"]
-    assert sim.now < 100.0
-
-
-def test_interrupt_finished_process_rejected():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    proc = sim.process(quick())
-    sim.run(proc)
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
 def test_anyof_fires_on_first():
     sim = Simulator()
     fast = sim.timeout(1.0, "fast")
@@ -238,26 +196,11 @@ def test_anyof_fires_on_first():
     assert sim.now == 1.0
 
 
-def test_allof_waits_for_all():
-    sim = Simulator()
-    a = sim.timeout(1.0, "a")
-    b = sim.timeout(5.0, "b")
-
-    def body():
-        results = yield AllOf(sim, [a, b])
-        return results
-
-    proc = sim.process(body())
-    results = sim.run(proc)
-    assert results == {a: "a", b: "b"}
-    assert sim.now == 5.0
-
-
 def test_empty_condition_triggers_immediately():
     sim = Simulator()
 
     def body():
-        result = yield AllOf(sim, [])
+        result = yield AnyOf(sim, [])
         return result
 
     assert sim.run(sim.process(body())) == {}
@@ -389,38 +332,16 @@ def test_stale_timeout_loses_its_callback_once_anyof_fired():
     assert (sim.events_run, sim._seq) == (3, 3)
 
 
-@pytest.mark.parametrize("cls", [AnyOf, AllOf])
-def test_condition_triggered_in_its_constructor_registers_nowhere(cls):
+def test_condition_triggered_in_its_constructor_registers_nowhere():
     sim = Simulator()
     done = sim.event()
-    if cls is AnyOf:
-        done.succeed("done")
-    else:                       # an AllOf triggers early only by failing
-        done.fail(RuntimeError("early"))
-        done.defuse()
+    done.succeed("done")
     sim.run()
     pending = sim.timeout(50.0)
-    cond = cls(sim, [done, pending])
+    cond = AnyOf(sim, [done, pending])
     assert cond.triggered and pending.callbacks == []
-    cond.defuse()
     sim.run()
     assert sim.now == 50.0
-
-
-def test_allof_that_fails_early_detaches_from_the_rest():
-    sim = Simulator()
-    a, b = sim.event(), sim.timeout(50.0)
-    cond = sim.all_of([a, b])
-
-    def waiter():
-        with pytest.raises(RuntimeError):
-            yield cond
-        return sim.now
-
-    proc = sim.process(waiter())
-    a.fail(RuntimeError("early"))
-    assert sim.run(proc) == 0.0
-    assert b.callbacks == []
 
 
 def test_close_runs_each_live_finally_once_in_start_order():
@@ -620,10 +541,10 @@ def test_advance_refused_past_the_run_deadline():
 
 
 def test_advance_never_runs_in_place_under_step():
-    """step() (and run_events()) run one queue entry per call."""
+    """run_events(1) runs one queue entry per call."""
     def drive(sim):
         while sim.peek() != float("inf"):
-            sim.step()
+            sim.run_events(1)
 
     log = _refused(lambda sim, log: None, drive)
     assert log == [("advance", False, 1.0), ("woke", 3.0)]
@@ -722,7 +643,7 @@ def test_quiescent_false_with_a_fault_injector_attached():
 def test_quiescent_false_under_step_and_run_events():
     def stepped(sim):
         while sim.peek() != float("inf"):
-            sim.step()
+            sim.run_events(1)
 
     assert _quiescent_at_1(drive=stepped) is False
     assert _quiescent_at_1(drive=lambda sim: sim.run_events(100)) is False

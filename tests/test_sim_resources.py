@@ -1,8 +1,8 @@
-"""Unit tests for Resource / Store / Signal."""
+"""Unit tests for Resource / Signal."""
 
 import pytest
 
-from repro.sim import Interrupt, Resource, Signal, SimulationError, Simulator, Store
+from repro.sim import Resource, Signal, SimulationError, Simulator
 
 
 def test_resource_grants_fifo():
@@ -61,36 +61,23 @@ def test_resource_bad_capacity():
 
 
 def test_acquire_interrupted_while_queued_does_not_leak_the_slot():
-    """A waiter interrupted in the queue must leave it: its dead request
-    used to be granted to nobody, keeping the slot and starving every
-    later acquirer."""
+    """A waiter closed in the queue must leave it: ``close()`` closes
+    live processes in start order, so the waiter, started first, goes
+    before the holder, whose release would otherwise grant the waiter's
+    dead hold and keep the slot."""
     sim = Simulator()
     res = Resource(sim, capacity=1)
-    done = []
 
-    def worker(name, hold):
-        try:
-            yield from res.acquire(hold)
-            done.append((name, sim.now))
-        except Interrupt:
-            done.append((name, "interrupted"))
+    def worker(start, hold):
+        yield sim.timeout(start)
+        yield from res.acquire(hold)
 
-    sim.process(worker("holder", 10.0))
-    waiter = sim.process(worker("waiter", 1.0))
-
-    def late():
-        yield sim.timeout(3.0)
-        yield from worker("late", 5.0)
-
-    def interrupter():
-        yield sim.timeout(2.0)
-        waiter.interrupt()
-
-    sim.process(late())
-    sim.process(interrupter())
-    sim.run()
-    assert done == [("waiter", "interrupted"), ("holder", 10.0),
-                    ("late", 15.0)]
+    sim.process(worker(1.0, 1.0))       # the waiter
+    sim.process(worker(0.0, 10.0))      # the holder
+    while not res.queued:
+        assert sim.run_events(1) == 1
+    assert (sim.now, res.in_use, res.queued) == (1.0, 1, 1)
+    sim.close()
     assert (res.in_use, res.queued) == (0, 0)
 
 
@@ -131,83 +118,6 @@ def test_abandon_is_idempotent_and_frees_a_granted_slot():
     sim.run()        # the abandoned grant still fires, as a bare event
     assert sim.events_run == 1 and sim.ctx_switches == 0
     assert not granted.triggered
-
-
-def test_store_fifo_order():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def producer():
-        for i in range(5):
-            yield store.put(i)
-
-    def consumer():
-        for _ in range(5):
-            item = yield store.get()
-            got.append(item)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert got == [0, 1, 2, 3, 4]
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append((item, sim.now))
-
-    def producer():
-        yield sim.timeout(3.0)
-        yield store.put("late")
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == [("late", 3.0)]
-
-
-def test_store_capacity_blocks_put():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    times = []
-
-    def producer():
-        for i in range(3):
-            yield store.put(i)
-            times.append(sim.now)
-
-    def consumer():
-        for _ in range(3):
-            yield sim.timeout(2.0)
-            yield store.get()
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    # first put immediate; later puts wait for space
-    assert times[0] == 0.0
-    assert times[1] == 2.0
-    assert times[2] == 4.0
-
-
-def test_store_try_get():
-    sim = Simulator()
-    store = Store(sim)
-    assert store.try_get() is None
-    store.put("x")
-    assert store.try_get() == "x"
-    assert len(store) == 0
-
-
-def test_store_bad_capacity():
-    with pytest.raises(ValueError):
-        Store(Simulator(), capacity=0)
 
 
 def test_signal_broadcasts_to_all_waiters():

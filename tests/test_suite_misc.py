@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Simulator
+from repro.sim import AnyOf, Simulator
 from repro.vibe import (
     SUITE,
     collective_latency,
@@ -59,25 +59,6 @@ def test_render_memreg_titles():
 
 
 # ---- simulation kernel leftovers ------------------------------------------
-
-def test_allof_fails_when_member_fails():
-    sim = Simulator()
-    good = sim.timeout(1.0, "ok")
-    bad = sim.event()
-
-    def failer():
-        yield sim.timeout(2.0)
-        bad.fail(RuntimeError("member"))
-
-    def waiter():
-        with pytest.raises(RuntimeError, match="member"):
-            yield AllOf(sim, [good, bad])
-        return True
-
-    sim.process(failer())
-    proc = sim.process(waiter())
-    assert sim.run(proc)
-
 
 def test_anyof_with_already_processed_member():
     sim = Simulator()
